@@ -2,8 +2,9 @@
 
 Exit codes: 0 solved / verified, 1 unsolved or failed, 2 usage or parse
 error, 3 unknown (budget or timeout exhausted).  All flags are
-long-form; every random choice flows from --seed, so identical
-invocations produce byte-identical outputs.
+long-form.  The solvers make no random choices, and the instance
+generators draw theirs from `gen --seed`, so identical invocations
+produce byte-identical outputs.
 """
 from __future__ import annotations
 
@@ -75,10 +76,7 @@ def _parse_blocks(text: str) -> tuple[int, int, int]:
     return parts
 
 
-def _try_edge(D: DemandGraph, report: RunReport) -> Resolution | None:
-    n = D.a
-    if D.a != D.b or n < 4 or D.m > 2 * n - 2 or D.max_degree() > n:
-        raise PreconditionError("edge-version hypotheses do not hold")
+def _try_edge(D: DemandGraph, report: RunReport) -> Resolution:
     res, trace = solve_edge_version(D)
     report.trace = [f"{s.n}:{s.case_tag}" for s in trace.steps]
     return res
@@ -239,7 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     ps.add_argument("--out", default=None)
-    ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--timeout-ms", dest="timeout_ms", type=int, default=10_000)
     ps.add_argument("--blocks", default=None, help="three block sizes i,j,k")
     ps.set_defaults(func=cmd_solve)

@@ -3,10 +3,12 @@
 Kőnig decomposition splits a bipartite multigraph into exactly Δ
 matchings via two-color alternating-path swaps.  `vizing_color` properly
 colors any loopless multigraph from a palette of Δ+μ colors using the
-fan/fold/reduce recoloring argument, with a bounded backtracking
-fallback should the fan ever stall.  `greedy_list_color` assigns each
-edge a color from its own admissible list and is guaranteed to succeed
-whenever every list is larger than the edge's adjacency count.
+fan/fold/reduce recoloring argument, which always succeeds within Δ+μ
+colors (Berge and Fournier's proof of Vizing's theorem for multigraphs),
+so a stalled fan raises StructuralError.
+`greedy_list_color` assigns each edge a color from its own admissible
+list and is guaranteed to succeed whenever every list is larger than the
+edge's adjacency count.
 """
 from __future__ import annotations
 
@@ -16,6 +18,7 @@ from typing import Mapping
 
 from .demand import A, B, DemandGraph, V
 from .errors import PreconditionError, StructuralError
+from .oracle import _BudgetExceeded, search
 
 
 @dataclass
@@ -96,10 +99,6 @@ def konig_decompose(H: DemandGraph) -> MatchingDecomposition:
     return MatchingDecomposition([frozenset(m) for m in matchings])
 
 
-class _FanStall(Exception):
-    """The fan construction ran out of moves; fall back to backtracking."""
-
-
 def vizing_color(H: DemandGraph) -> EdgeColoring:
     """Properly color a loopless multigraph with at most Δ+μ colors.
 
@@ -108,14 +107,12 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
     either some color is free at the anchor and the last fan vertex
     (fold), or two fan vertices miss a common color and one alternating
     chain swap makes the fan foldable (reduce).  With Δ+μ colors one of
-    the two always applies.
+    the two always applies; a stall would be a bug and raises
+    StructuralError.
     """
     if not H.edges:
         return EdgeColoring({}, 0)
-    delta = H.max_degree()
-    mu = H.max_multiplicity()
-    k = delta + mu
-    palette = frozenset(range(k))
+    palette = frozenset(range(H.max_degree() + H.max_multiplicity()))
     degs = H.degree_map()
     at: dict[V, dict[int, int]] = defaultdict(dict)
     color: dict[int, int] = {}
@@ -160,7 +157,7 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
         while True:
             common = free(x) & free(rim[-1])
             if not common:
-                raise _FanStall
+                raise StructuralError("fan stalled: no color free at the anchor and the last rim")
             last = fan[-1]
             old = color.get(last)
             assign(last, min(common))
@@ -173,7 +170,7 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
                     idx = i
                     break
             if idx is None:
-                raise _FanStall
+                raise StructuralError("fan stalled: the freed color is free at no earlier rim")
             del fan[idx + 1:]
             del rim[idx + 1:]
 
@@ -195,7 +192,7 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
             return
         chain, end = chain_from(yn, b_c, a_c)
         if end == x:
-            raise _FanStall  # two chains cannot both end at the anchor
+            raise StructuralError("fan stalled: both alternating chains end at the anchor")
         swap(chain, a_c, b_c)
         fold(fan, rim, x)
 
@@ -209,7 +206,7 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
         while cands:
             nxt = next((eid for eid in cands if color[eid] in missing), None)
             if nxt is None:
-                raise _FanStall
+                raise StructuralError("fan stalled: no anchor edge has a color missing on the rim")
             cands.remove(nxt)
             fan.append(nxt)
             yn = H.edges[nxt].other(x)
@@ -225,7 +222,7 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
             if ri is not None:
                 reduce(fan, rim, x, ri)
                 return
-        raise _FanStall
+        raise StructuralError("fan stalled: anchor edges ran out before a fold or reduce")
 
     for eid in sorted(H.edges):
         e = H.edges[eid]
@@ -233,10 +230,7 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
         if common:
             assign(eid, min(common))
             continue
-        try:
-            fan_color(eid)
-        except _FanStall:
-            return _backtrack_color(H, k)
+        fan_color(eid)
 
     return _compact(color)
 
@@ -245,49 +239,6 @@ def _compact(color: dict[int, int]) -> EdgeColoring:
     seen = sorted(set(color.values()))
     remap = {c: i for i, c in enumerate(seen)}
     return EdgeColoring({eid: remap[c] for eid, c in color.items()}, len(seen))
-
-
-def _backtrack_color(H: DemandGraph, k: int, max_nodes: int = 500_000) -> EdgeColoring:
-    """Exhaustive fallback; a proper k-coloring is known to exist."""
-    degs = H.degree_map()
-    order = sorted(H.edges, key=lambda eid: (-(degs[H.edges[eid].u] + degs[H.edges[eid].v]), eid))
-    adj = {
-        eid: [
-            oid
-            for oid in order
-            if oid != eid
-            and (
-                H.edges[oid].touches(H.edges[eid].u)
-                or H.edges[oid].touches(H.edges[eid].v)
-            )
-        ]
-        for eid in order
-    }
-    chosen: dict[int, int] = {}
-    nodes = 0
-
-    def dfs(i: int) -> bool:
-        nonlocal nodes
-        if i == len(order):
-            return True
-        if nodes > max_nodes:
-            return False
-        eid = order[i]
-        for c in range(k):
-            if any(chosen.get(o) == c for o in adj[eid]):
-                continue
-            nodes += 1
-            chosen[eid] = c
-            if dfs(i + 1):
-                return True
-            del chosen[eid]
-            if nodes > max_nodes:
-                return False
-        return False
-
-    if not dfs(0):
-        raise StructuralError("fallback edge coloring exhausted its budget")
-    return _compact(chosen)
 
 
 def greedy_list_color(
@@ -323,31 +274,24 @@ def greedy_list_color(
     }
     chosen: dict[int, object] = {}
     nodes = 0
-    exhausted = False
 
-    def dfs(i: int) -> bool:
-        nonlocal nodes, exhausted
-        if i == len(order):
-            return True
-        if exhausted:
-            return False
+    def choices(i: int):
+        nonlocal nodes
         eid = order[i]
         for c in sorted(lists[eid]):
             if any(chosen.get(o) == c for o in adj[eid]):
                 continue
             nodes += 1
             if nodes > max_nodes:
-                exhausted = True
-                return False
+                raise _BudgetExceeded
             chosen[eid] = c
-            if dfs(i + 1):
-                return True
+            yield
             del chosen[eid]
-            if exhausted:
-                return False
-        return False
 
-    if not dfs(0):
+    try:
+        if not search(len(order), choices):
+            return None
+    except _BudgetExceeded:
         return None
     return EdgeColoring(dict(chosen), len(set(chosen.values())))
 

@@ -22,8 +22,7 @@ a CaseTrace for auditability.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
-import warnings
+from itertools import permutations
 
 from .demand import (
     A,
@@ -140,22 +139,14 @@ def pad_to_full(D: DemandGraph, n: int) -> DemandGraph:
 def find_cover_F(D: DemandGraph, X: tuple[V, ...], Y: tuple[V, ...]) -> tuple[int, ...]:
     """Four edges covering every vertex at most twice, Y at least once, X exactly twice.
 
-    The structured selection follows the subcases on |Y|; whenever it
-    comes up empty the exhaustive search over all 4-edge subsets takes
-    over (and the divergence is reported as a warning).
+    The selection follows the subcases on |Y|; a selection that comes up
+    empty or fails validation raises StructuralError, since the case
+    analysis guarantees one exists.
     """
     F = _structured_cover(D, X, Y)
-    if F is not None and _cover_ok(D, F, X, Y):
-        return tuple(sorted(F))
-    for combo in combinations(sorted(D.edges), 4):
-        if _cover_ok(D, combo, X, Y):
-            if F is not None:
-                warnings.warn(
-                    f"structured cover for |Y|={len(Y)} failed validation; "
-                    "exhaustive fallback used"
-                )
-            return combo
-    raise StructuralError("no valid 4-edge cover set exists")
+    if F is None or not _cover_ok(D, F, X, Y):
+        raise StructuralError(f"no structured 4-edge cover for |Y|={len(Y)}")
+    return tuple(sorted(F))
 
 
 def place_F(

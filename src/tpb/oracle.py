@@ -2,12 +2,14 @@
 
 Demands are routed one at a time by depth-first search over simple
 alternating paths in the residual base graph, shortest paths first.
-Branches die early on two necessary conditions: every vertex must retain
-one free base edge per unrouted demand endpoint (two more to be crossed
-as an intermediate), and the total length of a routing cannot exceed the
-number of base edges, where parallel demands admit at most one direct
-route.  A verdict of unresolvable is only ever produced by exhausting
-the whole search space.
+`search`, the package's one backtracking loop, drives it without
+recursion, so the number of demands is not bounded by Python's
+recursion limit.  Branches die early on two necessary conditions:
+every vertex must retain one free base edge per unrouted demand
+endpoint (two more to be crossed as an intermediate), and the total
+length of a routing cannot exceed the number of base edges, where
+parallel demands admit at most one direct route.  A verdict of
+unresolvable is only ever produced by exhausting the whole search space.
 """
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import permutations
+from typing import Callable, Iterator
 
 from .demand import A, B, SIDE_A, DemandGraph, Path, Resolution
 from .errors import PreconditionError
@@ -43,6 +46,30 @@ class OracleVerdict:
 
 class _BudgetExceeded(Exception):
     pass
+
+
+_EXHAUSTED = object()
+
+
+def search(depth: int, choices: Callable[[int], Iterator[object]]) -> bool:
+    """Depth-first search over levels 0..depth-1 on an explicit stack.
+
+    `choices(k)` returns a generator for level k that applies one option
+    per step and yields, and undoes that option when it is resumed.  The
+    generators must not undo anything in a `finally` block, because the
+    ones left suspended on success are closed by garbage collection.
+    Returns True once every level holds an option, with those options
+    still applied, or False with the state restored when level 0 runs
+    out of options.
+    """
+    stack: list[Iterator[object]] = []
+    while len(stack) < depth:
+        stack.append(choices(len(stack)))
+        while next(stack[-1], _EXHAUSTED) is _EXHAUSTED:
+            stack.pop()
+            if not stack:
+                return False
+    return True
 
 
 def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
@@ -144,38 +171,32 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
             free_b[j] += delta
             used_total += 1 if on else -1
 
-    def dfs(k: int) -> bool:
+    def choices(k: int):
         nonlocal nodes
-        if k == len(demands):
-            return True
         if not feasible(k):
-            return False
+            return
         eid, ai, bj = demands[k]
         cnt_a[ai] -= 1
         cnt_b[bj] -= 1
-        try:
-            for seq in paths(ai, bj):
-                nodes += 1
-                if nodes > budget.max_nodes:
-                    raise _BudgetExceeded
-                if nodes % 1024 == 0 and time.monotonic() > deadline:
-                    raise _BudgetExceeded
-                path = tuple(
-                    A(x) if t % 2 == 0 else B(x) for t, x in enumerate(seq)
-                )
-                commit(seq, True)
-                routes[eid] = Path(path)
-                if dfs(k + 1):
-                    return True
-                del routes[eid]
-                commit(seq, False)
-            return False
-        finally:
-            cnt_a[ai] += 1
-            cnt_b[bj] += 1
+        for seq in paths(ai, bj):
+            nodes += 1
+            if nodes > budget.max_nodes:
+                raise _BudgetExceeded
+            if nodes % 1024 == 0 and time.monotonic() > deadline:
+                raise _BudgetExceeded
+            path = tuple(
+                A(x) if t % 2 == 0 else B(x) for t, x in enumerate(seq)
+            )
+            commit(seq, True)
+            routes[eid] = Path(path)
+            yield
+            del routes[eid]
+            commit(seq, False)
+        cnt_a[ai] += 1
+        cnt_b[bj] += 1
 
     try:
-        found = dfs(0)
+        found = search(len(demands), choices)
     except _BudgetExceeded:
         return OracleVerdict(UNKNOWN, None, nodes)
     if found:

@@ -289,7 +289,7 @@ def quarter_lists(G: DemandGraph, delta_a: int) -> dict[int, frozenset[V]]:
     return lists
 
 
-def solve_quarter(D: DemandGraph, color_budget: int | None = None) -> Resolution | None:
+def solve_quarter(D: DemandGraph) -> Resolution | None:
     """Resolve a degree-bounded bipartite instance, or report failure.
 
     Success is guaranteed when the semiregularized class-A degree is at
@@ -299,7 +299,7 @@ def solve_quarter(D: DemandGraph, color_budget: int | None = None) -> Resolution
     if not D.is_bipartite_demand():
         raise PreconditionError("solve_quarter needs a class-crossing demand graph")
     if D.a < D.b:
-        res = solve_quarter(D.transpose(), color_budget)
+        res = solve_quarter(D.transpose())
         return None if res is None else transpose_resolution(res)
     if not D.edges:
         return Resolution({})
@@ -317,8 +317,7 @@ def solve_quarter(D: DemandGraph, color_budget: int | None = None) -> Resolution
     check_quarter_claims(G, ta)
     within = G.induced({A(i) for i in range(G.a)})
     lists = quarter_lists(G, ta)
-    budget = color_budget if color_budget is not None else max(1000, within.m + 1)
-    col = greedy_list_color(within, lists, max_nodes=budget)
+    col = greedy_list_color(within, lists, max_nodes=max(1000, within.m + 1))
     if col is None:
         return None
     for eid in sorted(col.colors):

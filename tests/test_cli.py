@@ -20,6 +20,17 @@ def test_gen_solve_verify_chain(tmp_path, capsys):
     assert run("verify", "--in", str(inst), "--resolution", str(sol)) == 0
 
 
+def test_quarter_with_over_a_thousand_within_class_edges(tmp_path, capsys):
+    inst = tmp_path / "q96.tpb"
+    sol = tmp_path / "q96.sol"
+    gen = ("--family", "random-semiregular", "--a", "96", "--b", "96", "--delta-a", "12")
+    assert run("gen", *gen, "--seed", "1", "--out", str(inst)) == 0
+    assert run("solve", "--in", str(inst), "--algo", "quarter", "--out", str(sol)) == 0
+    capsys.readouterr()
+    assert run("verify", "--in", str(inst), "--resolution", str(sol)) == 0
+    assert capsys.readouterr().out == "valid\n"
+
+
 def test_oracle_on_sharp_edge(tmp_path, capsys):
     inst = tmp_path / "se4.tpb"
     assert run("gen", "--family", "sharp-edge", "--n", "4", "--out", str(inst)) == 0

@@ -165,27 +165,13 @@ def test_vizing_doubled_triangle_is_tight():
             pytest.fail("five colors sufficed for the doubled triangle")
 
 
-@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("seed", range(500))
 def test_vizing_random(seed):
     H = random_multigraph(seed)
     col = vizing_color(H)
     assert proper(H, col.colors)
     if H.edges:
         assert col.palette_size <= H.max_degree() + H.max_multiplicity()
-
-
-def test_vizing_backtracking_fallback_agrees():
-    # the fallback is insurance for a stalled fan; exercise it directly
-    from tpb.coloring import _backtrack_color
-
-    for seed in (3, 7, 11, 19):
-        H = random_multigraph(seed, max_verts=6, max_mult=2, max_edges=10)
-        if not H.edges:
-            continue
-        k = H.max_degree() + H.max_multiplicity()
-        col = _backtrack_color(H, k)
-        assert proper(H, col.colors)
-        assert col.palette_size <= k
 
 
 def test_vizing_complete_multigraphs():

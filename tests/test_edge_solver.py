@@ -125,6 +125,13 @@ def test_cover_parallel_plus_disjoint():
     assert all(c <= 2 for c in cover_counts(D, F).values())
 
 
+def test_cover_without_structured_selection_raises():
+    # a simple graph has no parallel pair to start the |Y| = 0 selection
+    D = g(6, [(A(i), B(i)) for i in range(6)])
+    with pytest.raises(StructuralError):
+        find_cover_F(D, (), ())
+
+
 def test_cover_matches_exhaustive_properties():
     D = gen_random_edge(8, 505)
     full = pad_to_full(D, 8)

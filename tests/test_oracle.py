@@ -19,6 +19,7 @@ from tpb import (
     gen_sharp_edge,
     verify_resolution,
 )
+from tpb.oracle import search
 
 BUDGET = SearchBudget(max_nodes=10_000_000, max_millis=120_000)
 
@@ -113,6 +114,56 @@ def test_determinism():
     assert v1.status == v2.status
     assert v1.nodes_explored == v2.nodes_explored
     assert v1.resolution.routes == v2.resolution.routes
+
+
+def test_decide_beyond_the_recursion_limit():
+    # 1200 demands, one search level each
+    pairs = [(A(i), B(j)) for i in range(40) for j in range(40) if (i + j) % 4 != 0]
+    D = DemandGraph.from_pairs(40, 40, pairs)
+    v = decide(D, BUDGET)
+    assert v.status == RESOLVABLE
+    assert verify_resolution(D, v.resolution) == []
+    assert v.nodes_explored == 1200
+
+
+def _trail_choices(options, trail, tried):
+    """Level k appends each of options(k, trail) to `trail` in turn."""
+
+    def choices(k):
+        for x in options(k, trail):
+            trail.append(x)
+            tried.append(tuple(trail))
+            yield
+            trail.pop()
+
+    return choices
+
+
+def test_search_depth_zero_succeeds_without_expanding():
+    expanded = []
+    assert search(0, expanded.append) is True
+    assert expanded == []
+
+
+def test_search_exhausted_restores_state():
+    trail, tried = [], []
+    # level 1 offers nothing, so every level-0 option is undone again
+    choices = _trail_choices(lambda k, t: [1, 2, 3] if k == 0 else [], trail, tried)
+    assert search(2, choices) is False
+    assert trail == []
+    assert tried == [(1,), (2,), (3,)]
+
+
+def test_search_keeps_first_success_in_depth_first_order():
+    trail, tried = [], []
+
+    def options(k, t):
+        # the last level only accepts a value that brings the sum to 4
+        return range(3) if k < 2 else [x for x in range(3) if sum(t) + x == 4]
+
+    assert search(3, _trail_choices(options, trail, tried)) is True
+    assert trail == [0, 2, 2]
+    assert tried == [(0,), (0, 0), (0, 1), (0, 2), (0, 2, 2)]
 
 
 def test_rejects_within_class_demands():
