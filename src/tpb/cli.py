@@ -190,6 +190,9 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     fam = args.family
+    if args.n is None and (fam != "random-semiregular" or not (args.a and args.b)):
+        print(f"error: --n is required for --family {fam}", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if fam == "sharp-conj":
             D = gen_sharp_conjecture(args.n)
@@ -210,7 +213,7 @@ def cmd_gen(args) -> int:
         else:
             print(f"unknown family {fam}", file=sys.stderr)
             return EXIT_USAGE
-    except (PreconditionError, FormatError, TypeError) as exc:
+    except (PreconditionError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     text = serialize_instance(D)
@@ -220,6 +223,13 @@ def cmd_gen(args) -> int:
     else:
         sys.stdout.write(text)
     return EXIT_SOLVED
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -237,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     ps.add_argument("--out", default=None)
-    ps.add_argument("--timeout-ms", dest="timeout_ms", type=int, default=10_000)
+    ps.add_argument("--timeout-ms", dest="timeout_ms", type=_positive_int, default=10_000)
     ps.add_argument("--blocks", default=None, help="three block sizes i,j,k")
     ps.set_defaults(func=cmd_solve)
 

@@ -251,35 +251,26 @@ def greedy_list_color(
     list exceeds the number of edges adjacent to its edge, since then the
     first pass can never dead-end.
     """
-    if not H.edges:
-        return EdgeColoring({}, 0)
-    degs = H.degree_map()
-    for eid in H.edges:
+    inc: dict[V, list[int]] = defaultdict(list)
+    for eid, e in H.edges.items():
         if eid not in lists:
             raise PreconditionError(f"edge {eid} has no color list")
+        inc[e.u].append(eid)
+        inc[e.v].append(eid)
     order = sorted(
-        H.edges, key=lambda eid: (-(degs[H.edges[eid].u] + degs[H.edges[eid].v]), eid)
+        H.edges, key=lambda eid: (-(len(inc[H.edges[eid].u]) + len(inc[H.edges[eid].v])), eid)
     )
-    adj = {
-        eid: [
-            oid
-            for oid in order
-            if oid != eid
-            and (
-                H.edges[oid].touches(H.edges[eid].u)
-                or H.edges[oid].touches(H.edges[eid].v)
-            )
-        ]
-        for eid in order
-    }
     chosen: dict[int, object] = {}
     nodes = 0
 
     def choices(i: int):
         nonlocal nodes
         eid = order[i]
+        e = H.edges[eid]
+        # only levels < i hold colors while this generator is live
+        taken = {chosen[o] for w in (e.u, e.v) for o in inc[w] if o in chosen}
         for c in sorted(lists[eid]):
-            if any(chosen.get(o) == c for o in adj[eid]):
+            if c in taken:
                 continue
             nodes += 1
             if nodes > max_nodes:

@@ -5,11 +5,11 @@ graph K_{a,b}: every edge is a terminal pair that must be realized as a
 path in the base graph.  Each physical edge carries a stable id plus a
 lineage label.  Lifting an edge to a vertex replaces it by a two-edge
 detour that inherits the label, so the edges sharing a label always form
-a walk between the two original terminals.  Once some sequence of
-liftings produces a simple class-crossing subgraph, every label class
-contains an actual path between its terminals; `extract_resolution`
-reads those paths off, and `verify_resolution` is the independent
-checker for the result.
+a walk between the two original terminals; `lift` applies a batch of such
+moves with one copy of the edge dict.  Once some sequence of liftings
+produces a simple class-crossing subgraph, every label class contains an
+actual path between its terminals; `extract_resolution` reads those paths
+off, and `verify_resolution` is the independent checker for the result.
 """
 from __future__ import annotations
 
@@ -204,20 +204,26 @@ class DemandGraph:
 # -- lifting operations ---------------------------------------------------
 
 
-def lift(D: DemandGraph, edge_id: int, z: V) -> DemandGraph:
-    """Replace edge xy by the detour xz, zy; identity when z is an endpoint."""
-    e = D.edges.get(edge_id)
-    if e is None:
-        raise NotFoundError(f"edge id {edge_id} not in graph")
-    D._check_vertex(z)
-    if z == e.u or z == e.v:
-        return D
+def lift(D: DemandGraph, moves: Iterable[tuple[int, V]]) -> DemandGraph:
+    """Apply the liftings (edge_id, z) in order with one copy of the edge dict.
+
+    Each replaces edge xy by the detour xz, zy with fresh ids, exactly as
+    one call per move would; a move onto an endpoint is the identity.  D is
+    never modified, and is returned as is when no move changes anything.
+    """
     edges = dict(D.edges)
-    del edges[edge_id]
     i = D.next_fresh_id
-    edges[i] = Edge(i, e.label, e.u, z, e.padding)
-    edges[i + 1] = Edge(i + 1, e.label, z, e.v, e.padding)
-    return DemandGraph(D.a, D.b, edges, i + 2)
+    for edge_id, z in moves:
+        e = edges.get(edge_id)
+        if e is None:
+            raise NotFoundError(f"edge id {edge_id} not in graph")
+        D._check_vertex(z)
+        if z != e.u and z != e.v:
+            del edges[edge_id]
+            edges[i] = Edge(i, e.label, e.u, z, e.padding)
+            edges[i + 1] = Edge(i + 1, e.label, z, e.v, e.padding)
+            i += 2
+    return D if i == D.next_fresh_id else DemandGraph(D.a, D.b, edges, i)
 
 
 def edge_lift(D: DemandGraph, edge_id: int, x: V, y: V) -> DemandGraph:

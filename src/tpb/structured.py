@@ -14,6 +14,7 @@ vertex; the leftover within-class edges then receive distinct class-B
 vertices via list coloring, where every edge's list holds the B-vertices
 adjacent to neither endpoint.  The list coloring is greedy, so success
 is guaranteed for Δ_A <= floor((b+1)/6) and attempted up to b/4.
+Each lifting stage is one batched `lift` call: one edge-dict copy.
 """
 from __future__ import annotations
 
@@ -198,9 +199,7 @@ def solve_blocked(D: DemandGraph, part: BlockPartition) -> Resolution:
         for j, matching in enumerate(dec.matchings):
             if len(matching) != len(ua):
                 raise StructuralError(f"block {k + 1}: matching {j} is not perfect")
-            z = A(ua[j])
-            for eid in sorted(matching):
-                G = lift(G, eid, z)
+        G = lift(G, ((eid, A(ua[j])) for j, m in enumerate(dec.matchings) for eid in sorted(m)))
         within = G.induced({A(i) for i in ua})
         if within.max_multiplicity() > 2:
             raise StructuralError(f"block {k + 1}: within-class multiplicity exceeds 2")
@@ -215,10 +214,7 @@ def solve_blocked(D: DemandGraph, part: BlockPartition) -> Resolution:
         by_color: dict[int, list[int]] = {}
         for eid, c in col.colors.items():
             by_color.setdefault(c, []).append(eid)
-        for c in sorted(by_color):
-            w = targets[c]
-            for eid in sorted(by_color[c]):
-                G = lift(G, eid, w)
+        G = lift(G, ((eid, targets[c]) for c in sorted(by_color) for eid in sorted(by_color[c])))
 
     if not G.is_simple_base():
         raise StructuralError("blocked pipeline did not end on a simple graph")
@@ -231,11 +227,7 @@ def solve_blocked(D: DemandGraph, part: BlockPartition) -> Resolution:
 
 def quarter_lift(G: DemandGraph, groups: RepartitionResult) -> DemandGraph:
     """Lift the i-th matching onto the i-th class-A vertex."""
-    for i, group in enumerate(groups.matchings):
-        z = A(i)
-        for eid in sorted(group):
-            G = lift(G, eid, z)
-    return G
+    return lift(G, ((eid, A(i)) for i, group in enumerate(groups.matchings) for eid in sorted(group)))
 
 
 def check_quarter_claims(G: DemandGraph, delta_a: int) -> None:
@@ -320,8 +312,7 @@ def solve_quarter(D: DemandGraph) -> Resolution | None:
     col = greedy_list_color(within, lists, max_nodes=max(1000, within.m + 1))
     if col is None:
         return None
-    for eid in sorted(col.colors):
-        G = lift(G, eid, col.colors[eid])
+    G = lift(G, ((eid, col.colors[eid]) for eid in sorted(col.colors)))
     if not G.is_simple_base():
         raise StructuralError("quarter pipeline did not end on a simple graph")
     res = extract_resolution(G, reg)

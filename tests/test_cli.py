@@ -146,3 +146,20 @@ def test_unknown_budget_exit_code(tmp_path, capsys):
         "solve", "--in", str(inst), "--algo", "oracle", "--timeout-ms", "1"
     )
     assert code in (1, 3)  # fast machines may still finish the refutation
+
+
+def test_timeout_below_one_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "c6.tpb"
+    run("gen", "--family", "chain", "--n", "6", "--out", str(inst))
+    for value in ("0", "-5"):
+        assert run("solve", "--in", str(inst), "--timeout-ms", value) == 2
+        assert "--timeout-ms" in capsys.readouterr().err
+
+
+def test_gen_without_n_is_usage_error(capsys):
+    for family in ("sharp-conj", "sharp-edge", "chain", "random-edge", "random-blocked"):
+        assert run("gen", "--family", family) == 2
+        assert capsys.readouterr().err == f"error: --n is required for --family {family}\n"
+    assert run("gen", "--family", "random-semiregular", "--a", "8", "--delta-a", "2") == 2
+    assert "--n is required" in capsys.readouterr().err
+    assert run("gen", "--family", "random-semiregular", "--a", "8", "--b", "8", "--delta-a", "2") == 0

@@ -17,6 +17,7 @@ from tpb import (
     regularize,
     vizing_color,
 )
+from tpb.demand import Edge
 
 
 def proper(H, colors):
@@ -219,6 +220,39 @@ def test_list_color_path_with_binary_lists():
 def test_list_color_reports_failure():
     D = DemandGraph.from_pairs(1, 2, [(A(0), B(0)), (A(0), B(1))])
     assert greedy_list_color(D, {eid: frozenset([0]) for eid in D.edges}) is None
+
+
+def parallel_within_class_graph():
+    # A0-A1 three times and A2-A3 twice, on the class-A vertices of K_{5,12}
+    pairs = [(0, 1), (0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3), (0, 2), (3, 4)]
+    return DemandGraph(5, 12, {k: Edge(k, k, A(u), A(v)) for k, (u, v) in enumerate(pairs)}, 9)
+
+
+def test_list_color_parallel_edges_pinned_colorings():
+    H = parallel_within_class_graph()
+    degs = H.degree_map()
+    # lists one larger than the adjacency count: no backtracking needed
+    lists = {
+        eid: frozenset(B((5 * eid + j) % 12) for j in range(degs[e.u] + degs[e.v] - 1))
+        for eid, e in H.edges.items()
+    }
+    col = greedy_list_color(H, lists)
+    assert {eid: c.index for eid, c in col.colors.items()} == {
+        0: 0, 1: 5, 2: 1, 3: 3, 4: 0, 5: 1, 6: 6, 7: 2, 8: 4
+    }
+    assert col.palette_size == 7
+    assert greedy_list_color(H, lists, max_nodes=8) is None
+    # lists two short of the adjacency count: the first pass dead-ends and
+    # the search needs 14 assignments
+    lists = {
+        eid: frozenset(B((3 * eid + j) % 12) for j in range(degs[e.u] + degs[e.v] - 4))
+        for eid, e in H.edges.items()
+    }
+    assert greedy_list_color(H, lists, max_nodes=13) is None
+    col = greedy_list_color(H, lists, max_nodes=14)
+    assert {eid: c.index for eid, c in col.colors.items()} == {
+        0: 0, 1: 3, 2: 6, 3: 9, 4: 2, 5: 3, 6: 7, 7: 1, 8: 0
+    }
 
 
 @settings(max_examples=40, deadline=None)

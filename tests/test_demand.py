@@ -32,13 +32,13 @@ def g(a, b, pairs):
 
 def test_lift_to_endpoint_is_identity():
     D = g(2, 2, [(A(0), B(0))])
-    assert lift(D, 0, A(0)) is D
-    assert lift(D, 0, B(0)) is D
+    assert lift(D, [(0, A(0))]) is D
+    assert lift(D, [(0, B(0))]) is D
 
 
 def test_lift_splits_edge_and_keeps_label():
     D = g(2, 2, [(A(0), B(0))])
-    D2 = lift(D, 0, A(1))
+    D2 = lift(D, [(0, A(1))])
     assert D2.m == D.m + 1
     assert sorted(e.pair() for e in D2.edges.values()) == [
         (A(0), A(1)),
@@ -51,9 +51,9 @@ def test_lift_splits_edge_and_keeps_label():
 def test_lift_composition_equals_edge_lift():
     # lifting uv to x and then the ux half on to y equals edge_lift to xy
     D = g(3, 3, [(A(0), B(0))])
-    one = lift(D, 0, A(1))
+    one = lift(D, [(0, A(1))])
     half = next(eid for eid, e in one.edges.items() if e.pair() == (A(0), A(1)))
-    two = lift(one, half, B(1))
+    two = lift(one, [(half, B(1))])
     direct = edge_lift(D, 0, A(1), B(1))
     assert Counter(e.pair() for e in two.edges.values()) == Counter(
         e.pair() for e in direct.edges.values()
@@ -63,9 +63,36 @@ def test_lift_composition_equals_edge_lift():
 def test_lift_unknown_edge_and_bad_vertex():
     D = g(2, 2, [(A(0), B(0))])
     with pytest.raises(NotFoundError):
-        lift(D, 99, A(1))
+        lift(D, [(99, A(1))])
     with pytest.raises(DomainError):
-        lift(D, 0, A(5))
+        lift(D, [(0, A(5))])
+
+
+def test_lift_batch_without_effective_move_is_identity():
+    D = g(2, 2, [(A(0), B(0)), (A(1), B(1))])
+    assert lift(D, []) is D
+    assert lift(D, [(0, A(0)), (1, B(1)), (0, B(0))]) is D
+
+
+def test_lift_batch_rejects_repeated_id_and_bad_vertex_without_change():
+    D = g(3, 3, [(A(0), B(0)), (A(1), B(1))])
+    before = list(D.edges.items()), D.next_fresh_id
+    with pytest.raises(NotFoundError):
+        lift(D, [(0, A(1)), (0, A(2))])
+    with pytest.raises(DomainError):
+        lift(D, [(0, A(1)), (1, B(7))])
+    assert (list(D.edges.items()), D.next_fresh_id) == before
+
+
+def test_lift_batch_may_move_edges_it_creates():
+    D = g(3, 3, [(A(0), B(0))])
+    G = lift(D, [(0, A(1)), (2, B(2))])  # id 2 is the A(1)-B(0) half
+    assert [(e.id, e.u, e.v) for e in G.edges.values()] == [
+        (1, A(0), A(1)),
+        (3, A(1), B(2)),
+        (4, B(2), B(0)),
+    ]
+    assert G.next_fresh_id == 5
 
 
 # -- edge lift ----------------------------------------------------------------
@@ -97,7 +124,7 @@ def test_edge_lift_rejects_shared_vertex():
 
 def test_edge_lift_rejects_within_class_edge():
     D = g(2, 2, [(A(0), B(0))])
-    D2 = lift(D, 0, A(1))  # creates the within-class edge (A0, A1)
+    D2 = lift(D, [(0, A(1))])  # creates the within-class edge (A0, A1)
     aa = next(eid for eid, e in D2.edges.items() if e.pair() == (A(0), A(1)))
     with pytest.raises(PreconditionError):
         edge_lift(D2, aa, A(0), B(1))
@@ -233,7 +260,7 @@ def test_lifting_preserves_label_walks(D, data):
         eid = data.draw(st.sampled_from(sorted(G.edges)))
         side = data.draw(st.booleans())
         idx = data.draw(st.integers(0, (G.a if side else G.b) - 1))
-        G = lift(G, eid, A(idx) if side else B(idx))
+        G = lift(G, [(eid, A(idx) if side else B(idx))])
     # label count and terminals survive any lifting sequence
     assert {e.label for e in G.edges.values()} == {e.label for e in D.edges.values()}
     assert sum(G.degree_map().values()) == 2 * G.m
@@ -245,3 +272,23 @@ def test_lifting_preserves_label_walks(D, data):
             degs[e.v] += 1
         odd = {v for v, d in degs.items() if d % 2 == 1}
         assert odd in ({e0.u, e0.v}, set())
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(), st.data())
+def test_batched_lift_equals_one_move_per_call(D, data):
+    D = D.with_edges([(A(0), B(0))] * data.draw(st.integers(0, 2)), padding=True)
+    G = D
+    moves = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        if not G.edges:
+            break
+        eid = data.draw(st.sampled_from(sorted(G.edges)))
+        side = data.draw(st.booleans())
+        z = A(data.draw(st.integers(0, G.a - 1))) if side else B(data.draw(st.integers(0, G.b - 1)))
+        moves.append((eid, z))
+        G = lift(G, [(eid, z)])
+    batched = lift(D, iter(moves))
+    assert list(batched.edges.items()) == list(G.edges.items())
+    assert batched.next_fresh_id == G.next_fresh_id
+    assert (batched is D) == (G is D)

@@ -1,4 +1,6 @@
 """Blocked and degree-bounded pipelines plus matching repartition."""
+import hashlib
+
 import pytest
 
 from tpb import (
@@ -18,8 +20,10 @@ from tpb import (
     solve_quarter,
     verify_resolution,
 )
+import tpb.structured
 from tpb.structured import check_quarter_claims, quarter_lift, quarter_lists
 from tpb.coloring import choose_semiregular_targets, regularize
+from tpb.instances import serialize_resolution
 
 
 # -- repartition -----------------------------------------------------------------
@@ -223,3 +227,70 @@ def test_quarter_intermediate_claims():
     assert all(d <= 2 * ta for d in within_deg.values())
     lists = quarter_lists(G, ta)
     assert all(len(L) >= G.b - 2 * ta for L in lists.values())
+
+
+# -- pinned outputs and lift batching ------------------------------------------------
+
+
+def outputs_digest(results):
+    h = hashlib.sha256()
+    for res in results:
+        text = serialize_resolution(res) if res is not None else serialize_resolution(None, "UNSOLVED")
+        h.update(hashlib.sha256(text.encode()).hexdigest().encode())
+    return h.hexdigest()
+
+
+# gen_random_semiregular(a, b, delta_a, seed) for seeds 0..7; (16, 32) is
+# solved through the transposed (32, 16) instance
+QUARTER_DIGESTS = {
+    (16, 16, 2): "47dbe1a5fb39ebf81c98a6d8445c71ed7a4d5fd4234d84553d80d9f6e13e7ac1",
+    (32, 32, 4): "5087248b9ffae7a5abf8ddd8cfe290d499e79dabe052ca6d1e2567eb981666a4",
+    (64, 64, 8): "fe5c7719862aacd0f8c37fe84925b8fe04cda70be1e31fc1f78ce587614df146",
+    (16, 32, 4): "1a3481ddf2d80073251981da15ab79e8d0b64d1beb103ff8c8c707298738d468",
+}
+
+# gen_random_blocked(n, (n/3, n/3, n/3), seed) for seeds 0..7
+BLOCKED_DIGESTS = {
+    12: "5abb94a979d7d6194f3bb49ed7ef00961ec267489c0218d425fb4a1a404b069c",
+    24: "2d79350a0a43a448ddcca95af06ca34a5c7b1f94976da1de57d4fa660c920174",
+    48: "cbaf0a4ff9c1178caa554cbaa4b2138a7638e41db9328dd8f836638e923dcf87",
+}
+
+
+@pytest.mark.parametrize("args", sorted(QUARTER_DIGESTS))
+def test_quarter_outputs_pinned(args):
+    results = [solve_quarter(gen_random_semiregular(*args, seed)) for seed in range(8)]
+    assert outputs_digest(results) == QUARTER_DIGESTS[args]
+
+
+@pytest.mark.parametrize("n", sorted(BLOCKED_DIGESTS))
+def test_blocked_outputs_pinned(n):
+    t = n // 3
+    part = BlockPartition.from_sizes((t, t, t))
+    results = [solve_blocked(gen_random_blocked(n, (t, t, t), seed), part) for seed in range(8)]
+    assert outputs_digest(results) == BLOCKED_DIGESTS[n]
+
+
+@pytest.fixture
+def lift_calls(monkeypatch):
+    calls = []
+    real = tpb.structured.lift
+
+    def counting(G, moves):
+        calls.append(G)
+        return real(G, moves)
+
+    monkeypatch.setattr(tpb.structured, "lift", counting)
+    return calls
+
+
+def test_quarter_lifts_in_two_batches(lift_calls):
+    D = gen_random_semiregular(32, 32, 4, 3)
+    assert verify_resolution(D, solve_quarter(D)) == []
+    assert len(lift_calls) == 2
+
+
+def test_blocked_lifts_in_at_most_two_batches_per_block(lift_calls):
+    D = gen_random_blocked(24, (8, 8, 8), 3)
+    assert verify_resolution(D, solve_blocked(D, BlockPartition.from_sizes((8, 8, 8)))) == []
+    assert 1 <= len(lift_calls) <= 6
