@@ -311,15 +311,24 @@ def regularize(D: DemandGraph, target_a: int, target_b: int) -> DemandGraph:
         raise PreconditionError("targetB below an existing class-B degree")
     if D.a * target_a != D.b * target_b:
         raise PreconditionError("a*targetA must equal b*targetB")
-    def_a = [target_a - degs[A(i)] for i in range(D.a)]
-    def_b = [target_b - degs[B(j)] for j in range(D.b)]
+    def_a = {i: target_a - degs[A(i)] for i in range(D.a)}
+    def_b = {j: target_b - degs[B(j)] for j in range(D.b)}
+    return D.with_edges(deficit_pairs(def_a, def_b), padding=True)
+
+
+def deficit_pairs(def_a: dict[int, int], def_b: dict[int, int]) -> list[tuple[V, V]]:
+    """Pair the largest class-A deficit with the largest class-B one until A has none.
+
+    Ties go to the lowest index.  Both deficit maps, keyed by index within
+    the class, are used up in place; an empty def_a gives no pairs.
+    """
     pairs = []
-    while True:
-        i = max(range(D.a), key=lambda i: (def_a[i], -i))
+    while def_a:
+        i = max(def_a, key=lambda i: (def_a[i], -i))
         if def_a[i] == 0:
             break
-        j = max(range(D.b), key=lambda j: (def_b[j], -j))
+        j = max(def_b, key=lambda j: (def_b[j], -j))
         pairs.append((A(i), B(j)))
         def_a[i] -= 1
         def_b[j] -= 1
-    return D.with_edges(pairs, padding=True)
+    return pairs

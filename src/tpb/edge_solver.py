@@ -13,11 +13,13 @@ The reduction is legal when
   (3) degrees away from Z stay at most n - |Z|/2, and
   (4) no parallel edges touch Z,
 
-which `check_conditions` re-verifies at runtime before every recursive
-call; a violation raises StructuralError naming the case, since it can
-only mean a handler bug.  Simple graphs are their own resolution, and
-instances with n <= 5 go to the exact oracle.  Each step is recorded in
-a CaseTrace for auditability.
+which `check_conditions` re-verifies at runtime at every level; a
+violation raises StructuralError naming the case, since it can only mean
+a handler bug.  The induction runs as one loop: the edges touching Z are
+set aside in the original coordinates and the rest is relabelled onto
+the smaller K_{m,m}, until a simple graph, an n <= 5 instance (solved by
+the exact oracle) or a case that lifts straight to a simple graph is
+left.  Each step is recorded in a CaseTrace for auditability.
 """
 from __future__ import annotations
 
@@ -173,43 +175,59 @@ def place_F(
     raise StructuralError("no numbering of the cover edges avoids parallels at Z")
 
 
-# -- recursion ----------------------------------------------------------------
+# -- induction loop -------------------------------------------------------------
 
 
 def _resolve(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
-    n = D.a
-    if D.is_simple_base():
-        trace.steps.append(CaseContext(n, "simple"))
-        return D
-    if n <= 5:
-        return _base_case(D, trace)
-    full = pad_to_full(D, n)
-    ctx, dp, z = _dispatch(full, n)
-    trace.steps.append(ctx)
-    if z is None:
-        if not dp.is_simple_base():
-            raise StructuralError(f"case {ctx.case_tag}: direct construction not simple")
-        return dp
-    problems = check_conditions(dp, z, n)
-    if problems:
-        raise StructuralError(f"case {ctx.case_tag}: " + "; ".join(problems))
-    zset = set(z)
-    sub = dp.induced([v for v in dp.vertices() if v not in zset])
-    m = n - len(zset) // 2
-    if sub.m > 2 * m - 2:
-        raise StructuralError(f"case {ctx.case_tag}: induced instance keeps too many edges")
-    subc, amap, bmap = _compress(sub, zset, m)
-    subfinal = _uncompress(_resolve(subc, trace), amap, bmap, n)
-    merged_edges = {
-        eid: e for eid, e in dp.edges.items() if e.u in zset or e.v in zset
-    }
-    merged_edges.update(subfinal.edges)
-    merged = DemandGraph(
-        n, n, merged_edges, max(dp.next_fresh_id, subfinal.next_fresh_id)
-    )
-    if not merged.is_simple_base():
-        raise StructuralError(f"case {ctx.case_tag}: merged graph is not simple")
-    return merged
+    """Run the induction on D and return the simple graph it lifts to.
+
+    Each level works on a compact K_{n,n}, and `orig` maps its vertices
+    back to D's.  The edges touching Z are final once the level's liftings
+    are done, so they go to `frozen` in D's coordinates; the rest is
+    relabelled onto K_{m,m} for the next level.
+    """
+    N = D.a
+    orig = {v: v for v in D.vertices()}
+    frozen: dict[int, Edge] = {}
+    while True:
+        n = D.a
+        if D.is_simple_base():
+            trace.steps.append(CaseContext(n, "simple"))
+            break
+        if n <= 5:
+            D = _base_case(D, trace)
+            break
+        full = pad_to_full(D, n)
+        ctx, dp, z = _dispatch(full, n)
+        trace.steps.append(ctx)
+        if z is None:
+            if not dp.is_simple_base():
+                raise StructuralError(f"case {ctx.case_tag}: direct construction not simple")
+            D = dp
+            break
+        problems = check_conditions(dp, z, n)
+        if problems:
+            raise StructuralError(f"case {ctx.case_tag}: " + "; ".join(problems))
+        zset = set(z)
+        local: dict[V, V] = {}
+        for side in (SIDE_A, SIDE_B):
+            gone = {v.index for v in zset if v.side == side}
+            kept = (i for i in range(n) if i not in gone)
+            local.update((V(side, i), V(side, k)) for k, i in enumerate(kept))
+        rest = {}
+        for e in dp.edges.values():
+            if e.u in zset or e.v in zset:
+                frozen[e.id] = Edge(e.id, e.label, orig[e.u], orig[e.v], e.padding)
+            else:
+                rest[e.id] = Edge(e.id, e.label, local[e.u], local[e.v], e.padding)
+        m = n - len(zset) // 2
+        if len(rest) > 2 * m - 2:
+            raise StructuralError(f"case {ctx.case_tag}: induced instance keeps too many edges")
+        D = DemandGraph(m, m, rest, dp.next_fresh_id)
+        orig = {w: orig[v] for v, w in local.items()}
+    for e in D.edges.values():
+        frozen[e.id] = Edge(e.id, e.label, orig[e.u], orig[e.v], e.padding)
+    return DemandGraph(N, N, frozen, D.next_fresh_id)
 
 
 def _base_case(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
@@ -228,40 +246,6 @@ def _base_case(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
             edges[nid] = Edge(nid, e.label, x, y, e.padding)
             nid += 1
     return DemandGraph(D.a, D.b, edges, nid)
-
-
-def _compress(
-    sub: DemandGraph, zset: set[V], m: int
-) -> tuple[DemandGraph, dict[int, int], dict[int, int]]:
-    keep_a = [i for i in range(sub.a) if A(i) not in zset]
-    keep_b = [j for j in range(sub.b) if B(j) not in zset]
-    amap = {old: new for new, old in enumerate(keep_a)}
-    bmap = {old: new for new, old in enumerate(keep_b)}
-
-    def remap(v: V) -> V:
-        return A(amap[v.index]) if v.side == SIDE_A else B(bmap[v.index])
-
-    edges = {
-        eid: Edge(e.id, e.label, remap(e.u), remap(e.v), e.padding)
-        for eid, e in sub.edges.items()
-    }
-    return DemandGraph(m, m, edges, sub.next_fresh_id), amap, bmap
-
-
-def _uncompress(
-    g: DemandGraph, amap: dict[int, int], bmap: dict[int, int], n: int
-) -> DemandGraph:
-    inv_a = {new: old for old, new in amap.items()}
-    inv_b = {new: old for old, new in bmap.items()}
-
-    def remap(v: V) -> V:
-        return A(inv_a[v.index]) if v.side == SIDE_A else B(inv_b[v.index])
-
-    edges = {
-        eid: Edge(e.id, e.label, remap(e.u), remap(e.v), e.padding)
-        for eid, e in g.edges.items()
-    }
-    return DemandGraph(n, n, edges, g.next_fresh_id)
 
 
 # -- case dispatch -------------------------------------------------------------
@@ -308,6 +292,15 @@ def _no_parallel_at(g: DemandGraph, zset: set[V]) -> bool:
             if mult[key] > 1:
                 return False
     return True
+
+
+def _neighbor_sets(D: DemandGraph) -> dict[V, set[V]]:
+    """Every vertex's neighbors, from one pass over the edges."""
+    nbrs: dict[V, set[V]] = {v: set() for v in D.vertices()}
+    for e in D.edges.values():
+        nbrs[e.u].add(e.v)
+        nbrs[e.v].add(e.u)
+    return nbrs
 
 
 def _lowest_edge(D: DemandGraph, u: V, v: V) -> int:
@@ -522,8 +515,9 @@ def _case21(D: DemandGraph, n: int):
 
 def _case22(D: DemandGraph, n: int, degs, iso_a, iso_b):
     """No degree-1 vertex and no degree-n vertex."""
+    nbrs = _neighbor_sets(D)
     for v in D.vertices():
-        if degs[v] == 2 and len(D.neighbors(v)) == 2:
+        if degs[v] == 2 and len(nbrs[v]) == 2:
             other_iso = iso_b if v.side == SIDE_A else iso_a
             if not other_iso:
                 raise StructuralError("case 2.2.1: no isolated vertex opposite")
@@ -542,9 +536,10 @@ def _case222(D: DemandGraph, n: int):
     if len(iso_a) < 2:
         raise StructuralError("case 2.2.2: missing the two isolated vertices")
     a1, a2 = A(iso_a[0]), A(iso_a[1])
+    nbrs = _neighbor_sets(D)
     for j in range(n):
         d = degs[B(j)]
-        if d not in (0, 2) or (d == 2 and len(D.neighbors(B(j))) != 1):
+        if d not in (0, 2) or (d == 2 and len(nbrs[B(j)]) != 1):
             raise StructuralError("case 2.2.2: opposite class is not all doubled pairs")
     pos = sorted(
         (i for i in range(n) if degs[A(i)] > 0),
@@ -553,8 +548,8 @@ def _case222(D: DemandGraph, n: int):
     if len(pos) < 2:
         raise StructuralError("case 2.2.2: fewer than two positive-degree vertices")
     u, v = A(pos[0]), A(pos[1])
-    zz = min(D.neighbors(u))
-    w = min(D.neighbors(v))
+    zz = min(nbrs[u])
+    w = min(nbrs[v])
     if zz == w:
         raise StructuralError("case 2.2.2: chosen neighbors coincide")
     g = edge_lift(D, _lowest_edge(D, u, zz), a1, w)
@@ -566,11 +561,12 @@ def _case222(D: DemandGraph, n: int):
 def _case223(D: DemandGraph, n: int):
     """Exactly one isolated vertex per class: the doubled-matching chain."""
     degs = D.degree_map()
+    nbrs = _neighbor_sets(D)
     part: dict[int, int] = {}
     for i in range(n):
         if degs[A(i)] == 0:
             continue
-        nb = D.neighbors(A(i))
+        nb = nbrs[A(i)]
         if degs[A(i)] != 2 or len(nb) != 1:
             raise StructuralError("case 2.2.3: not a doubled matching")
         part[i] = next(iter(nb)).index
@@ -629,12 +625,9 @@ def _case3(D: DemandGraph, n: int):
 
 def _case321(D: DemandGraph, n: int, degs, z: V, v: V, u: V):
     """Full vertex with an isolated opposite vertex; all others degree two."""
-    mult_free = [
-        B(j)
-        for j in range(n)
-        if j != u.index and len(D.neighbors(B(j))) == 2
-    ]
-    adj_free = [x for x in mult_free if D.multiplicity(z, x) >= 1]
+    nbrs = _neighbor_sets(D)
+    mult_free = [B(j) for j in range(n) if j != u.index and len(nbrs[B(j)]) == 2]
+    adj_free = [x for x in mult_free if x in nbrs[z]]
     if adj_free:
         x = adj_free[0]
         eid = next(
@@ -652,16 +645,12 @@ def _case321(D: DemandGraph, n: int, degs, z: V, v: V, u: V):
         if len(iso_a) < 2:
             raise StructuralError("case 3.2.1: second isolated vertex missing")
         v2 = A(iso_a[1])
-        a_nb = min(D.neighbors(z))
-        b_cands = [
-            B(j)
-            for j in range(n)
-            if degs[B(j)] == 2 and D.multiplicity(z, B(j)) == 0
-        ]
+        a_nb = min(nbrs[z])
+        b_cands = [B(j) for j in range(n) if degs[B(j)] == 2 and B(j) not in nbrs[z]]
         if not b_cands:
             raise StructuralError("case 3.2.1: no doubled pair away from the full vertex")
         b = b_cands[0]
-        zp = next(iter(D.neighbors(b)))
+        zp = next(iter(nbrs[b]))
         g = edge_lift(D, _lowest_edge(D, z, a_nb), v, b)
         g = edge_lift(g, _lowest_edge(g, zp, b), v2, a_nb)
         zz = (v, v2, a_nb, b)
@@ -671,21 +660,21 @@ def _case321(D: DemandGraph, n: int, degs, z: V, v: V, u: V):
     # degree-2 vertices live elsewhere.  Lift one copy of every doubled
     # pair at z onto v and the non-neighbors of z; afterwards z is simple
     # and Z = {z, v, first neighbor, u} satisfies the four conditions.
-    nbrs = sorted(D.neighbors(z))
-    if n % 2 != 0 or len(nbrs) != n // 2:
+    star = sorted(nbrs[z])
+    if n % 2 != 0 or len(star) != n // 2:
         raise StructuralError("case 3.2.1: unexpected neighborhood shape at the full vertex")
-    for x in nbrs:
+    for x in star:
         if D.multiplicity(z, x) != 2:
             raise StructuralError("case 3.2.1: neighbor of the full vertex not doubled")
-    targets = sorted(B(j) for j in range(n) if D.multiplicity(z, B(j)) == 0)
-    if len(targets) != len(nbrs):
+    targets = [B(j) for j in range(n) if B(j) not in nbrs[z]]
+    if len(targets) != len(star):
         raise StructuralError("case 3.2.1: target count mismatch")
     g = D
-    for x, y in zip(nbrs, targets):
+    for x, y in zip(star, targets):
         g = edge_lift(g, _lowest_edge(g, z, x), v, y)
-    zz = (z, v, nbrs[0], u)
+    zz = (z, v, star[0], u)
     ctx = CaseContext(
-        n, "3.2.1", x_set=(z,), z_set=zz, lifts=len(nbrs), note="lifted parallel star"
+        n, "3.2.1", x_set=(z,), z_set=zz, lifts=len(star), note="lifted parallel star"
     )
     return ctx, g, zz
 

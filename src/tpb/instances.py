@@ -60,6 +60,8 @@ def gen_random_edge(
     n: int, seed: int, max_edges: int | None = None, max_degree: int | None = None
 ) -> DemandGraph:
     """Random instance within the edge-version hypotheses (|E| <= 2n-2, Δ <= n)."""
+    if n < 1:
+        raise PreconditionError("n must be at least 1")
     me = 2 * n - 2 if max_edges is None else max_edges
     md = n if max_degree is None else max_degree
     rng = random.Random(seed)
@@ -83,6 +85,8 @@ def gen_random_edge(
 
 def gen_random_blocked(n: int, sizes: tuple[int, int, int], seed: int) -> DemandGraph:
     """Random block-respecting instance with Δ <= floor(n/3)."""
+    if n < 1:
+        raise PreconditionError("n must be at least 1")
     if sum(sizes) != n:
         raise PreconditionError("block sizes must sum to n")
     t = n // 3
@@ -113,6 +117,10 @@ def gen_random_blocked(n: int, sizes: tuple[int, int, int], seed: int) -> Demand
 
 def gen_random_semiregular(a: int, b: int, delta_a: int, seed: int) -> DemandGraph:
     """Random semiregular instance: every A-degree delta_a, every B-degree a*delta_a/b."""
+    if a < 1 or b < 1:
+        raise PreconditionError("both classes need at least one vertex")
+    if delta_a < 0:
+        raise PreconditionError("delta_a must be at least 0")
     total = a * delta_a
     if total % b != 0:
         raise PreconditionError("a*delta_a must be divisible by b")

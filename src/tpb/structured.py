@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from .coloring import (
     MatchingDecomposition,
     choose_semiregular_targets,
+    deficit_pairs,
     greedy_list_color,
     konig_decompose,
     regularize,
@@ -168,24 +169,13 @@ def solve_blocked(D: DemandGraph, part: BlockPartition) -> Resolution:
             raise PreconditionError(f"edge {e.id} joins block {block_of_a[i] + 1} to block {block_of_b[j] + 1}")
 
     # Pad every block to t-regularity with flagged parallel demands.
-    G = D
-    degs = G.degree_map()
+    degs = D.degree_map()
     pairs = []
     for k in range(3):
-        if not part.u_blocks[k]:
-            continue
         def_a = {i: t - degs[A(i)] for i in part.u_blocks[k]}
         def_b = {j: t - degs[B(j)] for j in part.v_blocks[k]}
-        while True:
-            i = max(def_a, key=lambda i: (def_a[i], -i))
-            if def_a[i] == 0:
-                break
-            j = max(def_b, key=lambda j: (def_b[j], -j))
-            pairs.append((A(i), B(j)))
-            def_a[i] -= 1
-            def_b[j] -= 1
-    G = G.with_edges(pairs, padding=True)
-    padded = G
+        pairs += deficit_pairs(def_a, def_b)
+    G = padded = D.with_edges(pairs, padding=True)
 
     for k in range(3):
         if not part.u_blocks[k]:

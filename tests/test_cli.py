@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, files, reproducibility."""
+import pytest
+
 from tpb.cli import main
 from tpb.instances import parse_instance, parse_resolution
 
@@ -163,3 +165,19 @@ def test_gen_without_n_is_usage_error(capsys):
     assert run("gen", "--family", "random-semiregular", "--a", "8", "--delta-a", "2") == 2
     assert "--n is required" in capsys.readouterr().err
     assert run("gen", "--family", "random-semiregular", "--a", "8", "--b", "8", "--delta-a", "2") == 0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("random-edge", "--n", "0"),
+        ("random-edge", "--n", "-1"),
+        ("random-blocked", "--n", "0"),
+        ("random-blocked", "--n", "-1"),
+        ("random-semiregular", "--n", "0"),
+        ("random-semiregular", "--n", "8", "--delta-a", "-1"),
+    ],
+)
+def test_gen_out_of_range_size_is_usage_error(args, capsys):
+    assert run("gen", "--family", *args) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,4 +1,8 @@
 """Inductive edge-version solver: padding, covers, cases, full solves."""
+import hashlib
+import inspect
+import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -18,6 +22,7 @@ from tpb import (
     solve_edge_version,
     verify_resolution,
 )
+from tpb.instances import serialize_resolution
 
 
 def g(n, pairs):
@@ -453,3 +458,74 @@ def test_trace_n_decreases_by_half_z():
     first = trace.steps[0]
     assert first.case_tag == "1.1" and len(first.z_set) == 4
     assert trace.steps[1].n == first.n - 2
+
+
+# -- pinned outputs and depth ----------------------------------------------------------
+
+
+def clustered_instance(n, seed, frac=0.10):
+    """2n-2 edges whose endpoints lie on 10 % of each class, with degree at most n."""
+    rng = random.Random(seed)
+    k = max(2, int(n * frac))
+    hubs_a = rng.sample(range(n), k)
+    hubs_b = rng.sample(range(n), k)
+    deg_a = dict.fromkeys(hubs_a, 0)
+    deg_b = dict.fromkeys(hubs_b, 0)
+    pairs = []
+    while len(pairs) < 2 * n - 2:
+        i = rng.choice(hubs_a)
+        j = rng.choice(hubs_b)
+        if deg_a[i] < n and deg_b[j] < n:
+            pairs.append((A(i), B(j)))
+            deg_a[i] += 1
+            deg_b[j] += 1
+    return DemandGraph.from_pairs(n, n, pairs)
+
+
+def solves_digest(instances):
+    """sha256 over each resolution file plus every field of every trace step."""
+    h = hashlib.sha256()
+    for D in instances:
+        res, trace = solve_edge_version(D)
+        h.update(serialize_resolution(res).encode())
+        for s in trace.steps:
+            fields = (s.n, s.case_tag, s.x_set, s.y_set, s.z_set, s.f_set, s.lifts, s.swapped, s.note)
+            h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
+# seeds 0..7 of each family; gen_chain(60) is a single instance
+PINNED_DIGESTS = {
+    ("clustered", 8): "625991a0e20dc7819ac143372801884b26a05ffbf69ddf5f441ceb2e5b42777d",
+    ("clustered", 12): "36a4311cbd0aff3b18b5a85b1e25e508bd313e566e16ff9c68c9512db4a4d805",
+    ("clustered", 32): "eca77bf28b9fe06d63c04ec3e22d925cd35660dca1f47be2f3a35a150548d9a3",
+    ("clustered", 96): "c6492e06b6415d1506465dd380df438ff9aabea6932f7f61b41a44140a2d4ee7",
+    ("random_edge", 6): "523216dc56a2081f73b25816670969454d000197574275f8acfc232a5627b7e6",
+    ("random_edge", 7): "3d875e8b6d115150d8aedcdb69aabbe2a4710bab6dae87bbc3614559874c2763",
+    ("random_edge", 8): "1ac0612668b01cbf548fa796db78bd46566ec153e445bc62245a140ba6d86c9d",
+    ("random_edge", 9): "5ea48d461cb4313752d5dbb71b30f70b0d2491a6502414ee0948104114b8c5ad",
+    ("random_edge", 10): "8be4ede0f593fe2d3534207182de1502db6cc8e44f8fa2b3a6f54244b9cbdc5c",
+    ("chain", 60): "74b6b2044a4e435da3961e0e0366b95beafe46a19df140137353be8c383c2493",
+}
+
+
+@pytest.mark.parametrize("family,n", sorted(PINNED_DIGESTS))
+def test_outputs_and_traces_pinned(family, n):
+    if family == "chain":
+        instances = [gen_chain(n)]
+    else:
+        make = clustered_instance if family == "clustered" else gen_random_edge
+        instances = (make(n, seed) for seed in range(8))
+    assert solves_digest(instances) == PINNED_DIGESTS[(family, n)]
+
+
+def test_deep_induction_needs_no_stack_per_level():
+    D = clustered_instance(160, 1)
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 60)
+    try:
+        res, trace = solve_edge_version(D)
+    finally:
+        sys.setrecursionlimit(old)
+    assert len(trace.steps) >= 60
+    assert verify_resolution(D, res) == []

@@ -1,9 +1,16 @@
-"""The traced benchmark rebinds functions by name; each name must exist."""
+"""The benchmark harness must keep working against the current program.
+
+The traced run rebinds functions by name, so each name must exist, and
+the harness's own self-checks must pass.
+"""
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def test_every_traced_function_resolves():
@@ -13,3 +20,11 @@ def test_every_traced_function_resolves():
     assert spans.HOOKS
     for modname, attr, _, _ in spans.HOOKS:
         assert callable(getattr(importlib.import_module(modname), attr, None)), (modname, attr)
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
