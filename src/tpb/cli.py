@@ -92,9 +92,6 @@ def cmd_solve(args) -> int:
     try:
         with open(args.infile) as fh:
             D = parse_instance(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -170,9 +167,6 @@ def cmd_verify(args) -> int:
             D = parse_instance(fh.read())
         with open(args.resolution) as fh:
             status, res = parse_resolution(fh.read())
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -190,7 +184,7 @@ def cmd_verify(args) -> int:
 
 def cmd_gen(args) -> int:
     fam = args.family
-    if args.n is None and (fam != "random-semiregular" or not (args.a and args.b)):
+    if args.n is None and (fam != "random-semiregular" or args.a is None or args.b is None):
         print(f"error: --n is required for --family {fam}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -207,8 +201,8 @@ def cmd_gen(args) -> int:
                 args.n - 2 * (args.n // 3), args.n // 3, args.n // 3)
             D = gen_random_blocked(args.n, blocks, args.seed)
         elif fam == "random-semiregular":
-            a = args.a if args.a else args.n
-            b = args.b if args.b else args.n
+            a = args.n if args.a is None else args.a
+            b = args.n if args.b is None else args.b
             D = gen_random_semiregular(a, b, args.delta_a, args.seed)
         else:
             print(f"unknown family {fam}", file=sys.stderr)
@@ -288,7 +282,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except FormatError as exc:
+    except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except TpbError as exc:

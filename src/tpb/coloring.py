@@ -52,29 +52,6 @@ def konig_decompose(H: DemandGraph) -> MatchingDecomposition:
     at: dict[V, dict[int, int]] = defaultdict(dict)
     color: dict[int, int] = {}
 
-    def flip_chain(start: V, alpha: int, beta: int) -> None:
-        # Swap the two colors along the alternating chain whose first edge
-        # is the alpha edge at `start`.  The chain is a simple path because
-        # beta is free at `start`.
-        chain = []
-        w, c = start, alpha
-        while c in at[w]:
-            eid = at[w][c]
-            chain.append(eid)
-            w = H.edges[eid].other(w)
-            c = beta if c == alpha else alpha
-        for eid in chain:
-            e = H.edges[eid]
-            cc = color[eid]
-            del at[e.u][cc]
-            del at[e.v][cc]
-        for eid in chain:
-            cc = beta if color[eid] == alpha else alpha
-            color[eid] = cc
-            e = H.edges[eid]
-            at[e.u][cc] = eid
-            at[e.v][cc] = eid
-
     for eid in sorted(H.edges):
         e = H.edges[eid]
         free_u = palette - at[e.u].keys()
@@ -87,7 +64,7 @@ def konig_decompose(H: DemandGraph) -> MatchingDecomposition:
             beta = min(free_v)
             # The alpha/beta chain from v cannot reach u (parity), so after
             # the swap alpha is free at both endpoints.
-            flip_chain(e.v, alpha, beta)
+            _swap(H, at, color, _chain(H, at, e.v, alpha, beta)[0], alpha, beta)
             c = alpha
         color[eid] = c
         at[e.u][c] = eid
@@ -97,6 +74,37 @@ def konig_decompose(H: DemandGraph) -> MatchingDecomposition:
     for eid, c in color.items():
         matchings[c].add(eid)
     return MatchingDecomposition([frozenset(m) for m in matchings])
+
+
+def _chain(H: DemandGraph, at, start: V, c1: int, c2: int) -> tuple[list[int], V]:
+    """The c1/c2 alternating chain from `start` (first edge colored c1) and its far end.
+
+    `at[w]` maps each color at w to its edge.  The chain is a simple path
+    when c2 is free at `start`.
+    """
+    chain = []
+    w, c = start, c1
+    while c in at[w]:
+        eid = at[w][c]
+        chain.append(eid)
+        w = H.edges[eid].other(w)
+        c = c2 if c == c1 else c1
+    return chain, w
+
+
+def _swap(H: DemandGraph, at, color: dict[int, int], chain: list[int], c1: int, c2: int) -> None:
+    """Exchange colors c1 and c2 on the chain's edges."""
+    for eid in chain:
+        e = H.edges[eid]
+        cc = color[eid]
+        del at[e.u][cc]
+        del at[e.v][cc]
+    for eid in chain:
+        cc = c2 if color[eid] == c1 else c1
+        color[eid] = cc
+        e = H.edges[eid]
+        at[e.u][cc] = eid
+        at[e.v][cc] = eid
 
 
 def vizing_color(H: DemandGraph) -> EdgeColoring:
@@ -130,29 +138,6 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
         at[e.u][c] = eid
         at[e.v][c] = eid
 
-    def chain_from(start: V, cb: int, ca: int) -> tuple[list[int], V]:
-        chain = []
-        w, c = start, cb
-        while c in at[w]:
-            eid = at[w][c]
-            chain.append(eid)
-            w = H.edges[eid].other(w)
-            c = ca if c == cb else cb
-        return chain, w
-
-    def swap(chain: list[int], ca: int, cb: int) -> None:
-        for eid in chain:
-            e = H.edges[eid]
-            cc = color[eid]
-            del at[e.u][cc]
-            del at[e.v][cc]
-        for eid in chain:
-            cc = cb if color[eid] == ca else ca
-            color[eid] = cc
-            e = H.edges[eid]
-            at[e.u][cc] = eid
-            at[e.v][cc] = eid
-
     def fold(fan: list[int], rim: list[V], x: V) -> None:
         while True:
             common = free(x) & free(rim[-1])
@@ -183,17 +168,17 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
             del rim[i + 1:]
             fold(fan, rim, x)
             return
-        chain, end = chain_from(yi, b_c, a_c)
+        chain, end = _chain(H, at, yi, b_c, a_c)
         if end != x:
-            swap(chain, a_c, b_c)
+            _swap(H, at, color, chain, a_c, b_c)
             del fan[i + 1:]
             del rim[i + 1:]
             fold(fan, rim, x)
             return
-        chain, end = chain_from(yn, b_c, a_c)
+        chain, end = _chain(H, at, yn, b_c, a_c)
         if end == x:
             raise StructuralError("fan stalled: both alternating chains end at the anchor")
-        swap(chain, a_c, b_c)
+        _swap(H, at, color, chain, a_c, b_c)
         fold(fan, rim, x)
 
     def fan_color(e0: int) -> None:

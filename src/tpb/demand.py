@@ -5,11 +5,12 @@ graph K_{a,b}: every edge is a terminal pair that must be realized as a
 path in the base graph.  Each physical edge carries a stable id plus a
 lineage label.  Lifting an edge to a vertex replaces it by a two-edge
 detour that inherits the label, so the edges sharing a label always form
-a walk between the two original terminals; `lift` applies a batch of such
-moves with one copy of the edge dict.  Once some sequence of liftings
-produces a simple class-crossing subgraph, every label class contains an
-actual path between its terminals; `extract_resolution` reads those paths
-off, and `verify_resolution` is the independent checker for the result.
+a walk between the two original terminals.  `lift` and its bipartite twin
+`edge_lift` each apply a batch of moves with one copy of the edge dict.
+Once some sequence of liftings produces a simple class-crossing subgraph,
+every label class contains an actual path between its terminals;
+`extract_resolution` reads those paths off, and `verify_resolution` is
+the independent checker for the result.
 """
 from __future__ import annotations
 
@@ -226,35 +227,39 @@ def lift(D: DemandGraph, moves: Iterable[tuple[int, V]]) -> DemandGraph:
     return D if i == D.next_fresh_id else DemandGraph(D.a, D.b, edges, i)
 
 
-def edge_lift(D: DemandGraph, edge_id: int, x: V, y: V) -> DemandGraph:
-    """Replace class-crossing edge uv by the three edges xy, uy, xv.
+def edge_lift(D: DemandGraph, moves: Iterable[tuple[int, V, V]]) -> DemandGraph:
+    """Apply the edge-liftings (edge_id, x, y) in order with one copy of the edge dict.
 
-    Equivalent to lifting uv to x and the x-side half on to y, but keeps
-    the intermediate graph bipartite.  Requires x in class A, y in class B
-    and all four vertices distinct.
+    Each replaces class-crossing edge uv by the three edges xy, uy, xv with
+    fresh ids, exactly as one call per move would: the same as lifting uv
+    to x and the x-side half on to y, but the graph stays bipartite.  Each
+    move needs x in class A, y in class B and four distinct vertices.  D
+    is never modified, and is returned as is for an empty batch.
     """
-    e = D.edges.get(edge_id)
-    if e is None:
-        raise NotFoundError(f"edge id {edge_id} not in graph")
-    D._check_vertex(x)
-    D._check_vertex(y)
-    if x.side != SIDE_A or y.side != SIDE_B:
-        raise PreconditionError("edge-lift target must pair a class-A with a class-B vertex")
-    if e.u.side == SIDE_A and e.v.side == SIDE_B:
-        u, v = e.u, e.v
-    elif e.u.side == SIDE_B and e.v.side == SIDE_A:
-        u, v = e.v, e.u
-    else:
-        raise PreconditionError("edge-lift applies to class-crossing edges only")
-    if len({u, v, x, y}) != 4:
-        raise PreconditionError("edge-lift needs four distinct vertices")
     edges = dict(D.edges)
-    del edges[edge_id]
     i = D.next_fresh_id
-    edges[i] = Edge(i, e.label, x, y, e.padding)
-    edges[i + 1] = Edge(i + 1, e.label, u, y, e.padding)
-    edges[i + 2] = Edge(i + 2, e.label, x, v, e.padding)
-    return DemandGraph(D.a, D.b, edges, i + 3)
+    for edge_id, x, y in moves:
+        e = edges.get(edge_id)
+        if e is None:
+            raise NotFoundError(f"edge id {edge_id} not in graph")
+        D._check_vertex(x)
+        D._check_vertex(y)
+        if x.side != SIDE_A or y.side != SIDE_B:
+            raise PreconditionError("edge-lift target must pair a class-A with a class-B vertex")
+        if e.u.side == SIDE_A and e.v.side == SIDE_B:
+            u, v = e.u, e.v
+        elif e.u.side == SIDE_B and e.v.side == SIDE_A:
+            u, v = e.v, e.u
+        else:
+            raise PreconditionError("edge-lift applies to class-crossing edges only")
+        if len({u, v, x, y}) != 4:
+            raise PreconditionError("edge-lift needs four distinct vertices")
+        del edges[edge_id]
+        edges[i] = Edge(i, e.label, x, y, e.padding)
+        edges[i + 1] = Edge(i + 1, e.label, u, y, e.padding)
+        edges[i + 2] = Edge(i + 2, e.label, x, v, e.padding)
+        i += 3
+    return D if i == D.next_fresh_id else DemandGraph(D.a, D.b, edges, i)
 
 
 # -- reading paths back out ------------------------------------------------

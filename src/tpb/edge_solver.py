@@ -15,7 +15,11 @@ The reduction is legal when
 
 which `check_conditions` re-verifies at runtime at every level; a
 violation raises StructuralError naming the case, since it can only mean
-a handler bug.  The induction runs as one loop: the edges touching Z are
+a handler bug.  Each handler reads one index of the level graph (degrees,
+neighbour sets, each vertex pair's edge ids) and applies all its liftings
+in one `edge_lift` batch picked from the level graph; that equals lifting
+one edge at a time, because no lift creates an edge on a later lift's
+vertex pair.  The induction runs as one loop: the edges touching Z are
 set aside in the original coordinates and the rest is relabelled onto
 the smaller K_{m,m}, until a simple graph, an n <= 5 instance (solved by
 the exact oracle) or a case that lifts straight to a simple graph is
@@ -23,6 +27,7 @@ left.  Each step is recorded in a CaseTrace for auditability.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import permutations
 
@@ -145,7 +150,7 @@ def find_cover_F(D: DemandGraph, X: tuple[V, ...], Y: tuple[V, ...]) -> tuple[in
     empty or fails validation raises StructuralError, since the case
     analysis guarantees one exists.
     """
-    F = _structured_cover(D, X, Y)
+    F = _structured_cover(D, _Index(D), X, Y)
     if F is None or not _cover_ok(D, F, X, Y):
         raise StructuralError(f"no structured 4-edge cover for |Y|={len(Y)}")
     return tuple(sorted(F))
@@ -157,20 +162,17 @@ def place_F(
     """Edge-lift the cover edges onto the four isolated corners of Z.
 
     Tries the up-to-24 assignments of F to the slots u1v1, u1v2, u2v2,
-    u2v1 and returns the first producing no parallel edge at Z.
+    u2v1, each as one batch, and returns the first producing no parallel
+    edge at Z.
     """
     slots = [(u1, v1), (u1, v2), (u2, v2), (u2, v1)]
     zset = {u1, u2, v1, v2}
     for perm in permutations(sorted(F)):
-        g = D
-        ok = True
-        for eid, (x, y) in zip(perm, slots):
-            try:
-                g = edge_lift(g, eid, x, y)
-            except PreconditionError:
-                ok = False
-                break
-        if ok and _no_parallel_at(g, zset):
+        try:
+            g = edge_lift(D, [(eid, x, y) for eid, (x, y) in zip(perm, slots)])
+        except PreconditionError:
+            continue
+        if _no_parallel_at(g, zset):
             return g
     raise StructuralError("no numbering of the cover edges avoids parallels at Z")
 
@@ -251,28 +253,59 @@ def _base_case(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
 # -- case dispatch -------------------------------------------------------------
 
 
+class _Index:
+    """A graph's per-pair edge ids, degrees and neighbour sets, from one pass.
+
+    `pair` gives a vertex pair's edge ids lowest first; `deg` lists class
+    A before class B, each by index.
+    """
+
+    def __init__(self, D: DemandGraph):
+        self.ids: dict[tuple[V, V], list[int]] = {}
+        for e in sorted(D.edges.values()):
+            self.ids.setdefault(e.pair(), []).append(e.id)
+        self.deg = dict.fromkeys(D.vertices(), 0)
+        self.nbrs: dict[V, set[V]] = defaultdict(set)
+        for (u, v), eids in self.ids.items():
+            self.deg[u] += len(eids)
+            self.deg[v] += len(eids)
+            self.nbrs[u].add(v)
+            self.nbrs[v].add(u)
+
+    def of_degree(self, d: int, side: str | None = None) -> list[V]:
+        return [v for v, k in self.deg.items() if k == d and side in (None, v.side)]
+
+    def side(self, side: str) -> list[V]:
+        return [v for v in self.deg if v.side == side]
+
+    def pair(self, u: V, v: V) -> list[int]:
+        return self.ids.get((u, v) if u <= v else (v, u), [])
+
+
 def _dispatch(full: DemandGraph, n: int):
-    degs = full.degree_map()
-    iso_a = [i for i in range(n) if degs[A(i)] == 0]
-    iso_b = [j for j in range(n) if degs[B(j)] == 0]
-    X = [v for v in full.vertices() if degs[v] == n]
-    if sum(1 for v in X if v.side == SIDE_A) > 1 or sum(1 for v in X if v.side == SIDE_B) > 1:
+    ix = _Index(full)
+    iso_a = ix.of_degree(0, SIDE_A)
+    iso_b = ix.of_degree(0, SIDE_B)
+    X = ix.of_degree(n)
+    if len({v.side for v in X}) < len(X):
         raise StructuralError("more than one degree-n vertex in a class")
     if len(iso_a) >= 2 and len(iso_b) >= 2:
-        return _case1(full, n, degs)
+        return _case1(full, ix, n)
     if not X:
-        ones = [v for v in full.vertices() if degs[v] == 1]
+        ones = ix.of_degree(1)
         if ones:
-            return _oriented(_case21, full, n, ones[0].side == SIDE_B)
-        return _case22(full, n, degs, iso_a, iso_b)
+            return _oriented(_case21, full, ix, n, ones[0].side == SIDE_B)
+        return _case22(full, ix, n)
     if len(X) == 1:
-        return _oriented(_case3, full, n, X[0].side == SIDE_B)
-    return _oriented(_case4, full, n, len(iso_b) >= 2)
+        return _oriented(_case3, full, ix, n, X[0].side == SIDE_B)
+    return _oriented(_case4, full, ix, n, len(iso_b) >= 2)
 
 
-def _oriented(handler, D: DemandGraph, n: int, swap: bool):
-    g = D.transpose() if swap else D
-    ctx, dp, z = handler(g, n)
+def _oriented(handler, D: DemandGraph, ix: _Index, n: int, swap: bool):
+    if swap:
+        D = D.transpose()
+        ix = _Index(D)
+    ctx, dp, z = handler(D, ix, n)
     if swap:
         dp = dp.transpose()
         z = tuple(v.flip() for v in z) if z is not None else None
@@ -294,33 +327,14 @@ def _no_parallel_at(g: DemandGraph, zset: set[V]) -> bool:
     return True
 
 
-def _neighbor_sets(D: DemandGraph) -> dict[V, set[V]]:
-    """Every vertex's neighbors, from one pass over the edges."""
-    nbrs: dict[V, set[V]] = {v: set() for v in D.vertices()}
-    for e in D.edges.values():
-        nbrs[e.u].add(e.v)
-        nbrs[e.v].add(e.u)
-    return nbrs
-
-
-def _lowest_edge(D: DemandGraph, u: V, v: V) -> int:
-    key = (u, v) if u <= v else (v, u)
-    for eid in sorted(D.edges):
-        if D.edges[eid].pair() == key:
-            return eid
-    raise StructuralError(f"no edge between {u} and {v}")
-
-
 # -- Case 1: four isolated corners ---------------------------------------------
 
 
-def _case1(full: DemandGraph, n: int, degs: dict[V, int]):
-    iso_a = [i for i in range(n) if degs[A(i)] == 0]
-    iso_b = [j for j in range(n) if degs[B(j)] == 0]
-    u1, u2 = A(iso_a[0]), A(iso_a[1])
-    v1, v2 = B(iso_b[0]), B(iso_b[1])
-    X = tuple(v for v in full.vertices() if degs[v] == n)
-    Y = tuple(v for v in full.vertices() if degs[v] >= n - 1)
+def _case1(full: DemandGraph, ix: _Index, n: int):
+    u1, u2 = ix.of_degree(0, SIDE_A)[:2]
+    v1, v2 = ix.of_degree(0, SIDE_B)[:2]
+    X = tuple(ix.of_degree(n))
+    Y = tuple(v for v, d in ix.deg.items() if d >= n - 1)
     F = find_cover_F(full, X, Y)
     dp = place_F(full, F, u1, u2, v1, v2)
     z = (u1, u2, v1, v2)
@@ -344,7 +358,7 @@ def _cover_ok(D: DemandGraph, F, X, Y) -> bool:
     return True
 
 
-def _structured_cover(D: DemandGraph, X, Y) -> list[int] | None:
+def _structured_cover(D: DemandGraph, ix: _Index, X, Y) -> list[int] | None:
     yset = set(Y)
     if len(Y) == 4:
         ya = sorted(v for v in Y if v.side == SIDE_A)
@@ -352,22 +366,14 @@ def _structured_cover(D: DemandGraph, X, Y) -> list[int] | None:
         if len(ya) != 2 or len(yb) != 2:
             return None
         corners = [(ya[0], yb[0]), (ya[1], yb[0]), (ya[1], yb[1]), (ya[0], yb[1])]
-        if all(D.multiplicity(u, v) >= 1 for u, v in corners):
-            return [_lowest_edge(D, u, v) for u, v in corners]
+        if all(ix.pair(u, v) for u, v in corners):
+            return [ix.pair(u, v)[0] for u, v in corners]
         for pairing in (
             ((ya[0], yb[0]), (ya[1], yb[1])),
             ((ya[0], yb[1]), (ya[1], yb[0])),
         ):
-            if all(D.multiplicity(u, v) >= 2 for u, v in pairing):
-                out = []
-                for u, v in pairing:
-                    ids = [
-                        eid
-                        for eid in sorted(D.edges)
-                        if D.edges[eid].pair() == ((u, v) if u <= v else (v, u))
-                    ]
-                    out.extend(ids[:2])
-                return out
+            if all(len(ix.pair(u, v)) >= 2 for u, v in pairing):
+                return [eid for u, v in pairing for eid in ix.pair(u, v)[:2]]
         return None
     if len(Y) == 3:
         ya = sorted(v for v in Y if v.side == SIDE_A)
@@ -378,12 +384,11 @@ def _structured_cover(D: DemandGraph, X, Y) -> list[int] | None:
             s, p = yb[0], ya
         else:
             return None
-        p_star = max(p, key=lambda w: (D.multiplicity(s, w), -w.index))
+        p_star = max(p, key=lambda w: (len(ix.pair(s, w)), -w.index))
         other = p[0] if p_star == p[1] else p[1]
-        if D.multiplicity(s, p_star) < 2:
+        ids = ix.pair(s, p_star)
+        if len(ids) < 2:
             return None
-        key = (s, p_star) if s <= p_star else (p_star, s)
-        ids = [eid for eid in sorted(D.edges) if D.edges[eid].pair() == key]
         out_ids = [
             eid
             for eid in sorted(D.edges)
@@ -442,14 +447,13 @@ def _structured_cover(D: DemandGraph, X, Y) -> list[int] | None:
         return out
     if len(Y) == 1:
         y = Y[0]
-        nbrs = sorted(D.neighbors(y))
+        nbrs = sorted(ix.nbrs[y])
         if not nbrs:
             return None
-        v = max(nbrs, key=lambda w: (D.multiplicity(y, w), -w.index))
-        if D.multiplicity(y, v) < 2:
+        v = max(nbrs, key=lambda w: (len(ix.pair(y, w)), -w.index))
+        ids = ix.pair(y, v)
+        if len(ids) < 2:
             return None
-        key = (y, v) if y <= v else (v, y)
-        ids = [eid for eid in sorted(D.edges) if D.edges[eid].pair() == key]
         rest = [
             eid
             for eid in sorted(D.edges)
@@ -459,14 +463,7 @@ def _structured_cover(D: DemandGraph, X, Y) -> list[int] | None:
             return None
         return ids[:2] + rest[:2]
     # |Y| == 0: proceed from any parallel pair exactly as in the |Y| = 1 case
-    pair = None
-    mult: dict[tuple[V, V], list[int]] = {}
-    for eid in sorted(D.edges):
-        mult.setdefault(D.edges[eid].pair(), []).append(eid)
-    for key in sorted(mult):
-        if len(mult[key]) >= 2:
-            pair = key
-            break
+    pair = next((key for key in sorted(ix.ids) if len(ix.ids[key]) >= 2), None)
     if pair is None:
         return None
     rest = [
@@ -476,20 +473,19 @@ def _structured_cover(D: DemandGraph, X, Y) -> list[int] | None:
     ]
     if len(rest) < 2:
         return None
-    return mult[pair][:2] + rest[:2]
+    return ix.ids[pair][:2] + rest[:2]
 
 
 # -- Case 2: no degree-n vertex --------------------------------------------------
 
 
-def _case21(D: DemandGraph, n: int):
+def _case21(D: DemandGraph, ix: _Index, n: int):
     """A degree-1 vertex x (class A after orientation)."""
-    degs = D.degree_map()
-    x = A(next(i for i in range(n) if degs[A(i)] == 1))
-    xp = next(iter(D.neighbors(x)))
-    iso_b = [j for j in range(n) if degs[B(j)] == 0]
+    x = ix.of_degree(1, SIDE_A)[0]
+    xp = next(iter(ix.nbrs[x]))
+    iso_b = ix.of_degree(0, SIDE_B)
     if iso_b:
-        y = B(iso_b[0])
+        y = iso_b[0]
         eid = next(
             (
                 e
@@ -500,105 +496,96 @@ def _case21(D: DemandGraph, n: int):
         )
         if eid is None:
             raise StructuralError("case 2.1: no edge avoids x and its neighbor")
-        dp = edge_lift(D, eid, x, y)
+        dp = edge_lift(D, [(eid, x, y)])
         z = (x, y)
         return CaseContext(n, "2.1", z_set=z, lifts=1), dp, z
-    ones = [j for j in range(n) if degs[B(j)] == 1]
+    ones = ix.of_degree(1, SIDE_B)
     if len(ones) < 2:
         raise StructuralError("case 2.1: expected two degree-1 vertices opposite x")
-    yj = next((j for j in ones if D.multiplicity(x, B(j)) == 0), None)
-    if yj is None:
+    y = next((y for y in ones if y not in ix.nbrs[x]), None)
+    if y is None:
         raise StructuralError("case 2.1: every degree-1 vertex is joined to x")
-    z = (x, B(yj))
+    z = (x, y)
     return CaseContext(n, "2.1", z_set=z), D, z
 
 
-def _case22(D: DemandGraph, n: int, degs, iso_a, iso_b):
+def _case22(D: DemandGraph, ix: _Index, n: int):
     """No degree-1 vertex and no degree-n vertex."""
-    nbrs = _neighbor_sets(D)
-    for v in D.vertices():
-        if degs[v] == 2 and len(nbrs[v]) == 2:
+    iso_a = ix.of_degree(0, SIDE_A)
+    iso_b = ix.of_degree(0, SIDE_B)
+    for v, d in ix.deg.items():
+        if d == 2 and len(ix.nbrs[v]) == 2:
             other_iso = iso_b if v.side == SIDE_A else iso_a
             if not other_iso:
                 raise StructuralError("case 2.2.1: no isolated vertex opposite")
-            i = other_iso[0]
-            z = (v, B(i) if v.side == SIDE_A else A(i))
+            z = (v, other_iso[0])
             return CaseContext(n, "2.2.1", z_set=z), D, z
     if len(iso_a) >= 2 or len(iso_b) >= 2:
-        return _oriented(_case222, D, n, len(iso_b) >= 2)
-    return _case223(D, n)
+        return _oriented(_case222, D, ix, n, len(iso_b) >= 2)
+    return _case223(D, ix, n)
 
 
-def _case222(D: DemandGraph, n: int):
+def _case222(D: DemandGraph, ix: _Index, n: int):
     """Two isolated vertices in class A; opposite class all doubled pairs."""
-    degs = D.degree_map()
-    iso_a = [i for i in range(n) if degs[A(i)] == 0]
+    iso_a = ix.of_degree(0, SIDE_A)
     if len(iso_a) < 2:
         raise StructuralError("case 2.2.2: missing the two isolated vertices")
-    a1, a2 = A(iso_a[0]), A(iso_a[1])
-    nbrs = _neighbor_sets(D)
-    for j in range(n):
-        d = degs[B(j)]
-        if d not in (0, 2) or (d == 2 and len(nbrs[B(j)]) != 1):
+    a1, a2 = iso_a[:2]
+    for y in ix.side(SIDE_B):
+        d = ix.deg[y]
+        if d not in (0, 2) or (d == 2 and len(ix.nbrs[y]) != 1):
             raise StructuralError("case 2.2.2: opposite class is not all doubled pairs")
     pos = sorted(
-        (i for i in range(n) if degs[A(i)] > 0),
-        key=lambda i: (-degs[A(i)], i),
+        (x for x in ix.side(SIDE_A) if ix.deg[x] > 0),
+        key=lambda x: (-ix.deg[x], x.index),
     )
     if len(pos) < 2:
         raise StructuralError("case 2.2.2: fewer than two positive-degree vertices")
-    u, v = A(pos[0]), A(pos[1])
-    zz = min(nbrs[u])
-    w = min(nbrs[v])
+    u, v = pos[:2]
+    zz = min(ix.nbrs[u])
+    w = min(ix.nbrs[v])
     if zz == w:
         raise StructuralError("case 2.2.2: chosen neighbors coincide")
-    g = edge_lift(D, _lowest_edge(D, u, zz), a1, w)
-    g = edge_lift(g, _lowest_edge(g, v, w), a2, zz)
+    g = edge_lift(D, [(ix.pair(u, zz)[0], a1, w), (ix.pair(v, w)[0], a2, zz)])
     z = (a1, a2, zz, w)
     return CaseContext(n, "2.2.2", z_set=z, lifts=2), g, z
 
 
-def _case223(D: DemandGraph, n: int):
+def _case223(D: DemandGraph, ix: _Index, n: int):
     """Exactly one isolated vertex per class: the doubled-matching chain."""
-    degs = D.degree_map()
-    nbrs = _neighbor_sets(D)
-    part: dict[int, int] = {}
-    for i in range(n):
-        if degs[A(i)] == 0:
+    part: dict[V, V] = {}
+    for a in ix.side(SIDE_A):
+        if ix.deg[a] == 0:
             continue
-        nb = nbrs[A(i)]
-        if degs[A(i)] != 2 or len(nb) != 1:
+        nb = ix.nbrs[a]
+        if ix.deg[a] != 2 or len(nb) != 1:
             raise StructuralError("case 2.2.3: not a doubled matching")
-        part[i] = next(iter(nb)).index
-    alive = sorted(part)
-    if len(alive) != n - 1 or len(set(part.values())) != n - 1:
+        part[a] = next(iter(nb))
+    if len(part) != n - 1 or len(set(part.values())) != n - 1:
         raise StructuralError("case 2.2.3: partners are not a matching")
-    a_seq = [A(i) for i in alive] + [A(next(i for i in range(n) if degs[A(i)] == 0))]
-    b_seq = [B(part[i]) for i in alive] + [
-        B(next(j for j in range(n) if degs[B(j)] == 0))
+    a_seq = list(part) + ix.of_degree(0, SIDE_A)[:1]
+    b_seq = list(part.values()) + ix.of_degree(0, SIDE_B)[:1]
+    moves = [
+        (ix.pair(a_seq[i], b_seq[i])[0], a_seq[i + 1], b_seq[(i + 2) % n])
+        for i in range(n - 1)
     ]
-    g = D
-    for i in range(n - 2):
-        g = edge_lift(g, _lowest_edge(g, a_seq[i], b_seq[i]), a_seq[i + 1], b_seq[i + 2])
-    g = edge_lift(g, _lowest_edge(g, a_seq[n - 2], b_seq[n - 2]), a_seq[n - 1], b_seq[0])
     ctx = CaseContext(n, "2.2.3", lifts=n - 1)
-    return ctx, g, None
+    return ctx, edge_lift(D, moves), None
 
 
 # -- Case 3: exactly one degree-n vertex -----------------------------------------
 
 
-def _case3(D: DemandGraph, n: int):
-    degs = D.degree_map()
-    z = A(next(i for i in range(n) if degs[A(i)] == n))
-    iso_a = [i for i in range(n) if degs[A(i)] == 0]
+def _case3(D: DemandGraph, ix: _Index, n: int):
+    z = ix.of_degree(n, SIDE_A)[0]
+    iso_a = ix.of_degree(0, SIDE_A)
     if not iso_a:
         raise StructuralError("case 3: class of the full vertex has no isolated vertex")
-    v = A(iso_a[0])
-    ones_b = [j for j in range(n) if degs[B(j)] == 1]
+    v = iso_a[0]
+    ones_b = ix.of_degree(1, SIDE_B)
     if ones_b:
-        u = B(ones_b[0])
-        if D.multiplicity(z, u) >= 1:
+        u = ones_b[0]
+        if u in ix.nbrs[z]:
             eid = next(
                 (
                     e
@@ -611,22 +598,22 @@ def _case3(D: DemandGraph, n: int):
                 raise StructuralError("case 3.1: no edge disjoint from u and z")
         else:
             eid = next(e for e in sorted(D.edges) if D.edges[e].touches(z))
-        g = edge_lift(D, eid, v, u)
+        g = edge_lift(D, [(eid, v, u)])
         zz = (v, u)
         return CaseContext(n, "3.1", x_set=(z,), z_set=zz, lifts=1), g, zz
-    iso_b = [j for j in range(n) if degs[B(j)] == 0]
+    iso_b = ix.of_degree(0, SIDE_B)
     if not iso_b:
         raise StructuralError("case 3.2: opposite class has no isolated vertex")
-    u = B(iso_b[0])
-    if all(degs[B(j)] == 2 for j in range(n) if j != u.index):
-        return _case321(D, n, degs, z, v, u)
-    return _case322(D, n, degs, z, v, u)
+    u = iso_b[0]
+    if all(ix.deg[y] == 2 for y in ix.side(SIDE_B) if y != u):
+        return _case321(D, ix, n, z, v, u)
+    return _case322(D, ix, n, z, v, u)
 
 
-def _case321(D: DemandGraph, n: int, degs, z: V, v: V, u: V):
+def _case321(D: DemandGraph, ix: _Index, n: int, z: V, v: V, u: V):
     """Full vertex with an isolated opposite vertex; all others degree two."""
-    nbrs = _neighbor_sets(D)
-    mult_free = [B(j) for j in range(n) if j != u.index and len(nbrs[B(j)]) == 2]
+    nbrs = ix.nbrs
+    mult_free = [y for y in ix.side(SIDE_B) if y != u and len(nbrs[y]) == 2]
     adj_free = [x for x in mult_free if x in nbrs[z]]
     if adj_free:
         x = adj_free[0]
@@ -635,24 +622,23 @@ def _case321(D: DemandGraph, n: int, degs, z: V, v: V, u: V):
             for e in sorted(D.edges)
             if D.edges[e].touches(z) and not D.edges[e].touches(x)
         )
-        g = edge_lift(D, eid, v, u)
+        g = edge_lift(D, [(eid, v, u)])
         zz = (v, x)
         ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=1, note="plain neighbor")
         return ctx, g, zz
     if not mult_free:
         # every degree-2 vertex is a doubled pair
-        iso_a = [i for i in range(n) if degs[A(i)] == 0]
+        iso_a = ix.of_degree(0, SIDE_A)
         if len(iso_a) < 2:
             raise StructuralError("case 3.2.1: second isolated vertex missing")
-        v2 = A(iso_a[1])
+        v2 = iso_a[1]
         a_nb = min(nbrs[z])
-        b_cands = [B(j) for j in range(n) if degs[B(j)] == 2 and B(j) not in nbrs[z]]
+        b_cands = [y for y in ix.of_degree(2, SIDE_B) if y not in nbrs[z]]
         if not b_cands:
             raise StructuralError("case 3.2.1: no doubled pair away from the full vertex")
         b = b_cands[0]
         zp = next(iter(nbrs[b]))
-        g = edge_lift(D, _lowest_edge(D, z, a_nb), v, b)
-        g = edge_lift(g, _lowest_edge(g, zp, b), v2, a_nb)
+        g = edge_lift(D, [(ix.pair(z, a_nb)[0], v, b), (ix.pair(zp, b)[0], v2, a_nb)])
         zz = (v, v2, a_nb, b)
         ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=2, note="parallel pairs")
         return ctx, g, zz
@@ -663,15 +649,12 @@ def _case321(D: DemandGraph, n: int, degs, z: V, v: V, u: V):
     star = sorted(nbrs[z])
     if n % 2 != 0 or len(star) != n // 2:
         raise StructuralError("case 3.2.1: unexpected neighborhood shape at the full vertex")
-    for x in star:
-        if D.multiplicity(z, x) != 2:
-            raise StructuralError("case 3.2.1: neighbor of the full vertex not doubled")
-    targets = [B(j) for j in range(n) if B(j) not in nbrs[z]]
+    if any(len(ix.pair(z, x)) != 2 for x in star):
+        raise StructuralError("case 3.2.1: neighbor of the full vertex not doubled")
+    targets = [y for y in ix.side(SIDE_B) if y not in nbrs[z]]
     if len(targets) != len(star):
         raise StructuralError("case 3.2.1: target count mismatch")
-    g = D
-    for x, y in zip(star, targets):
-        g = edge_lift(g, _lowest_edge(g, z, x), v, y)
+    g = edge_lift(D, [(ix.pair(z, x)[0], v, y) for x, y in zip(star, targets)])
     zz = (z, v, star[0], u)
     ctx = CaseContext(
         n, "3.2.1", x_set=(z,), z_set=zz, lifts=len(star), note="lifted parallel star"
@@ -679,13 +662,13 @@ def _case321(D: DemandGraph, n: int, degs, z: V, v: V, u: V):
     return ctx, g, zz
 
 
-def _case322(D: DemandGraph, n: int, degs, z: V, v: V, u: V):
+def _case322(D: DemandGraph, ix: _Index, n: int, z: V, v: V, u: V):
     """Full vertex with two isolated opposite vertices; the rest of its class degree one."""
-    ones_a = [A(i) for i in range(n) if degs[A(i)] == 1]
-    for x in sorted(D.neighbors(z)):
+    ones_a = ix.of_degree(1, SIDE_A)
+    for x in sorted(ix.nbrs[z]):
         for y in ones_a:
-            if D.multiplicity(x, y) == 0:
-                g = edge_lift(D, _lowest_edge(D, z, x), y, u)
+            if x not in ix.nbrs[y]:
+                g = edge_lift(D, [(ix.pair(z, x)[0], y, u)])
                 zz = (y, u)
                 ctx = CaseContext(n, "3.2.2", x_set=(z,), z_set=zz, lifts=1)
                 return ctx, g, zz
@@ -695,29 +678,25 @@ def _case322(D: DemandGraph, n: int, degs, z: V, v: V, u: V):
 # -- Case 4: two degree-n vertices ------------------------------------------------
 
 
-def _case4(D: DemandGraph, n: int):
-    degs = D.degree_map()
-    z1 = A(next(i for i in range(n) if degs[A(i)] == n))
-    z2 = B(next(j for j in range(n) if degs[B(j)] == n))
-    if D.multiplicity(z1, z2) < 2:
+def _case4(D: DemandGraph, ix: _Index, n: int):
+    z1 = ix.of_degree(n, SIDE_A)[0]
+    z2 = ix.of_degree(n, SIDE_B)[0]
+    joint = ix.pair(z1, z2)
+    if len(joint) < 2:
         raise StructuralError("case 4: the two full vertices are not doubly joined")
-    iso_a = [i for i in range(n) if degs[A(i)] == 0]
-    iso_b = [j for j in range(n) if degs[B(j)] == 0]
+    iso_a = ix.of_degree(0, SIDE_A)
+    iso_b = ix.of_degree(0, SIDE_B)
     if not iso_a or not iso_b:
         raise StructuralError("case 4: missing isolated vertices")
-    v1, v2 = A(iso_a[0]), B(iso_b[0])
-    loose = [
-        B(j)
-        for j in range(n)
-        if degs[B(j)] == 1 and D.multiplicity(z1, B(j)) == 0
-    ]
+    v1, v2 = iso_a[0], iso_b[0]
+    loose = [y for y in ix.of_degree(1, SIDE_B) if y not in ix.nbrs[z1]]
     if loose:
         x = loose[0]
-        g = edge_lift(D, _lowest_edge(D, z1, z2), v1, x)
+        g = edge_lift(D, [(joint[0], v1, x)])
         zz = (v1, x)
         return CaseContext(n, "4", x_set=(z1, z2), z_set=zz, lifts=1), g, zz
-    if D.multiplicity(z1, z2) != 2:
+    if len(joint) != 2:
         raise StructuralError("case 4: full vertex must carry exactly one doubled edge")
-    g = edge_lift(D, _lowest_edge(D, z1, z2), v1, v2)
+    g = edge_lift(D, [(joint[0], v1, v2)])
     zz = (z1, v2)
     return CaseContext(n, "4", x_set=(z1, z2), z_set=zz, lifts=1), g, zz

@@ -176,8 +176,23 @@ def test_gen_without_n_is_usage_error(capsys):
         ("random-blocked", "--n", "-1"),
         ("random-semiregular", "--n", "0"),
         ("random-semiregular", "--n", "8", "--delta-a", "-1"),
+        ("random-semiregular", "--n", "4", "--a", "0", "--b", "4"),
     ],
 )
 def test_gen_out_of_range_size_is_usage_error(args, capsys):
     assert run("gen", "--family", *args) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unwritable_or_missing_file_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "c6.tpb"
+    missing = str(tmp_path / "missing" / "x")
+    assert run("gen", "--family", "chain", "--n", "6", "--out", str(inst)) == 0
+    for argv in (
+        ("gen", "--family", "chain", "--n", "6", "--out", missing),
+        ("solve", "--in", str(inst), "--out", missing),
+        ("verify", "--in", str(inst), "--resolution", missing),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")

@@ -54,7 +54,7 @@ def test_lift_composition_equals_edge_lift():
     one = lift(D, [(0, A(1))])
     half = next(eid for eid, e in one.edges.items() if e.pair() == (A(0), A(1)))
     two = lift(one, [(half, B(1))])
-    direct = edge_lift(D, 0, A(1), B(1))
+    direct = edge_lift(D, [(0, A(1), B(1))])
     assert Counter(e.pair() for e in two.edges.values()) == Counter(
         e.pair() for e in direct.edges.values()
     )
@@ -100,7 +100,7 @@ def test_lift_batch_may_move_edges_it_creates():
 
 def test_edge_lift_example():
     D = g(2, 2, [(A(0), B(0))])
-    D2 = edge_lift(D, 0, A(1), B(1))
+    D2 = edge_lift(D, [(0, A(1), B(1))])
     assert sorted(e.pair() for e in D2.edges.values()) == [
         (A(0), B(1)),
         (A(1), B(0)),
@@ -111,7 +111,7 @@ def test_edge_lift_example():
 
 def test_edge_lift_degrees():
     D = g(2, 2, [(A(0), B(0))])
-    D2 = edge_lift(D, 0, A(1), B(1))
+    D2 = edge_lift(D, [(0, A(1), B(1))])
     assert D2.degree(A(0)) == 1 and D2.degree(B(0)) == 1
     assert D2.degree(A(1)) == 2 and D2.degree(B(1)) == 2
 
@@ -119,7 +119,7 @@ def test_edge_lift_degrees():
 def test_edge_lift_rejects_shared_vertex():
     D = g(2, 2, [(A(0), B(0))])
     with pytest.raises(PreconditionError):
-        edge_lift(D, 0, A(0), B(1))
+        edge_lift(D, [(0, A(0), B(1))])
 
 
 def test_edge_lift_rejects_within_class_edge():
@@ -127,7 +127,20 @@ def test_edge_lift_rejects_within_class_edge():
     D2 = lift(D, [(0, A(1))])  # creates the within-class edge (A0, A1)
     aa = next(eid for eid, e in D2.edges.items() if e.pair() == (A(0), A(1)))
     with pytest.raises(PreconditionError):
-        edge_lift(D2, aa, A(0), B(1))
+        edge_lift(D2, [(aa, A(0), B(1))])
+
+
+def test_edge_lift_batch_failure_leaves_input_unchanged():
+    D = g(3, 3, [(A(0), B(0)), (A(1), B(1))])
+    before = list(D.edges.items()), D.next_fresh_id
+    assert edge_lift(D, []) is D
+    with pytest.raises(NotFoundError):
+        edge_lift(D, [(0, A(1), B(1)), (0, A(2), B(2))])
+    with pytest.raises(DomainError):
+        edge_lift(D, [(0, A(2), B(2)), (1, A(0), B(7))])
+    with pytest.raises(PreconditionError):
+        edge_lift(D, [(0, A(2), B(2)), (1, A(2), B(1))])
+    assert (list(D.edges.items()), D.next_fresh_id) == before
 
 
 # -- extraction ----------------------------------------------------------------
@@ -137,7 +150,7 @@ def test_extract_length_one_and_simple_walk():
     D = g(3, 3, [(A(0), B(0)), (A(1), B(1))])
     r = extract_resolution(D, D)
     assert r.routes[0] == Path((A(0), B(0)))
-    final = edge_lift(D, 0, A(2), B(2))
+    final = edge_lift(D, [(0, A(2), B(2))])
     r = extract_resolution(final, D)
     assert r.routes[0].vertices[0] == A(0)
     assert r.routes[0].vertices[-1] == B(0)
@@ -289,6 +302,31 @@ def test_batched_lift_equals_one_move_per_call(D, data):
         moves.append((eid, z))
         G = lift(G, [(eid, z)])
     batched = lift(D, iter(moves))
+    assert list(batched.edges.items()) == list(G.edges.items())
+    assert batched.next_fresh_id == G.next_fresh_id
+    assert (batched is D) == (G is D)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=5), st.data())
+def test_batched_edge_lift_equals_one_move_per_call(D, data):
+    D = D.with_edges([(A(0), B(0))] * data.draw(st.integers(0, 2)), padding=True)
+    G = D
+    moves = []
+    for _ in range(data.draw(st.integers(0, 8))):
+        legal = [
+            (eid, A(i), B(j))
+            for eid, e in sorted(G.edges.items())
+            for i in range(G.a)
+            for j in range(G.b)
+            if not e.touches(A(i)) and not e.touches(B(j))
+        ]
+        if not legal:
+            break
+        move = data.draw(st.sampled_from(legal))
+        moves.append(move)
+        G = edge_lift(G, [move])
+    batched = edge_lift(D, iter(moves))
     assert list(batched.edges.items()) == list(G.edges.items())
     assert batched.next_fresh_id == G.next_fresh_id
     assert (batched is D) == (G is D)

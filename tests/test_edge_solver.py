@@ -7,6 +7,7 @@ from itertools import combinations
 
 import pytest
 
+import tpb.edge_solver
 from tpb import (
     A,
     B,
@@ -529,3 +530,19 @@ def test_deep_induction_needs_no_stack_per_level():
         sys.setrecursionlimit(old)
     assert len(trace.steps) >= 60
     assert verify_resolution(D, res) == []
+
+
+def test_chain_lifts_in_one_batch(monkeypatch):
+    calls = []
+    real = tpb.edge_solver.edge_lift
+
+    def counting(G, *args):
+        calls.append(G)
+        return real(G, *args)
+
+    monkeypatch.setattr(tpb.edge_solver, "edge_lift", counting)
+    D = gen_chain(40)
+    res, trace = solve_edge_version(D)
+    assert verify_resolution(D, res) == []
+    assert trace.tags() == ["2.2.3"]
+    assert len(calls) == 1
