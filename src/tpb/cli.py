@@ -88,10 +88,17 @@ def _try_blocked(D: DemandGraph, blocks: tuple[int, int, int] | None) -> Resolut
     return solve_blocked(D, BlockPartition.from_sizes(blocks))
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
 def cmd_solve(args) -> int:
     try:
-        with open(args.infile) as fh:
-            D = parse_instance(fh.read())
+        D = parse_instance(_read_text(args.infile))
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -163,10 +170,8 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        with open(args.infile) as fh:
-            D = parse_instance(fh.read())
-        with open(args.resolution) as fh:
-            status, res = parse_resolution(fh.read())
+        D = parse_instance(_read_text(args.infile))
+        status, res = parse_resolution(_read_text(args.resolution))
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE

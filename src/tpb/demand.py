@@ -6,7 +6,8 @@ path in the base graph.  Each physical edge carries a stable id plus a
 lineage label.  Lifting an edge to a vertex replaces it by a two-edge
 detour that inherits the label, so the edges sharing a label always form
 a walk between the two original terminals.  `lift` and its bipartite twin
-`edge_lift` each apply a batch of moves with one copy of the edge dict.
+`edge_lift` each apply a batch of moves with one copy of the edge dict
+(`edge_lift` also changes the edge solver's level state in place).
 Once some sequence of liftings produces a simple class-crossing subgraph,
 every label class contains an actual path between its terminals;
 `extract_resolution` reads those paths off, and `verify_resolution` is
@@ -194,6 +195,16 @@ class DemandGraph:
             seen.add(key)
         return True
 
+    def replace_edges(
+        self, gone: set[int], added: dict[int, Edge], next_fresh_id: int
+    ) -> "DemandGraph":
+        """New graph without the ids in `gone`, with `added` appended; self if both are empty."""
+        if not gone and not added:
+            return self
+        edges = {eid: e for eid, e in self.edges.items() if eid not in gone}
+        edges.update(added)
+        return DemandGraph(self.a, self.b, edges, next_fresh_id)
+
     def transpose(self) -> "DemandGraph":
         edges = {
             eid: Edge(e.id, e.label, e.u.flip(), e.v.flip(), e.padding)
@@ -227,21 +238,29 @@ def lift(D: DemandGraph, moves: Iterable[tuple[int, V]]) -> DemandGraph:
     return D if i == D.next_fresh_id else DemandGraph(D.a, D.b, edges, i)
 
 
-def edge_lift(D: DemandGraph, moves: Iterable[tuple[int, V, V]]) -> DemandGraph:
-    """Apply the edge-liftings (edge_id, x, y) in order with one copy of the edge dict.
+def edge_lift(D, moves: Iterable[tuple[int, V, V]]):
+    """Apply the edge-liftings (edge_id, x, y) in order as one batch.
 
     Each replaces class-crossing edge uv by the three edges xy, uy, xv with
     fresh ids, exactly as one call per move would: the same as lifting uv
     to x and the x-side half on to y, but the graph stays bipartite.  Each
-    move needs x in class A, y in class B and four distinct vertices.  D
-    is never modified, and is returned as is for an empty batch.
+    move needs x in class A, y in class B and four distinct vertices.  The
+    whole batch is checked before anything changes, and the result comes
+    from `D.replace_edges`: a DemandGraph is never modified and gives a new
+    graph (itself for an empty batch), while the edge solver's level state
+    applies the batch in place.
     """
-    edges = dict(D.edges)
+    gone: set[int] = set()
+    added: dict[int, Edge] = {}
     i = D.next_fresh_id
     for edge_id, x, y in moves:
-        e = edges.get(edge_id)
-        if e is None:
-            raise NotFoundError(f"edge id {edge_id} not in graph")
+        if edge_id in added:
+            e = added.pop(edge_id)
+        else:
+            e = None if edge_id in gone else D.edges.get(edge_id)
+            if e is None:
+                raise NotFoundError(f"edge id {edge_id} not in graph")
+            gone.add(edge_id)
         D._check_vertex(x)
         D._check_vertex(y)
         if x.side != SIDE_A or y.side != SIDE_B:
@@ -254,12 +273,11 @@ def edge_lift(D: DemandGraph, moves: Iterable[tuple[int, V, V]]) -> DemandGraph:
             raise PreconditionError("edge-lift applies to class-crossing edges only")
         if len({u, v, x, y}) != 4:
             raise PreconditionError("edge-lift needs four distinct vertices")
-        del edges[edge_id]
-        edges[i] = Edge(i, e.label, x, y, e.padding)
-        edges[i + 1] = Edge(i + 1, e.label, u, y, e.padding)
-        edges[i + 2] = Edge(i + 2, e.label, x, v, e.padding)
+        added[i] = Edge(i, e.label, x, y, e.padding)
+        added[i + 1] = Edge(i + 1, e.label, u, y, e.padding)
+        added[i + 2] = Edge(i + 2, e.label, x, v, e.padding)
         i += 3
-    return D if i == D.next_fresh_id else DemandGraph(D.a, D.b, edges, i)
+    return D.replace_edges(gone, added, i)
 
 
 # -- reading paths back out ------------------------------------------------

@@ -15,25 +15,29 @@ The reduction is legal when
 
 which `check_conditions` re-verifies at runtime at every level; a
 violation raises StructuralError naming the case, since it can only mean
-a handler bug.  Each handler reads one index of the level graph (degrees,
-neighbour sets, each vertex pair's edge ids) and applies all its liftings
-in one `edge_lift` batch picked from the level graph; that equals lifting
-one edge at a time, because no lift creates an edge on a later lift's
-vertex pair.  The induction runs as one loop: the edges touching Z are
-set aside in the original coordinates and the rest is relabelled onto
-the smaller K_{m,m}, until a simple graph, an n <= 5 instance (solved by
-the exact oracle) or a case that lifts straight to a simple graph is
-left.  Each step is recorded in a CaseTrace for auditability.
+a handler bug.  The induction runs as one loop over one `LevelState`:
+the remaining graph on its global vertex ids, with degrees, degree
+buckets, each vertex pair's edge ids and neighbour sets kept up to date
+by every change.  Padding adds only the edges a level owes, each case
+applies its liftings in one `edge_lift` batch on the state in place, and
+removing Z sets its incident edges aside, so a level costs about what
+it changes rather than the size of the graph.  The handlers' rules
+("the lowest isolated vertex", index tie-breaks) read the alive
+vertices in global index order, which is the order of the smaller
+K_{m,m} the induction stands for; the trace records each level's
+vertices in those compact coordinates.  The loop ends at a simple
+graph, an n <= 5 instance (solved by the exact oracle) or a case that
+lifts straight to a simple graph.  Each step is recorded in a CaseTrace
+for auditability.
 """
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import combinations, islice, permutations, repeat
+from typing import Iterable
 
 from .demand import (
-    A,
-    B,
     SIDE_A,
     SIDE_B,
     DemandGraph,
@@ -44,7 +48,7 @@ from .demand import (
     extract_resolution,
     verify_resolution,
 )
-from .errors import PreconditionError, StructuralError
+from .errors import DomainError, PreconditionError, StructuralError
 from .oracle import RESOLVABLE, SearchBudget, decide
 
 _BASE_BUDGET = SearchBudget(max_nodes=10_000_000, max_millis=120_000)
@@ -73,6 +77,151 @@ class CaseTrace:
         return [s.case_tag for s in self.steps]
 
 
+class LevelState:
+    """The remaining graph of the induction, changed in place.
+
+    Vertices keep their ids in the input graph.  `sides` holds each
+    class's alive vertices in index order, `deg` their degrees and
+    `bydeg` the alive vertices by degree; `ids` gives each vertex pair's
+    edge ids lowest first, `nbrs` the neighbour sets and `parallel` the
+    pairs with two or more edges.  `edges` holds the alive edges in id
+    order (new ids are always the largest) and `frozen` the edges set
+    aside with a removed vertex; `removed` lists each class's removed
+    indices in order.
+    """
+
+    def __init__(
+        self,
+        a: int,
+        b: int,
+        edges: Iterable[Edge],
+        next_fresh_id: int,
+        removed: dict[str, list[int]] | None = None,
+        frozen: dict[int, Edge] | None = None,
+    ):
+        self.a, self.b = a, b
+        self.next_fresh_id = next_fresh_id
+        self.removed = removed or {SIDE_A: [], SIDE_B: []}
+        self.frozen = frozen if frozen is not None else {}
+        self.sides = {}
+        for side, size in ((SIDE_A, a), (SIDE_B, b)):
+            gone = set(self.removed[side])
+            self.sides[side] = {V(side, i): None for i in range(size) if i not in gone}
+        self.deg = dict.fromkeys([*self.sides[SIDE_A], *self.sides[SIDE_B]], 0)
+        self.bydeg: dict[int, set[V]] = {0: set(self.deg)} if self.deg else {}
+        self.nbrs: dict[V, set[V]] = {v: set() for v in self.deg}
+        self.ids: dict[tuple[V, V], list[int]] = {}
+        self.parallel: set[tuple[V, V]] = set()
+        self.edges: dict[int, Edge] = {}
+        for e in sorted(edges):
+            self._add(e)
+
+    @staticmethod
+    def of(D: "DemandGraph | LevelState") -> "LevelState":
+        """D itself if it is a level state, else a fresh state of the graph D."""
+        if isinstance(D, LevelState):
+            return D
+        return LevelState(D.a, D.b, D.edges.values(), D.next_fresh_id)
+
+    @property
+    def m(self) -> int:
+        return len(self.edges)
+
+    def pair(self, u: V, v: V) -> list[int]:
+        return self.ids.get((u, v) if u <= v else (v, u), [])
+
+    def of_degree(self, d: int, side: str | None = None) -> list[V]:
+        return sorted(v for v in self.bydeg.get(d, ()) if side in (None, v.side))
+
+    def isolated(self, side: str, k: int) -> list[V]:
+        """The k lowest isolated vertices of a class, or all of them if fewer."""
+        return list(islice((v for v in self.sides[side] if not self.deg[v]), k))
+
+    def local(self, v: V) -> V:
+        """v's position among the alive vertices of its class."""
+        return V(v.side, v.index - bisect_left(self.removed[v.side], v.index))
+
+    def _check_vertex(self, v: V) -> None:
+        if v not in self.deg:
+            raise DomainError(f"{v} is not an alive vertex")
+
+    def _bump(self, v: V, k: int) -> None:
+        d = self.deg[v]
+        bucket = self.bydeg[d]
+        bucket.discard(v)
+        if not bucket:
+            del self.bydeg[d]
+        self.deg[v] = d + k
+        self.bydeg.setdefault(d + k, set()).add(v)
+
+    def _add(self, e: Edge) -> None:
+        self.edges[e.id] = e
+        key = e.pair()
+        ids = self.ids.setdefault(key, [])
+        ids.append(e.id)
+        if len(ids) == 2:
+            self.parallel.add(key)
+        self.nbrs[e.u].add(e.v)
+        self.nbrs[e.v].add(e.u)
+        self._bump(e.u, 1)
+        self._bump(e.v, 1)
+
+    def _drop(self, eid: int) -> Edge:
+        e = self.edges.pop(eid)
+        key = e.pair()
+        ids = self.ids[key]
+        ids.remove(eid)
+        if not ids:
+            del self.ids[key]
+            self.nbrs[e.u].discard(e.v)
+            self.nbrs[e.v].discard(e.u)
+        elif len(ids) == 1:
+            self.parallel.discard(key)
+        self._bump(e.u, -1)
+        self._bump(e.v, -1)
+        return e
+
+    def replace_edges(
+        self, gone: Iterable[int], added: dict[int, Edge], next_fresh_id: int
+    ) -> "LevelState":
+        """Drop the ids in `gone`, add `added` in order; in place, returns self."""
+        for eid in gone:
+            self._drop(eid)
+        for e in added.values():
+            self._add(e)
+        self.next_fresh_id = next_fresh_id
+        return self
+
+    def remove(self, z: Iterable[V]) -> None:
+        """Delete the vertices z, moving every edge that touches them to `frozen`."""
+        z = tuple(z)
+        for v in z:
+            for w in list(self.nbrs[v]):
+                for eid in list(self.pair(v, w)):
+                    self.frozen[eid] = self._drop(eid)
+        for v in z:
+            self.bydeg[0].discard(v)
+            if not self.bydeg[0]:
+                del self.bydeg[0]
+            del self.deg[v], self.nbrs[v], self.sides[v.side][v]
+            insort(self.removed[v.side], v.index)
+
+    def transpose(self) -> "LevelState":
+        """A new state with the classes swapped."""
+
+        def flip(e: Edge) -> Edge:
+            return Edge(e.id, e.label, e.u.flip(), e.v.flip(), e.padding)
+
+        return LevelState(
+            self.b,
+            self.a,
+            map(flip, self.edges.values()),
+            self.next_fresh_id,
+            {SIDE_A: list(self.removed[SIDE_B]), SIDE_B: list(self.removed[SIDE_A])},
+            {eid: flip(e) for eid, e in self.frozen.items()},
+        )
+
+
 # -- public operations --------------------------------------------------------
 
 
@@ -98,82 +247,110 @@ def solve_edge_version(D: DemandGraph) -> tuple[Resolution, CaseTrace]:
     return res, trace
 
 
-def check_conditions(dp: DemandGraph, z: tuple[V, ...], n: int) -> list[str]:
-    """Re-check the four induction conditions; returns failures."""
+def check_conditions(dp: DemandGraph | LevelState, z: tuple[V, ...], n: int) -> list[str]:
+    """Check the four induction conditions for removing z; returns failures.
+
+    Reads only z, the pairs at z and the vertices whose degree exceeds
+    n - |z|/2, since every other vertex meets condition (3) already.
+    """
+    L = LevelState.of(dp)
     problems = []
     zset = set(z)
     za = sum(1 for v in zset if v.side == SIDE_A)
     zb = len(zset) - za
     if za != zb:
         problems.append(f"(1) Z meets the classes {za}/{zb}")
-    incident = sum(1 for e in dp.edges.values() if e.u in zset or e.v in zset)
+    inside = sum(len(L.pair(u, v)) for u, v in combinations(zset, 2))
+    incident = sum(L.deg.get(v, 0) for v in zset) - inside
     if incident < len(zset):
         problems.append(f"(2) only {incident} edges incident to Z, need {len(zset)}")
-    rest = [v for v in dp.vertices() if v not in zset]
-    off = dp.induced(rest)
-    if off.max_degree() > n - len(zset) // 2:
-        problems.append(
-            f"(3) degree {off.max_degree()} off Z exceeds {n - len(zset) // 2}"
-        )
-    pair_mult: dict[tuple[V, V], int] = {}
-    for e in dp.edges.values():
-        pair_mult[e.pair()] = pair_mult.get(e.pair(), 0) + 1
-    for (u, v), c in pair_mult.items():
-        if c > 1 and (u in zset or v in zset):
-            problems.append(f"(4) parallel edges {u}-{v} touch Z")
+    bound = n - len(zset) // 2
+    worst = max(
+        (
+            d - sum(len(L.pair(v, w)) for w in zset)
+            for d, vs in L.bydeg.items()
+            if d > bound
+            for v in vs
+            if v not in zset
+        ),
+        default=0,
+    )
+    if worst > bound:
+        problems.append(f"(3) degree {worst} off Z exceeds {bound}")
+    bad = {
+        (min(v, w), max(v, w))
+        for v in zset
+        for w in L.nbrs.get(v, ())
+        if len(L.pair(v, w)) > 1
+    }
+    problems.extend(f"(4) parallel edges {u}-{v} touch Z" for u, v in sorted(bad))
     return problems
 
 
-def pad_to_full(D: DemandGraph, n: int) -> DemandGraph:
-    """Add flagged demands between deficient vertices until |E| = 2n-2."""
-    if D.m > 2 * n - 2:
+def pad_to_full(D: DemandGraph | LevelState, n: int) -> DemandGraph | LevelState:
+    """Add flagged demands between deficient vertices until |E| = 2n-2.
+
+    Each demand joins the lowest-index vertices of degree below n.  A
+    level state is padded in place and returned; a graph gives a new one.
+    """
+    L = LevelState.of(D)
+    if L.m > 2 * n - 2:
         raise PreconditionError("instance already exceeds 2n-2 edges")
-    if D.max_degree() > n:
+    if max(L.bydeg, default=0) > n:
         raise PreconditionError("instance already exceeds degree n")
-    degs = D.degree_map()
-    pairs = []
-    while D.m + len(pairs) < 2 * n - 2:
-        i = next((i for i in range(n) if degs[A(i)] < n), None)
-        j = next((j for j in range(n) if degs[B(j)] < n), None)
-        if i is None or j is None:
-            raise StructuralError("no deficient vertex pair available for padding")
-        pairs.append((A(i), B(j)))
-        degs[A(i)] += 1
-        degs[B(j)] += 1
-    return D.with_edges(pairs, padding=True)
+    owed = 2 * n - 2 - L.m
+    if not owed:
+        return D
+
+    def slots(side: str):
+        for v in L.sides[side]:
+            yield from repeat(v, n - L.deg[v])
+
+    pairs = list(islice(zip(slots(SIDE_A), slots(SIDE_B)), owed))
+    if len(pairs) < owed:
+        raise StructuralError("no deficient vertex pair available for padding")
+    if L is not D:
+        return D.with_edges(pairs, padding=True)
+    nid = L.next_fresh_id
+    added = {i: Edge(i, i, u, v, True) for i, (u, v) in enumerate(pairs, nid)}
+    return L.replace_edges((), added, nid + owed)
 
 
-def find_cover_F(D: DemandGraph, X: tuple[V, ...], Y: tuple[V, ...]) -> tuple[int, ...]:
+def find_cover_F(
+    D: DemandGraph | LevelState, X: tuple[V, ...], Y: tuple[V, ...]
+) -> tuple[int, ...]:
     """Four edges covering every vertex at most twice, Y at least once, X exactly twice.
 
     The selection follows the subcases on |Y|; a selection that comes up
     empty or fails validation raises StructuralError, since the case
     analysis guarantees one exists.
     """
-    F = _structured_cover(D, _Index(D), X, Y)
-    if F is None or not _cover_ok(D, F, X, Y):
+    L = LevelState.of(D)
+    F = _structured_cover(L, X, Y)
+    if F is None or not _cover_ok(L, F, X, Y):
         raise StructuralError(f"no structured 4-edge cover for |Y|={len(Y)}")
     return tuple(sorted(F))
 
 
 def place_F(
-    D: DemandGraph, F: tuple[int, ...], u1: V, u2: V, v1: V, v2: V
-) -> DemandGraph:
+    D: DemandGraph | LevelState, F: tuple[int, ...], u1: V, u2: V, v1: V, v2: V
+) -> DemandGraph | LevelState:
     """Edge-lift the cover edges onto the four isolated corners of Z.
 
-    Tries the up-to-24 assignments of F to the slots u1v1, u1v2, u2v2,
-    u2v1, each as one batch, and returns the first producing no parallel
-    edge at Z.
+    Takes the first of the up-to-24 assignments of F to the slots u1v1,
+    u1v2, u2v2, u2v1 whose twelve new pairs at Z are distinct, which is
+    to say it leaves no parallel edge at Z, and applies it as one batch.
     """
     slots = [(u1, v1), (u1, v2), (u2, v2), (u2, v1)]
-    zset = {u1, u2, v1, v2}
     for perm in permutations(sorted(F)):
-        try:
-            g = edge_lift(D, [(eid, x, y) for eid, (x, y) in zip(perm, slots)])
-        except PreconditionError:
-            continue
-        if _no_parallel_at(g, zset):
-            return g
+        moves = [(eid, x, y) for eid, (x, y) in zip(perm, slots)]
+        made = set()
+        for eid, x, y in moves:
+            e = D.edges[eid]
+            u, v = (e.u, e.v) if e.u.side == SIDE_A else (e.v, e.u)
+            made.update(((x, y), (u, y), (x, v)))
+        if len(made) == 3 * len(moves):
+            return edge_lift(D, moves)
     raise StructuralError("no numbering of the cover edges avoids parallels at Z")
 
 
@@ -183,170 +360,126 @@ def place_F(
 def _resolve(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
     """Run the induction on D and return the simple graph it lifts to.
 
-    Each level works on a compact K_{n,n}, and `orig` maps its vertices
-    back to D's.  The edges touching Z are final once the level's liftings
-    are done, so they go to `frozen` in D's coordinates; the rest is
-    relabelled onto K_{m,m} for the next level.
+    Every level works on the one state L; removing Z moves the edges
+    touching it to `L.frozen`, where they are final.
     """
-    N = D.a
-    orig = {v: v for v in D.vertices()}
-    frozen: dict[int, Edge] = {}
+    L = LevelState.of(D)
     while True:
-        n = D.a
-        if D.is_simple_base():
+        n = len(L.sides[SIDE_A])
+        if not L.parallel:
             trace.steps.append(CaseContext(n, "simple"))
             break
         if n <= 5:
-            D = _base_case(D, trace)
+            _base_case(L, trace)
             break
-        full = pad_to_full(D, n)
-        ctx, dp, z = _dispatch(full, n)
+        L = pad_to_full(L, n)
+        ctx, L, z = _dispatch(L, n)
+        ctx.x_set, ctx.y_set, ctx.z_set = (
+            tuple(map(L.local, vs)) for vs in (ctx.x_set, ctx.y_set, ctx.z_set)
+        )
         trace.steps.append(ctx)
         if z is None:
-            if not dp.is_simple_base():
+            if L.parallel:
                 raise StructuralError(f"case {ctx.case_tag}: direct construction not simple")
-            D = dp
             break
-        problems = check_conditions(dp, z, n)
+        problems = check_conditions(L, z, n)
         if problems:
             raise StructuralError(f"case {ctx.case_tag}: " + "; ".join(problems))
-        zset = set(z)
-        local: dict[V, V] = {}
-        for side in (SIDE_A, SIDE_B):
-            gone = {v.index for v in zset if v.side == side}
-            kept = (i for i in range(n) if i not in gone)
-            local.update((V(side, i), V(side, k)) for k, i in enumerate(kept))
-        rest = {}
-        for e in dp.edges.values():
-            if e.u in zset or e.v in zset:
-                frozen[e.id] = Edge(e.id, e.label, orig[e.u], orig[e.v], e.padding)
-            else:
-                rest[e.id] = Edge(e.id, e.label, local[e.u], local[e.v], e.padding)
-        m = n - len(zset) // 2
-        if len(rest) > 2 * m - 2:
+        L.remove(z)
+        m = n - len(z) // 2
+        if L.m > 2 * m - 2:
             raise StructuralError(f"case {ctx.case_tag}: induced instance keeps too many edges")
-        D = DemandGraph(m, m, rest, dp.next_fresh_id)
-        orig = {w: orig[v] for v, w in local.items()}
-    for e in D.edges.values():
-        frozen[e.id] = Edge(e.id, e.label, orig[e.u], orig[e.v], e.padding)
-    return DemandGraph(N, N, frozen, D.next_fresh_id)
+    return DemandGraph(L.a, L.b, {**L.frozen, **L.edges}, L.next_fresh_id)
 
 
-def _base_case(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
-    verdict = decide(D, _BASE_BUDGET)
+def _base_case(L: LevelState, trace: CaseTrace) -> None:
+    """Route the alive graph with the oracle on the compact K_{n,n}, in place."""
+    alive = {side: list(vs) for side, vs in L.sides.items()}
+    n = len(alive[SIDE_A])
+    C = DemandGraph(
+        n,
+        n,
+        {eid: e._replace(u=L.local(e.u), v=L.local(e.v)) for eid, e in L.edges.items()},
+        L.next_fresh_id,
+    )
+    verdict = decide(C, _BASE_BUDGET)
     if verdict.status != RESOLVABLE:
         raise StructuralError(
             f"oracle reported {verdict.status} on an in-hypothesis base instance"
         )
-    trace.steps.append(CaseContext(D.a, "base", note=f"nodes={verdict.nodes_explored}"))
+    trace.steps.append(CaseContext(n, "base", note=f"nodes={verdict.nodes_explored}"))
     edges = {}
-    nid = D.next_fresh_id
-    for eid in sorted(D.edges):
-        e = D.edges[eid]
-        vs = verdict.resolution.routes[eid].vertices
+    nid = L.next_fresh_id
+    for eid in sorted(C.edges):
+        e = C.edges[eid]
+        vs = [alive[w.side][w.index] for w in verdict.resolution.routes[eid].vertices]
         for x, y in zip(vs, vs[1:]):
             edges[nid] = Edge(nid, e.label, x, y, e.padding)
             nid += 1
-    return DemandGraph(D.a, D.b, edges, nid)
+    L.replace_edges(list(L.edges), edges, nid)
 
 
 # -- case dispatch -------------------------------------------------------------
 
 
-class _Index:
-    """A graph's per-pair edge ids, degrees and neighbour sets, from one pass.
-
-    `pair` gives a vertex pair's edge ids lowest first; `deg` lists class
-    A before class B, each by index.
-    """
-
-    def __init__(self, D: DemandGraph):
-        self.ids: dict[tuple[V, V], list[int]] = {}
-        for e in sorted(D.edges.values()):
-            self.ids.setdefault(e.pair(), []).append(e.id)
-        self.deg = dict.fromkeys(D.vertices(), 0)
-        self.nbrs: dict[V, set[V]] = defaultdict(set)
-        for (u, v), eids in self.ids.items():
-            self.deg[u] += len(eids)
-            self.deg[v] += len(eids)
-            self.nbrs[u].add(v)
-            self.nbrs[v].add(u)
-
-    def of_degree(self, d: int, side: str | None = None) -> list[V]:
-        return [v for v, k in self.deg.items() if k == d and side in (None, v.side)]
-
-    def side(self, side: str) -> list[V]:
-        return [v for v in self.deg if v.side == side]
-
-    def pair(self, u: V, v: V) -> list[int]:
-        return self.ids.get((u, v) if u <= v else (v, u), [])
-
-
-def _dispatch(full: DemandGraph, n: int):
-    ix = _Index(full)
-    iso_a = ix.of_degree(0, SIDE_A)
-    iso_b = ix.of_degree(0, SIDE_B)
-    X = ix.of_degree(n)
+def _dispatch(L: LevelState, n: int):
+    iso_a = L.isolated(SIDE_A, 2)
+    iso_b = L.isolated(SIDE_B, 2)
+    X = L.of_degree(n)
     if len({v.side for v in X}) < len(X):
         raise StructuralError("more than one degree-n vertex in a class")
     if len(iso_a) >= 2 and len(iso_b) >= 2:
-        return _case1(full, ix, n)
+        return _case1(L, n)
     if not X:
-        ones = ix.of_degree(1)
+        ones = L.of_degree(1)
         if ones:
-            return _oriented(_case21, full, ix, n, ones[0].side == SIDE_B)
-        return _case22(full, ix, n)
+            return _oriented(_case21, L, n, ones[0].side == SIDE_B)
+        return _case22(L, n)
     if len(X) == 1:
-        return _oriented(_case3, full, ix, n, X[0].side == SIDE_B)
-    return _oriented(_case4, full, ix, n, len(iso_b) >= 2)
+        return _oriented(_case3, L, n, X[0].side == SIDE_B)
+    return _oriented(_case4, L, n, len(iso_b) >= 2)
 
 
-def _oriented(handler, D: DemandGraph, ix: _Index, n: int, swap: bool):
+def _oriented(handler, L: LevelState, n: int, swap: bool):
+    """Run a handler written for one orientation, on a transposed copy if needed."""
     if swap:
-        D = D.transpose()
-        ix = _Index(D)
-    ctx, dp, z = handler(D, ix, n)
+        L = L.transpose()
+    ctx, L, z = handler(L, n)
     if swap:
-        dp = dp.transpose()
+        L = L.transpose()
         z = tuple(v.flip() for v in z) if z is not None else None
         ctx.x_set = tuple(v.flip() for v in ctx.x_set)
         ctx.y_set = tuple(v.flip() for v in ctx.y_set)
         ctx.z_set = z if z is not None else ()
         ctx.swapped = True
-    return ctx, dp, z
+    return ctx, L, z
 
 
-def _no_parallel_at(g: DemandGraph, zset: set[V]) -> bool:
-    mult: dict[tuple[V, V], int] = {}
-    for e in g.edges.values():
-        if e.u in zset or e.v in zset:
-            key = e.pair()
-            mult[key] = mult.get(key, 0) + 1
-            if mult[key] > 1:
-                return False
-    return True
+def _first(L: LevelState, keep, k: int = 2) -> list[int]:
+    """The k lowest ids of the alive edges that `keep` accepts."""
+    return list(islice((eid for eid, e in L.edges.items() if keep(e)), k))
 
 
 # -- Case 1: four isolated corners ---------------------------------------------
 
 
-def _case1(full: DemandGraph, ix: _Index, n: int):
-    u1, u2 = ix.of_degree(0, SIDE_A)[:2]
-    v1, v2 = ix.of_degree(0, SIDE_B)[:2]
-    X = tuple(ix.of_degree(n))
-    Y = tuple(v for v, d in ix.deg.items() if d >= n - 1)
-    F = find_cover_F(full, X, Y)
-    dp = place_F(full, F, u1, u2, v1, v2)
+def _case1(L: LevelState, n: int):
+    u1, u2 = L.isolated(SIDE_A, 2)
+    v1, v2 = L.isolated(SIDE_B, 2)
+    X = tuple(L.of_degree(n))
+    Y = tuple(sorted(v for d in (n - 1, n) for v in L.bydeg.get(d, ())))
+    F = find_cover_F(L, X, Y)
+    L = place_F(L, F, u1, u2, v1, v2)
     z = (u1, u2, v1, v2)
     tag = f"1.{5 - len(Y)}"
     ctx = CaseContext(n, tag, X, Y, z, f_set=F, lifts=4)
-    return ctx, dp, z
+    return ctx, L, z
 
 
-def _cover_ok(D: DemandGraph, F, X, Y) -> bool:
+def _cover_ok(L: LevelState, F, X, Y) -> bool:
     cover: dict[V, int] = {}
     for eid in F:
-        e = D.edges[eid]
+        e = L.edges[eid]
         cover[e.u] = cover.get(e.u, 0) + 1
         cover[e.v] = cover.get(e.v, 0) + 1
     if any(c > 2 for c in cover.values()):
@@ -358,7 +491,7 @@ def _cover_ok(D: DemandGraph, F, X, Y) -> bool:
     return True
 
 
-def _structured_cover(D: DemandGraph, ix: _Index, X, Y) -> list[int] | None:
+def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
     yset = set(Y)
     if len(Y) == 4:
         ya = sorted(v for v in Y if v.side == SIDE_A)
@@ -366,14 +499,14 @@ def _structured_cover(D: DemandGraph, ix: _Index, X, Y) -> list[int] | None:
         if len(ya) != 2 or len(yb) != 2:
             return None
         corners = [(ya[0], yb[0]), (ya[1], yb[0]), (ya[1], yb[1]), (ya[0], yb[1])]
-        if all(ix.pair(u, v) for u, v in corners):
-            return [ix.pair(u, v)[0] for u, v in corners]
+        if all(L.pair(u, v) for u, v in corners):
+            return [L.pair(u, v)[0] for u, v in corners]
         for pairing in (
             ((ya[0], yb[0]), (ya[1], yb[1])),
             ((ya[0], yb[1]), (ya[1], yb[0])),
         ):
-            if all(len(ix.pair(u, v)) >= 2 for u, v in pairing):
-                return [eid for u, v in pairing for eid in ix.pair(u, v)[:2]]
+            if all(len(L.pair(u, v)) >= 2 for u, v in pairing):
+                return [eid for u, v in pairing for eid in L.pair(u, v)[:2]]
         return None
     if len(Y) == 3:
         ya = sorted(v for v in Y if v.side == SIDE_A)
@@ -384,54 +517,33 @@ def _structured_cover(D: DemandGraph, ix: _Index, X, Y) -> list[int] | None:
             s, p = yb[0], ya
         else:
             return None
-        p_star = max(p, key=lambda w: (len(ix.pair(s, w)), -w.index))
+        p_star = max(p, key=lambda w: (len(L.pair(s, w)), -w.index))
         other = p[0] if p_star == p[1] else p[1]
-        ids = ix.pair(s, p_star)
+        ids = L.pair(s, p_star)
         if len(ids) < 2:
             return None
-        out_ids = [
-            eid
-            for eid in sorted(D.edges)
-            if D.edges[eid].touches(other) and D.edges[eid].other(other) not in yset
-        ]
+        out_ids = _first(L, lambda e: e.touches(other) and e.other(other) not in yset)
         if len(out_ids) < 2:
             return None
-        return ids[:2] + out_ids[:2]
+        return ids[:2] + out_ids
     if len(Y) == 2:
         y1, y2 = sorted(Y)
         if y1.side != y2.side:
-            out1 = [
-                eid
-                for eid in sorted(D.edges)
-                if D.edges[eid].touches(y1) and not D.edges[eid].touches(y2)
-            ]
-            out2 = [
-                eid
-                for eid in sorted(D.edges)
-                if D.edges[eid].touches(y2) and not D.edges[eid].touches(y1)
-            ]
+            out1 = _first(L, lambda e: e.touches(y1) and not e.touches(y2))
+            out2 = _first(L, lambda e: e.touches(y2) and not e.touches(y1))
             if len(out1) >= 2 and len(out2) >= 2:
-                return out1[:2] + out2[:2]
-            inner = [
-                eid
-                for eid in sorted(D.edges)
-                if D.edges[eid].touches(y1) and D.edges[eid].touches(y2)
-            ]
-            outer = [
-                eid
-                for eid in sorted(D.edges)
-                if not D.edges[eid].touches(y1) and not D.edges[eid].touches(y2)
-            ]
+                return out1 + out2
+            inner = L.pair(y1, y2)
+            outer = _first(L, lambda e: not e.touches(y1) and not e.touches(y2))
             if len(inner) >= 2 and len(outer) >= 2:
-                return inner[:2] + outer[:2]
+                return inner[:2] + outer
             return None
         # both in one class: two lowest edges at each, capping shared endpoints
         out = []
         cover: dict[V, int] = {}
         for y in (y1, y2):
             got = 0
-            for eid in sorted(D.edges):
-                e = D.edges[eid]
+            for eid, e in L.edges.items():
                 if not e.touches(y) or eid in out:
                     continue
                 w = e.other(y)
@@ -447,201 +559,174 @@ def _structured_cover(D: DemandGraph, ix: _Index, X, Y) -> list[int] | None:
         return out
     if len(Y) == 1:
         y = Y[0]
-        nbrs = sorted(ix.nbrs[y])
-        if not nbrs:
+        if not L.nbrs[y]:
             return None
-        v = max(nbrs, key=lambda w: (len(ix.pair(y, w)), -w.index))
-        ids = ix.pair(y, v)
+        v = max(L.nbrs[y], key=lambda w: (len(L.pair(y, w)), -w.index))
+        ids = L.pair(y, v)
         if len(ids) < 2:
             return None
-        rest = [
-            eid
-            for eid in sorted(D.edges)
-            if not D.edges[eid].touches(y) and not D.edges[eid].touches(v)
-        ]
+        rest = _first(L, lambda e: not e.touches(y) and not e.touches(v))
         if len(rest) < 2:
             return None
-        return ids[:2] + rest[:2]
+        return ids[:2] + rest
     # |Y| == 0: proceed from any parallel pair exactly as in the |Y| = 1 case
-    pair = next((key for key in sorted(ix.ids) if len(ix.ids[key]) >= 2), None)
-    if pair is None:
+    if not L.parallel:
         return None
-    rest = [
-        eid
-        for eid in sorted(D.edges)
-        if not D.edges[eid].touches(pair[0]) and not D.edges[eid].touches(pair[1])
-    ]
+    p, q = min(L.parallel)
+    rest = _first(L, lambda e: not e.touches(p) and not e.touches(q))
     if len(rest) < 2:
         return None
-    return ix.ids[pair][:2] + rest[:2]
+    return L.pair(p, q)[:2] + rest
 
 
 # -- Case 2: no degree-n vertex --------------------------------------------------
 
 
-def _case21(D: DemandGraph, ix: _Index, n: int):
+def _case21(L: LevelState, n: int):
     """A degree-1 vertex x (class A after orientation)."""
-    x = ix.of_degree(1, SIDE_A)[0]
-    xp = next(iter(ix.nbrs[x]))
-    iso_b = ix.of_degree(0, SIDE_B)
+    x = L.of_degree(1, SIDE_A)[0]
+    xp = next(iter(L.nbrs[x]))
+    iso_b = L.isolated(SIDE_B, 1)
     if iso_b:
         y = iso_b[0]
-        eid = next(
-            (
-                e
-                for e in sorted(D.edges)
-                if not D.edges[e].touches(x) and not D.edges[e].touches(xp)
-            ),
-            None,
-        )
-        if eid is None:
+        away = _first(L, lambda e: not e.touches(x) and not e.touches(xp), 1)
+        if not away:
             raise StructuralError("case 2.1: no edge avoids x and its neighbor")
-        dp = edge_lift(D, [(eid, x, y)])
+        L = edge_lift(L, [(away[0], x, y)])
         z = (x, y)
-        return CaseContext(n, "2.1", z_set=z, lifts=1), dp, z
-    ones = ix.of_degree(1, SIDE_B)
+        return CaseContext(n, "2.1", z_set=z, lifts=1), L, z
+    ones = L.of_degree(1, SIDE_B)
     if len(ones) < 2:
         raise StructuralError("case 2.1: expected two degree-1 vertices opposite x")
-    y = next((y for y in ones if y not in ix.nbrs[x]), None)
+    y = next((y for y in ones if y not in L.nbrs[x]), None)
     if y is None:
         raise StructuralError("case 2.1: every degree-1 vertex is joined to x")
     z = (x, y)
-    return CaseContext(n, "2.1", z_set=z), D, z
+    return CaseContext(n, "2.1", z_set=z), L, z
 
 
-def _case22(D: DemandGraph, ix: _Index, n: int):
+def _case22(L: LevelState, n: int):
     """No degree-1 vertex and no degree-n vertex."""
-    iso_a = ix.of_degree(0, SIDE_A)
-    iso_b = ix.of_degree(0, SIDE_B)
-    for v, d in ix.deg.items():
-        if d == 2 and len(ix.nbrs[v]) == 2:
+    iso_a = L.isolated(SIDE_A, 2)
+    iso_b = L.isolated(SIDE_B, 2)
+    for v in L.of_degree(2):
+        if len(L.nbrs[v]) == 2:
             other_iso = iso_b if v.side == SIDE_A else iso_a
             if not other_iso:
                 raise StructuralError("case 2.2.1: no isolated vertex opposite")
             z = (v, other_iso[0])
-            return CaseContext(n, "2.2.1", z_set=z), D, z
+            return CaseContext(n, "2.2.1", z_set=z), L, z
     if len(iso_a) >= 2 or len(iso_b) >= 2:
-        return _oriented(_case222, D, ix, n, len(iso_b) >= 2)
-    return _case223(D, ix, n)
+        return _oriented(_case222, L, n, len(iso_b) >= 2)
+    return _case223(L, n)
 
 
-def _case222(D: DemandGraph, ix: _Index, n: int):
+def _case222(L: LevelState, n: int):
     """Two isolated vertices in class A; opposite class all doubled pairs."""
-    iso_a = ix.of_degree(0, SIDE_A)
+    iso_a = L.isolated(SIDE_A, 2)
     if len(iso_a) < 2:
         raise StructuralError("case 2.2.2: missing the two isolated vertices")
-    a1, a2 = iso_a[:2]
-    for y in ix.side(SIDE_B):
-        d = ix.deg[y]
-        if d not in (0, 2) or (d == 2 and len(ix.nbrs[y]) != 1):
+    a1, a2 = iso_a
+    for y in L.sides[SIDE_B]:
+        d = L.deg[y]
+        if d not in (0, 2) or (d == 2 and len(L.nbrs[y]) != 1):
             raise StructuralError("case 2.2.2: opposite class is not all doubled pairs")
     pos = sorted(
-        (x for x in ix.side(SIDE_A) if ix.deg[x] > 0),
-        key=lambda x: (-ix.deg[x], x.index),
+        (x for x in L.sides[SIDE_A] if L.deg[x] > 0),
+        key=lambda x: (-L.deg[x], x.index),
     )
     if len(pos) < 2:
         raise StructuralError("case 2.2.2: fewer than two positive-degree vertices")
     u, v = pos[:2]
-    zz = min(ix.nbrs[u])
-    w = min(ix.nbrs[v])
+    zz = min(L.nbrs[u])
+    w = min(L.nbrs[v])
     if zz == w:
         raise StructuralError("case 2.2.2: chosen neighbors coincide")
-    g = edge_lift(D, [(ix.pair(u, zz)[0], a1, w), (ix.pair(v, w)[0], a2, zz)])
+    L = edge_lift(L, [(L.pair(u, zz)[0], a1, w), (L.pair(v, w)[0], a2, zz)])
     z = (a1, a2, zz, w)
-    return CaseContext(n, "2.2.2", z_set=z, lifts=2), g, z
+    return CaseContext(n, "2.2.2", z_set=z, lifts=2), L, z
 
 
-def _case223(D: DemandGraph, ix: _Index, n: int):
+def _case223(L: LevelState, n: int):
     """Exactly one isolated vertex per class: the doubled-matching chain."""
     part: dict[V, V] = {}
-    for a in ix.side(SIDE_A):
-        if ix.deg[a] == 0:
+    for a in L.sides[SIDE_A]:
+        if L.deg[a] == 0:
             continue
-        nb = ix.nbrs[a]
-        if ix.deg[a] != 2 or len(nb) != 1:
+        nb = L.nbrs[a]
+        if L.deg[a] != 2 or len(nb) != 1:
             raise StructuralError("case 2.2.3: not a doubled matching")
         part[a] = next(iter(nb))
     if len(part) != n - 1 or len(set(part.values())) != n - 1:
         raise StructuralError("case 2.2.3: partners are not a matching")
-    a_seq = list(part) + ix.of_degree(0, SIDE_A)[:1]
-    b_seq = list(part.values()) + ix.of_degree(0, SIDE_B)[:1]
+    a_seq = list(part) + L.isolated(SIDE_A, 1)
+    b_seq = list(part.values()) + L.isolated(SIDE_B, 1)
     moves = [
-        (ix.pair(a_seq[i], b_seq[i])[0], a_seq[i + 1], b_seq[(i + 2) % n])
+        (L.pair(a_seq[i], b_seq[i])[0], a_seq[i + 1], b_seq[(i + 2) % n])
         for i in range(n - 1)
     ]
     ctx = CaseContext(n, "2.2.3", lifts=n - 1)
-    return ctx, edge_lift(D, moves), None
+    return ctx, edge_lift(L, moves), None
 
 
 # -- Case 3: exactly one degree-n vertex -----------------------------------------
 
 
-def _case3(D: DemandGraph, ix: _Index, n: int):
-    z = ix.of_degree(n, SIDE_A)[0]
-    iso_a = ix.of_degree(0, SIDE_A)
+def _case3(L: LevelState, n: int):
+    z = L.of_degree(n, SIDE_A)[0]
+    iso_a = L.isolated(SIDE_A, 1)
     if not iso_a:
         raise StructuralError("case 3: class of the full vertex has no isolated vertex")
     v = iso_a[0]
-    ones_b = ix.of_degree(1, SIDE_B)
+    ones_b = L.of_degree(1, SIDE_B)
     if ones_b:
         u = ones_b[0]
-        if u in ix.nbrs[z]:
-            eid = next(
-                (
-                    e
-                    for e in sorted(D.edges)
-                    if not D.edges[e].touches(u) and not D.edges[e].touches(z)
-                ),
-                None,
-            )
-            if eid is None:
+        if u in L.nbrs[z]:
+            away = _first(L, lambda e: not e.touches(u) and not e.touches(z), 1)
+            if not away:
                 raise StructuralError("case 3.1: no edge disjoint from u and z")
         else:
-            eid = next(e for e in sorted(D.edges) if D.edges[e].touches(z))
-        g = edge_lift(D, [(eid, v, u)])
+            away = _first(L, lambda e: e.touches(z), 1)
+        L = edge_lift(L, [(away[0], v, u)])
         zz = (v, u)
-        return CaseContext(n, "3.1", x_set=(z,), z_set=zz, lifts=1), g, zz
-    iso_b = ix.of_degree(0, SIDE_B)
+        return CaseContext(n, "3.1", x_set=(z,), z_set=zz, lifts=1), L, zz
+    iso_b = L.isolated(SIDE_B, 1)
     if not iso_b:
         raise StructuralError("case 3.2: opposite class has no isolated vertex")
     u = iso_b[0]
-    if all(ix.deg[y] == 2 for y in ix.side(SIDE_B) if y != u):
-        return _case321(D, ix, n, z, v, u)
-    return _case322(D, ix, n, z, v, u)
+    if all(L.deg[y] == 2 for y in L.sides[SIDE_B] if y != u):
+        return _case321(L, n, z, v, u)
+    return _case322(L, n, z, v, u)
 
 
-def _case321(D: DemandGraph, ix: _Index, n: int, z: V, v: V, u: V):
+def _case321(L: LevelState, n: int, z: V, v: V, u: V):
     """Full vertex with an isolated opposite vertex; all others degree two."""
-    nbrs = ix.nbrs
-    mult_free = [y for y in ix.side(SIDE_B) if y != u and len(nbrs[y]) == 2]
+    nbrs = L.nbrs
+    mult_free = [y for y in L.sides[SIDE_B] if y != u and len(nbrs[y]) == 2]
     adj_free = [x for x in mult_free if x in nbrs[z]]
     if adj_free:
         x = adj_free[0]
-        eid = next(
-            e
-            for e in sorted(D.edges)
-            if D.edges[e].touches(z) and not D.edges[e].touches(x)
-        )
-        g = edge_lift(D, [(eid, v, u)])
+        eid = _first(L, lambda e: e.touches(z) and not e.touches(x), 1)[0]
+        L = edge_lift(L, [(eid, v, u)])
         zz = (v, x)
         ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=1, note="plain neighbor")
-        return ctx, g, zz
+        return ctx, L, zz
     if not mult_free:
         # every degree-2 vertex is a doubled pair
-        iso_a = ix.of_degree(0, SIDE_A)
+        iso_a = L.isolated(SIDE_A, 2)
         if len(iso_a) < 2:
             raise StructuralError("case 3.2.1: second isolated vertex missing")
         v2 = iso_a[1]
         a_nb = min(nbrs[z])
-        b_cands = [y for y in ix.of_degree(2, SIDE_B) if y not in nbrs[z]]
+        b_cands = [y for y in L.of_degree(2, SIDE_B) if y not in nbrs[z]]
         if not b_cands:
             raise StructuralError("case 3.2.1: no doubled pair away from the full vertex")
         b = b_cands[0]
         zp = next(iter(nbrs[b]))
-        g = edge_lift(D, [(ix.pair(z, a_nb)[0], v, b), (ix.pair(zp, b)[0], v2, a_nb)])
+        L = edge_lift(L, [(L.pair(z, a_nb)[0], v, b), (L.pair(zp, b)[0], v2, a_nb)])
         zz = (v, v2, a_nb, b)
         ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=2, note="parallel pairs")
-        return ctx, g, zz
+        return ctx, L, zz
     # Mixed shape: the full vertex sees only doubled pairs while plain
     # degree-2 vertices live elsewhere.  Lift one copy of every doubled
     # pair at z onto v and the non-neighbors of z; afterwards z is simple
@@ -649,54 +734,54 @@ def _case321(D: DemandGraph, ix: _Index, n: int, z: V, v: V, u: V):
     star = sorted(nbrs[z])
     if n % 2 != 0 or len(star) != n // 2:
         raise StructuralError("case 3.2.1: unexpected neighborhood shape at the full vertex")
-    if any(len(ix.pair(z, x)) != 2 for x in star):
+    if any(len(L.pair(z, x)) != 2 for x in star):
         raise StructuralError("case 3.2.1: neighbor of the full vertex not doubled")
-    targets = [y for y in ix.side(SIDE_B) if y not in nbrs[z]]
+    targets = [y for y in L.sides[SIDE_B] if y not in nbrs[z]]
     if len(targets) != len(star):
         raise StructuralError("case 3.2.1: target count mismatch")
-    g = edge_lift(D, [(ix.pair(z, x)[0], v, y) for x, y in zip(star, targets)])
+    L = edge_lift(L, [(L.pair(z, x)[0], v, y) for x, y in zip(star, targets)])
     zz = (z, v, star[0], u)
     ctx = CaseContext(
         n, "3.2.1", x_set=(z,), z_set=zz, lifts=len(star), note="lifted parallel star"
     )
-    return ctx, g, zz
+    return ctx, L, zz
 
 
-def _case322(D: DemandGraph, ix: _Index, n: int, z: V, v: V, u: V):
+def _case322(L: LevelState, n: int, z: V, v: V, u: V):
     """Full vertex with two isolated opposite vertices; the rest of its class degree one."""
-    ones_a = ix.of_degree(1, SIDE_A)
-    for x in sorted(ix.nbrs[z]):
+    ones_a = L.of_degree(1, SIDE_A)
+    for x in sorted(L.nbrs[z]):
         for y in ones_a:
-            if x not in ix.nbrs[y]:
-                g = edge_lift(D, [(ix.pair(z, x)[0], y, u)])
+            if x not in L.nbrs[y]:
+                L = edge_lift(L, [(L.pair(z, x)[0], y, u)])
                 zz = (y, u)
                 ctx = CaseContext(n, "3.2.2", x_set=(z,), z_set=zz, lifts=1)
-                return ctx, g, zz
+                return ctx, L, zz
     raise StructuralError("case 3.2.2: every neighbor of z covers all degree-1 vertices")
 
 
 # -- Case 4: two degree-n vertices ------------------------------------------------
 
 
-def _case4(D: DemandGraph, ix: _Index, n: int):
-    z1 = ix.of_degree(n, SIDE_A)[0]
-    z2 = ix.of_degree(n, SIDE_B)[0]
-    joint = ix.pair(z1, z2)
+def _case4(L: LevelState, n: int):
+    z1 = L.of_degree(n, SIDE_A)[0]
+    z2 = L.of_degree(n, SIDE_B)[0]
+    joint = L.pair(z1, z2)
     if len(joint) < 2:
         raise StructuralError("case 4: the two full vertices are not doubly joined")
-    iso_a = ix.of_degree(0, SIDE_A)
-    iso_b = ix.of_degree(0, SIDE_B)
+    iso_a = L.isolated(SIDE_A, 1)
+    iso_b = L.isolated(SIDE_B, 1)
     if not iso_a or not iso_b:
         raise StructuralError("case 4: missing isolated vertices")
     v1, v2 = iso_a[0], iso_b[0]
-    loose = [y for y in ix.of_degree(1, SIDE_B) if y not in ix.nbrs[z1]]
+    loose = [y for y in L.of_degree(1, SIDE_B) if y not in L.nbrs[z1]]
     if loose:
         x = loose[0]
-        g = edge_lift(D, [(joint[0], v1, x)])
+        L = edge_lift(L, [(joint[0], v1, x)])
         zz = (v1, x)
-        return CaseContext(n, "4", x_set=(z1, z2), z_set=zz, lifts=1), g, zz
+        return CaseContext(n, "4", x_set=(z1, z2), z_set=zz, lifts=1), L, zz
     if len(joint) != 2:
         raise StructuralError("case 4: full vertex must carry exactly one doubled edge")
-    g = edge_lift(D, [(joint[0], v1, v2)])
+    L = edge_lift(L, [(joint[0], v1, v2)])
     zz = (z1, v2)
-    return CaseContext(n, "4", x_set=(z1, z2), z_set=zz, lifts=1), g, zz
+    return CaseContext(n, "4", x_set=(z1, z2), z_set=zz, lifts=1), L, zz

@@ -210,6 +210,8 @@ def parse_instance(text: str) -> DemandGraph:
                 raise FormatError(f"line {ln}: class-B index {j} out of range 1..{b}")
             if mult < 1:
                 raise FormatError(f"line {ln}: multiplicity must be positive")
+            if len(pairs) + mult > m:
+                raise FormatError(f"line {ln}: edge lines supply more than the {m} declared edges")
             pairs.extend((A(i - 1), B(j - 1)) for _ in range(mult))
         else:
             raise FormatError(f"line {ln}: unrecognized record {toks[0]!r}")
@@ -278,14 +280,15 @@ def parse_resolution(text: str) -> tuple[str, Resolution | None]:
                 )
             path = []
             for pos, tok in enumerate(verts):
-                if len(tok) < 2 or tok[0] not in "ab" or not tok[1:].isdigit():
+                digits = tok[1:]
+                if tok[0] not in "ab" or not (digits.isascii() and digits.isdigit()):
                     raise FormatError(f"line {ln}: bad vertex token {tok!r}")
                 want = "a" if pos % 2 == 0 else "b"
                 if tok[0] != want:
                     raise FormatError(
                         f"line {ln}: route vertices must alternate starting at class A"
                     )
-                idx = int(tok[1:]) - 1
+                idx = int(digits) - 1
                 path.append(A(idx) if tok[0] == "a" else B(idx))
             if eid in routes:
                 raise FormatError(f"line {ln}: duplicate route for edge {eid}")

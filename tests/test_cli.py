@@ -196,3 +196,38 @@ def test_unwritable_or_missing_file_is_usage_error(tmp_path, capsys):
         capsys.readouterr()
         assert run(*argv) == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_oversized_multiplicity_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "big.tpb"
+    inst.write_text("p tpb 4 4 1\ne 1 1 99999999999")
+    assert run("solve", "--in", str(inst)) == 2
+    assert capsys.readouterr().err.startswith("parse error: line 2")
+
+
+def test_non_utf8_input_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "c6.tpb"
+    sol = tmp_path / "c6.sol"
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfep tpb 4 4 1\ne 1 1\n")
+    assert run("gen", "--family", "chain", "--n", "6", "--out", str(inst)) == 0
+    assert run("solve", "--in", str(inst), "--out", str(sol)) == 0
+    for argv in (
+        ("solve", "--in", str(bad)),
+        ("verify", "--in", str(bad), "--resolution", str(sol)),
+        ("verify", "--in", str(inst), "--resolution", str(bad)),
+    ):
+        capsys.readouterr()
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("parse error: ") and "not UTF-8" in err
+
+
+def test_non_ascii_digit_in_route_is_usage_error(tmp_path, capsys):
+    inst = tmp_path / "c6.tpb"
+    sol = tmp_path / "c6.sol"
+    assert run("gen", "--family", "chain", "--n", "6", "--out", str(inst)) == 0
+    sol.write_text("s SOLVED\nr 0 1 a\u00b2 b1\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run("verify", "--in", str(inst), "--resolution", str(sol)) == 2
+    assert capsys.readouterr().err.startswith("parse error: ")

@@ -3,9 +3,12 @@ import hashlib
 import inspect
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tpb.edge_solver
 from tpb import (
@@ -23,6 +26,8 @@ from tpb import (
     solve_edge_version,
     verify_resolution,
 )
+from tpb.demand import SIDE_A, SIDE_B
+from tpb.edge_solver import LevelState
 from tpb.instances import serialize_resolution
 
 
@@ -546,3 +551,150 @@ def test_chain_lifts_in_one_batch(monkeypatch):
     assert verify_resolution(D, res) == []
     assert trace.tags() == ["2.2.3"]
     assert len(calls) == 1
+
+
+# -- the level state -------------------------------------------------------------------
+
+
+def full_check_conditions(dp, z, n):
+    """The four induction conditions checked over the whole graph: the test oracle."""
+    problems = []
+    zset = set(z)
+    za = sum(1 for v in zset if v.side == SIDE_A)
+    zb = len(zset) - za
+    if za != zb:
+        problems.append(f"(1) Z meets the classes {za}/{zb}")
+    incident = sum(1 for e in dp.edges.values() if e.u in zset or e.v in zset)
+    if incident < len(zset):
+        problems.append(f"(2) only {incident} edges incident to Z, need {len(zset)}")
+    rest = [v for v in dp.vertices() if v not in zset]
+    off = dp.induced(rest)
+    if off.max_degree() > n - len(zset) // 2:
+        problems.append(
+            f"(3) degree {off.max_degree()} off Z exceeds {n - len(zset) // 2}"
+        )
+    pair_mult = {}
+    for e in dp.edges.values():
+        pair_mult[e.pair()] = pair_mult.get(e.pair(), 0) + 1
+    for (u, v), c in pair_mult.items():
+        if c > 1 and (u in zset or v in zset):
+            problems.append(f"(4) parallel edges {u}-{v} touch Z")
+    return problems
+
+
+def pinned_instances():
+    for family, n in sorted(PINNED_DIGESTS):
+        if family == "chain":
+            yield gen_chain(n)
+        else:
+            make = clustered_instance if family == "clustered" else gen_random_edge
+            yield from (make(n, seed) for seed in range(8))
+
+
+def test_incremental_conditions_agree_with_full_check(monkeypatch):
+    real = tpb.edge_solver.check_conditions
+    levels = []
+    failures = Counter()
+
+    def both(L, z, n):
+        G = DemandGraph(L.a, L.b, dict(L.edges), L.next_fresh_id)
+        top = max(L.deg, key=lambda v: (L.deg[v], v))
+        other = max((v for v in L.deg if v.side != z[0].side), key=lambda v: (L.deg[v], v))
+        idle = tuple(L.isolated(SIDE_A, 2) + L.isolated(SIDE_B, 2))
+        for zz in (z, z[:-1], (z[0], other), (top,) + z[1:], (top, other), idle, idle[::2]):
+            got = real(L, zz, n)
+            assert sorted(got) == sorted(full_check_conditions(G, zz, n)), (zz, got)
+            failures.update(p[:3] for p in got)
+        levels.append(z)
+        return real(L, z, n)
+
+    monkeypatch.setattr(tpb.edge_solver, "check_conditions", both)
+    for D in pinned_instances():
+        solve_edge_version(D)
+    assert len(levels) > 500
+    assert set(failures) == {"(1)", "(2)", "(3)", "(4)"}
+
+
+def rebuilt(L):
+    return LevelState(
+        L.a, L.b, L.edges.values(), L.next_fresh_id,
+        {side: list(ix) for side, ix in L.removed.items()}, dict(L.frozen),
+    )
+
+
+def state_of(L):
+    return (
+        list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.ids, L.nbrs,
+        L.parallel, {s: list(vs) for s, vs in L.sides.items()}, L.removed, L.frozen,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_level_state_matches_rebuild(data):
+    n = data.draw(st.integers(4, 9), label="n")
+    cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    pairs = data.draw(st.lists(cells, max_size=2 * n - 2), label="pairs")
+    L = LevelState.of(DemandGraph.from_pairs(n, n, [(A(i), B(j)) for i, j in pairs]))
+    for _ in range(data.draw(st.integers(1, 8), label="ops")):
+        op = data.draw(st.sampled_from(["lift", "pad", "remove"]), label="op")
+        alive_a, alive_b = list(L.sides[SIDE_A]), list(L.sides[SIDE_B])
+        before = rebuilt(L)
+        try:
+            if op == "lift" and L.edges:
+                moves = data.draw(
+                    st.lists(
+                        st.tuples(
+                            st.sampled_from(sorted(L.edges) + [L.next_fresh_id]),
+                            st.sampled_from(alive_a),
+                            st.sampled_from(alive_b),
+                        ),
+                        min_size=1,
+                        max_size=3,
+                    ),
+                    label="moves",
+                )
+                assert tpb.edge_solver.edge_lift(L, moves) is L
+            elif op == "pad":
+                assert pad_to_full(L, len(alive_a)) is L
+                assert L.m == 2 * len(alive_a) - 2
+            elif op == "remove" and len(alive_a) > 1:
+                k = data.draw(st.integers(1, min(2, len(alive_a) - 1)), label="k")
+                za = data.draw(st.permutations(alive_a), label="za")[:k]
+                zb = data.draw(st.permutations(alive_b), label="zb")[:k]
+                L.remove(za + zb)
+                assert not set(za + zb) & set(L.deg)
+                removed = {(side, i) for side, ix in L.removed.items() for i in ix}
+                assert all({e.u, e.v} & removed for e in L.frozen.values())
+        except (PreconditionError, StructuralError, tpb.NotFoundError, tpb.DomainError):
+            assert state_of(L) == state_of(before)  # a failed batch changes nothing
+        assert list(L.edges) == sorted(L.edges)
+        assert state_of(L) == state_of(rebuilt(L))
+
+
+def test_levels_touch_no_whole_graph(monkeypatch):
+    calls = Counter()
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for name in ("vertices", "induced", "transpose", "degree_map"):
+        counted(DemandGraph, name)
+    counted(LevelState, "__init__")
+    D = clustered_instance(96, 0)
+    res, trace = solve_edge_version(D)
+    assert verify_resolution(D, res) == []
+    swapped = sum(s.swapped for s in trace.steps)
+    base = trace.tags()[-1] == "base"
+    assert len(trace.steps) > 30
+    # one state for the whole induction, plus a copy each way for a swapped level
+    assert calls["__init__"] == 1 + 2 * swapped
+    # only the oracle, at the n <= 5 base case, reads the vertex list
+    assert calls["vertices"] == calls["degree_map"] == int(base)
+    assert calls["induced"] == calls["transpose"] == 0

@@ -105,6 +105,14 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("c only a comment\n")
 
 
+def test_parse_rejects_edges_beyond_the_header_count_before_expanding():
+    # a huge multiplicity must fail at its own line, not after building the pairs
+    with pytest.raises(FormatError, match="line 2: edge lines supply more than the 1"):
+        parse_instance("p tpb 4 4 1\ne 1 1 99999999999")
+    with pytest.raises(FormatError, match="line 3"):
+        parse_instance("p tpb 4 4 2\ne 1 1\ne 2 2 2\n")
+
+
 def test_serialize_canonicalizes():
     text = "c demo\np tpb 2 2 3\ne 2 1\ne 1 1\ne 1 1\n"
     assert serialize_instance(parse_instance(text)) == (
@@ -165,3 +173,9 @@ def test_resolution_parse_errors():
         parse_resolution("s SOLVED\nr 0 2 a1 b1\n")
     with pytest.raises(FormatError):
         parse_resolution("s MAYBE\n")
+
+
+def test_resolution_rejects_non_ascii_digits():
+    for tok in ("a²", "a١"):  # superscript two, Arabic-Indic one
+        with pytest.raises(FormatError, match="bad vertex token"):
+            parse_resolution(f"s SOLVED\nr 0 1 {tok} b1\n")

@@ -1,25 +1,57 @@
 """The benchmark harness must keep working against the current program.
 
-The traced run rebinds functions by name, so each name must exist, and
-the harness's own self-checks must pass.
+The traced run rebinds functions by name, so each name must exist, the
+program must still reach each edge-solver stage through its rebindable
+module global, and the harness's own self-checks must pass.
 """
 import importlib
 import importlib.util
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
+import tpb
+import tpb.edge_solver
+
 ROOT = Path(__file__).resolve().parents[1]
-SPANS = ROOT / "perfbench" / "spans.py"
+
+
+def load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_function_resolves():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
+    spans = load("spans")
     assert spans.HOOKS
     for modname, attr, _, _ in spans.HOOKS:
         assert callable(getattr(importlib.import_module(modname), attr, None)), (modname, attr)
+
+
+def test_edge_solver_stages_run_through_their_module_globals(monkeypatch):
+    calls = Counter()
+    for name in ("check_conditions", "pad_to_full", "find_cover_F", "place_F"):
+        real = getattr(tpb.edge_solver, name)
+
+        def counting(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(tpb.edge_solver, name, counting)
+    D = load("workloads").clustered_instance(tpb, 32, 0)
+    res, trace = tpb.solve_edge_version(D)
+    assert tpb.verify_resolution(D, res) == []
+    tags = trace.tags()
+    inductive = [t for t in tags if t not in ("simple", "base")]
+    case1 = [t for t in tags if t.startswith("1.")]
+    assert len(case1) >= 5
+    assert calls["pad_to_full"] == len(inductive)
+    assert calls["check_conditions"] == len([t for t in inductive if t != "2.2.3"])
+    assert calls["find_cover_F"] == calls["place_F"] == len(case1)
 
 
 def test_benchmark_selftest_passes():
