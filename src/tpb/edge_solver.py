@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from itertools import combinations, islice, permutations, repeat
 from typing import Iterable
 
@@ -84,10 +85,12 @@ class LevelState:
     class's alive vertices in index order, `deg` their degrees and
     `bydeg` the alive vertices by degree; `ids` gives each vertex pair's
     edge ids lowest first, `nbrs` the neighbour sets and `parallel` the
-    pairs with two or more edges.  `edges` holds the alive edges in id
-    order (new ids are always the largest) and `frozen` the edges set
-    aside with a removed vertex; `removed` lists each class's removed
-    indices in order.
+    pairs with two or more edges.  `idle` is a min-heap per class that
+    holds every isolated vertex, pruned lazily of vertices that have
+    since gained an edge or been removed.  `edges` holds the alive edges
+    in id order (new ids are always the largest) and `frozen` the edges
+    set aside with a removed vertex; `removed` lists each class's
+    removed indices in order.
     """
 
     def __init__(
@@ -108,6 +111,7 @@ class LevelState:
             gone = set(self.removed[side])
             self.sides[side] = {V(side, i): None for i in range(size) if i not in gone}
         self.deg = dict.fromkeys([*self.sides[SIDE_A], *self.sides[SIDE_B]], 0)
+        self.idle = {side: list(vs) for side, vs in self.sides.items()}
         self.bydeg: dict[int, set[V]] = {0: set(self.deg)} if self.deg else {}
         self.nbrs: dict[V, set[V]] = {v: set() for v in self.deg}
         self.ids: dict[tuple[V, V], list[int]] = {}
@@ -135,7 +139,15 @@ class LevelState:
 
     def isolated(self, side: str, k: int) -> list[V]:
         """The k lowest isolated vertices of a class, or all of them if fewer."""
-        return list(islice((v for v in self.sides[side] if not self.deg[v]), k))
+        heap = self.idle[side]
+        out: list[V] = []
+        while heap and len(out) < k:
+            v = heappop(heap)
+            if self.deg.get(v) == 0 and v not in out:
+                out.append(v)
+        for v in out:
+            heappush(heap, v)
+        return out
 
     def local(self, v: V) -> V:
         """v's position among the alive vertices of its class."""
@@ -153,6 +165,8 @@ class LevelState:
             del self.bydeg[d]
         self.deg[v] = d + k
         self.bydeg.setdefault(d + k, set()).add(v)
+        if not d + k:
+            heappush(self.idle[v.side], v)
 
     def _add(self, e: Edge) -> None:
         self.edges[e.id] = e
@@ -309,11 +323,9 @@ def pad_to_full(D: DemandGraph | LevelState, n: int) -> DemandGraph | LevelState
     pairs = list(islice(zip(slots(SIDE_A), slots(SIDE_B)), owed))
     if len(pairs) < owed:
         raise StructuralError("no deficient vertex pair available for padding")
-    if L is not D:
-        return D.with_edges(pairs, padding=True)
-    nid = L.next_fresh_id
+    nid = D.next_fresh_id
     added = {i: Edge(i, i, u, v, True) for i, (u, v) in enumerate(pairs, nid)}
-    return L.replace_edges((), added, nid + owed)
+    return D.replace_edges(set(), added, nid + owed)
 
 
 def find_cover_F(
@@ -338,9 +350,15 @@ def place_F(
     """Edge-lift the cover edges onto the four isolated corners of Z.
 
     Takes the first of the up-to-24 assignments of F to the slots u1v1,
-    u1v2, u2v2, u2v1 whose twelve new pairs at Z are distinct, which is
-    to say it leaves no parallel edge at Z, and applies it as one batch.
+    u1v2, u2v2, u2v1 whose twelve new pairs at Z are distinct, which for
+    isolated corners is to say it leaves no parallel edge at Z, and
+    applies it as one batch.  A corner that carries an edge raises
+    PreconditionError.
     """
+    deg = LevelState.of(D).deg
+    busy = [v for v in (u1, u2, v1, v2) if deg.get(v)]
+    if busy:
+        raise PreconditionError(f"place_F needs isolated corners; {busy[0]} has an edge")
     slots = [(u1, v1), (u1, v2), (u2, v2), (u2, v1)]
     for perm in permutations(sorted(F)):
         moves = [(eid, x, y) for eid, (x, y) in zip(perm, slots)]

@@ -196,6 +196,18 @@ def test_place_f_c4_cover():
     assert out.m == D.m + 8
 
 
+def test_place_f_rejects_a_corner_with_an_edge():
+    pairs = [(A(0), B(0)), (A(1), B(1)), (A(2), B(2)), (A(3), B(3)), (A(6), B(0))]
+    D = g(8, pairs)
+    with pytest.raises(PreconditionError):
+        place_F(D, (0, 1, 2, 3), A(6), A(7), B(6), B(7))
+    L = LevelState.of(D)
+    before = list(L.edges.items())
+    with pytest.raises(PreconditionError):
+        place_F(L, (0, 1, 2, 3), A(7), A(6), B(6), B(7))
+    assert list(L.edges.items()) == before
+
+
 # -- full solves -----------------------------------------------------------------------
 
 
@@ -626,6 +638,7 @@ def state_of(L):
     return (
         list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.ids, L.nbrs,
         L.parallel, {s: list(vs) for s, vs in L.sides.items()}, L.removed, L.frozen,
+        {s: L.isolated(s, L.a + L.b) for s in L.sides},
     )
 
 
