@@ -49,7 +49,6 @@ from .errors import (
 )
 from .instances import (
     gen_chain,
-    gen_random,
     gen_random_blocked,
     gen_random_edge,
     gen_random_semiregular,

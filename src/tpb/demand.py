@@ -71,9 +71,6 @@ class Path(NamedTuple):
     def length(self) -> int:
         return len(self.vertices) - 1
 
-    def endpoints(self) -> frozenset[V]:
-        return frozenset((self.vertices[0], self.vertices[-1]))
-
 
 @dataclass
 class Resolution:
@@ -140,26 +137,12 @@ class DemandGraph:
     def vertices(self) -> list[V]:
         return [A(i) for i in range(self.a)] + [B(j) for j in range(self.b)]
 
-    def degree(self, v: V) -> int:
-        self._check_vertex(v)
-        return sum(1 for e in self.edges.values() if e.touches(v))
-
     def degree_map(self) -> dict[V, int]:
         degs = {v: 0 for v in self.vertices()}
         for e in self.edges.values():
             degs[e.u] += 1
             degs[e.v] += 1
         return degs
-
-    def multiplicity(self, u: V, v: V) -> int:
-        self._check_vertex(u)
-        self._check_vertex(v)
-        key = (u, v) if u <= v else (v, u)
-        return sum(1 for e in self.edges.values() if e.pair() == key)
-
-    def neighbors(self, v: V) -> set[V]:
-        self._check_vertex(v)
-        return {e.other(v) for e in self.edges.values() if e.touches(v)}
 
     def max_degree(self) -> int:
         degs = Counter()
@@ -244,8 +227,10 @@ def edge_lift(D, moves: Iterable[tuple[int, V, V]]):
     Each replaces class-crossing edge uv by the three edges xy, uy, xv with
     fresh ids, exactly as one call per move would: the same as lifting uv
     to x and the x-side half on to y, but the graph stays bipartite.  Each
-    move needs x in class A, y in class B and four distinct vertices.  The
-    whole batch is checked before anything changes, and the result comes
+    move needs x and y in opposite classes, either way round, and four
+    distinct vertices; u is the endpoint of the lifted edge in x's class,
+    so a lift with x in class B mirrors the class-A lift of the transposed
+    graph.  The whole batch is checked before anything changes, and the result comes
     from `D.replace_edges`: a DemandGraph is never modified and gives a new
     graph (itself for an empty batch), while the edge solver's level state
     applies the batch in place.
@@ -263,14 +248,11 @@ def edge_lift(D, moves: Iterable[tuple[int, V, V]]):
             gone.add(edge_id)
         D._check_vertex(x)
         D._check_vertex(y)
-        if x.side != SIDE_A or y.side != SIDE_B:
-            raise PreconditionError("edge-lift target must pair a class-A with a class-B vertex")
-        if e.u.side == SIDE_A and e.v.side == SIDE_B:
-            u, v = e.u, e.v
-        elif e.u.side == SIDE_B and e.v.side == SIDE_A:
-            u, v = e.v, e.u
-        else:
+        if x.side == y.side:
+            raise PreconditionError("edge-lift target must pair vertices of opposite classes")
+        if e.u.side == e.v.side:
             raise PreconditionError("edge-lift applies to class-crossing edges only")
+        u, v = (e.u, e.v) if e.u.side == x.side else (e.v, e.u)
         if len({u, v, x, y}) != 4:
             raise PreconditionError("edge-lift needs four distinct vertices")
         added[i] = Edge(i, e.label, x, y, e.padding)

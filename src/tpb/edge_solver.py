@@ -21,7 +21,10 @@ buckets, each vertex pair's edge ids and neighbour sets kept up to date
 by every change.  Padding adds only the edges a level owes, each case
 applies its liftings in one `edge_lift` batch on the state in place, and
 removing Z sets its incident edges aside, so a level costs about what
-it changes rather than the size of the graph.  The handlers' rules
+it changes rather than the size of the graph.  The paper states cases
+2.1, 2.2.2, 3 and 4 with either class as "A"; their handlers take the
+class playing A and the other class as arguments, so a level with the
+classes swapped runs on the same state like any other.  The handlers' rules
 ("the lowest isolated vertex", index tie-breaks) read the alive
 vertices in global index order, which is the order of the smaller
 K_{m,m} the induction stands for; the trace records each level's
@@ -220,21 +223,6 @@ class LevelState:
             del self.deg[v], self.nbrs[v], self.sides[v.side][v]
             insort(self.removed[v.side], v.index)
 
-    def transpose(self) -> "LevelState":
-        """A new state with the classes swapped."""
-
-        def flip(e: Edge) -> Edge:
-            return Edge(e.id, e.label, e.u.flip(), e.v.flip(), e.padding)
-
-        return LevelState(
-            self.b,
-            self.a,
-            map(flip, self.edges.values()),
-            self.next_fresh_id,
-            {SIDE_A: list(self.removed[SIDE_B]), SIDE_B: list(self.removed[SIDE_A])},
-            {eid: flip(e) for eid, e in self.frozen.items()},
-        )
-
 
 # -- public operations --------------------------------------------------------
 
@@ -365,7 +353,7 @@ def place_F(
         made = set()
         for eid, x, y in moves:
             e = D.edges[eid]
-            u, v = (e.u, e.v) if e.u.side == SIDE_A else (e.v, e.u)
+            u, v = (e.u, e.v) if e.u.side == x.side else (e.v, e.u)
             made.update(((x, y), (u, y), (x, v)))
         if len(made) == 3 * len(moves):
             return edge_lift(D, moves)
@@ -390,8 +378,8 @@ def _resolve(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
         if n <= 5:
             _base_case(L, trace)
             break
-        L = pad_to_full(L, n)
-        ctx, L, z = _dispatch(L, n)
+        pad_to_full(L, n)
+        ctx, z = _dispatch(L, n)
         ctx.x_set, ctx.y_set, ctx.z_set = (
             tuple(map(L.local, vs)) for vs in (ctx.x_set, ctx.y_set, ctx.z_set)
         )
@@ -441,6 +429,7 @@ def _base_case(L: LevelState, trace: CaseTrace) -> None:
 
 
 def _dispatch(L: LevelState, n: int):
+    """Run the case handler for this level on L in place; returns (ctx, z)."""
     iso_a = L.isolated(SIDE_A, 2)
     iso_b = L.isolated(SIDE_B, 2)
     X = L.of_degree(n)
@@ -451,26 +440,23 @@ def _dispatch(L: LevelState, n: int):
     if not X:
         ones = L.of_degree(1)
         if ones:
-            return _oriented(_case21, L, n, ones[0].side == SIDE_B)
+            return _oriented(_case21, L, n, ones[0].side)
         return _case22(L, n)
     if len(X) == 1:
-        return _oriented(_case3, L, n, X[0].side == SIDE_B)
-    return _oriented(_case4, L, n, len(iso_b) >= 2)
+        return _oriented(_case3, L, n, X[0].side)
+    return _oriented(_case4, L, n, SIDE_B if len(iso_b) >= 2 else SIDE_A)
 
 
-def _oriented(handler, L: LevelState, n: int, swap: bool):
-    """Run a handler written for one orientation, on a transposed copy if needed."""
-    if swap:
-        L = L.transpose()
-    ctx, L, z = handler(L, n)
-    if swap:
-        L = L.transpose()
-        z = tuple(v.flip() for v in z) if z is not None else None
-        ctx.x_set = tuple(v.flip() for v in ctx.x_set)
-        ctx.y_set = tuple(v.flip() for v in ctx.y_set)
-        ctx.z_set = z if z is not None else ()
-        ctx.swapped = True
-    return ctx, L, z
+def _oriented(handler, L: LevelState, n: int, s: str):
+    """Run a handler with class s in the role of the paper's class A.
+
+    The handler gets s and the other class t as arguments; the step is
+    recorded as swapped when class B plays class A.
+    """
+    t = SIDE_A if s == SIDE_B else SIDE_B
+    ctx, z = handler(L, n, s, t)
+    ctx.swapped = s == SIDE_B
+    return ctx, z
 
 
 def _first(L: LevelState, keep, k: int = 2) -> list[int]:
@@ -487,11 +473,9 @@ def _case1(L: LevelState, n: int):
     X = tuple(L.of_degree(n))
     Y = tuple(sorted(v for d in (n - 1, n) for v in L.bydeg.get(d, ())))
     F = find_cover_F(L, X, Y)
-    L = place_F(L, F, u1, u2, v1, v2)
+    place_F(L, F, u1, u2, v1, v2)
     z = (u1, u2, v1, v2)
-    tag = f"1.{5 - len(Y)}"
-    ctx = CaseContext(n, tag, X, Y, z, f_set=F, lifts=4)
-    return ctx, L, z
+    return CaseContext(n, f"1.{5 - len(Y)}", X, Y, z, f_set=F, lifts=4), z
 
 
 def _cover_ok(L: LevelState, F, X, Y) -> bool:
@@ -511,9 +495,9 @@ def _cover_ok(L: LevelState, F, X, Y) -> bool:
 
 def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
     yset = set(Y)
+    ya = sorted(v for v in Y if v.side == SIDE_A)
+    yb = sorted(v for v in Y if v.side == SIDE_B)
     if len(Y) == 4:
-        ya = sorted(v for v in Y if v.side == SIDE_A)
-        yb = sorted(v for v in Y if v.side == SIDE_B)
         if len(ya) != 2 or len(yb) != 2:
             return None
         corners = [(ya[0], yb[0]), (ya[1], yb[0]), (ya[1], yb[1]), (ya[0], yb[1])]
@@ -527,17 +511,15 @@ def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
                 return [eid for u, v in pairing for eid in L.pair(u, v)[:2]]
         return None
     if len(Y) == 3:
-        ya = sorted(v for v in Y if v.side == SIDE_A)
-        yb = sorted(v for v in Y if v.side == SIDE_B)
         if len(ya) == 1:
-            s, p = ya[0], yb
+            hub, p = ya[0], yb
         elif len(yb) == 1:
-            s, p = yb[0], ya
+            hub, p = yb[0], ya
         else:
             return None
-        p_star = max(p, key=lambda w: (len(L.pair(s, w)), -w.index))
+        p_star = max(p, key=lambda w: (len(L.pair(hub, w)), -w.index))
         other = p[0] if p_star == p[1] else p[1]
-        ids = L.pair(s, p_star)
+        ids = L.pair(hub, p_star)
         if len(ids) < 2:
             return None
         out_ids = _first(L, lambda e: e.touches(other) and e.other(other) not in yset)
@@ -575,52 +557,50 @@ def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
             if got < 2:
                 return None
         return out
+    # two edges of one pair, the most repeated one at y for Y = {y} and the
+    # lowest parallel pair otherwise, plus two edges avoiding both ends
     if len(Y) == 1:
-        y = Y[0]
-        if not L.nbrs[y]:
+        p = Y[0]
+        if not L.nbrs[p]:
             return None
-        v = max(L.nbrs[y], key=lambda w: (len(L.pair(y, w)), -w.index))
-        ids = L.pair(y, v)
-        if len(ids) < 2:
-            return None
-        rest = _first(L, lambda e: not e.touches(y) and not e.touches(v))
-        if len(rest) < 2:
-            return None
-        return ids[:2] + rest
-    # |Y| == 0: proceed from any parallel pair exactly as in the |Y| = 1 case
-    if not L.parallel:
+        q = max(L.nbrs[p], key=lambda w: (len(L.pair(p, w)), -w.index))
+    elif L.parallel:
+        p, q = min(L.parallel)
+    else:
         return None
-    p, q = min(L.parallel)
+    ids = L.pair(p, q)
+    if len(ids) < 2:
+        return None
     rest = _first(L, lambda e: not e.touches(p) and not e.touches(q))
     if len(rest) < 2:
         return None
-    return L.pair(p, q)[:2] + rest
+    return ids[:2] + rest
 
 
 # -- Case 2: no degree-n vertex --------------------------------------------------
 
 
-def _case21(L: LevelState, n: int):
-    """A degree-1 vertex x (class A after orientation)."""
-    x = L.of_degree(1, SIDE_A)[0]
+def _case21(L: LevelState, n: int, s: str, t: str):
+    """A degree-1 vertex x in class s."""
+    x = L.of_degree(1, s)[0]
     xp = next(iter(L.nbrs[x]))
-    iso_b = L.isolated(SIDE_B, 1)
-    if iso_b:
-        y = iso_b[0]
+    iso_t = L.isolated(t, 1)
+    if iso_t:
+        y = iso_t[0]
         away = _first(L, lambda e: not e.touches(x) and not e.touches(xp), 1)
         if not away:
             raise StructuralError("case 2.1: no edge avoids x and its neighbor")
-        L = edge_lift(L, [(away[0], x, y)])
+        edge_lift(L, [(away[0], x, y)])
         z = (x, y)
-        return CaseContext(n, "2.1", z_set=z, lifts=1), L, z
-    ones = L.of_degree(1, SIDE_B)
+        return CaseContext(n, "2.1", z_set=z, lifts=1), z
+    ones = L.of_degree(1, t)
     if len(ones) < 2:
         raise StructuralError("case 2.1: expected two degree-1 vertices opposite x")
     y = next((y for y in ones if y not in L.nbrs[x]), None)
     if y is None:
         raise StructuralError("case 2.1: every degree-1 vertex is joined to x")
     z = (x, y)
-    return CaseContext(n, "2.1", z_set=z), L, z
+    return CaseContext(n, "2.1", z_set=z), z
 
 
 def _case22(L: LevelState, n: int):
@@ -633,24 +613,24 @@ def _case22(L: LevelState, n: int):
             if not other_iso:
                 raise StructuralError("case 2.2.1: no isolated vertex opposite")
             z = (v, other_iso[0])
-            return CaseContext(n, "2.2.1", z_set=z), L, z
+            return CaseContext(n, "2.2.1", z_set=z), z
     if len(iso_a) >= 2 or len(iso_b) >= 2:
-        return _oriented(_case222, L, n, len(iso_b) >= 2)
+        return _oriented(_case222, L, n, SIDE_B if len(iso_b) >= 2 else SIDE_A)
     return _case223(L, n)
 
 
-def _case222(L: LevelState, n: int):
-    """Two isolated vertices in class A; opposite class all doubled pairs."""
-    iso_a = L.isolated(SIDE_A, 2)
-    if len(iso_a) < 2:
+def _case222(L: LevelState, n: int, s: str, t: str):
+    """Two isolated vertices in class s; class t all doubled pairs."""
+    iso_s = L.isolated(s, 2)
+    if len(iso_s) < 2:
         raise StructuralError("case 2.2.2: missing the two isolated vertices")
-    a1, a2 = iso_a
-    for y in L.sides[SIDE_B]:
+    a1, a2 = iso_s
+    for y in L.sides[t]:
         d = L.deg[y]
         if d not in (0, 2) or (d == 2 and len(L.nbrs[y]) != 1):
             raise StructuralError("case 2.2.2: opposite class is not all doubled pairs")
     pos = sorted(
-        (x for x in L.sides[SIDE_A] if L.deg[x] > 0),
+        (x for x in L.sides[s] if L.deg[x] > 0),
         key=lambda x: (-L.deg[x], x.index),
     )
     if len(pos) < 2:
@@ -660,9 +640,9 @@ def _case222(L: LevelState, n: int):
     w = min(L.nbrs[v])
     if zz == w:
         raise StructuralError("case 2.2.2: chosen neighbors coincide")
-    L = edge_lift(L, [(L.pair(u, zz)[0], a1, w), (L.pair(v, w)[0], a2, zz)])
+    edge_lift(L, [(L.pair(u, zz)[0], a1, w), (L.pair(v, w)[0], a2, zz)])
     z = (a1, a2, zz, w)
-    return CaseContext(n, "2.2.2", z_set=z, lifts=2), L, z
+    return CaseContext(n, "2.2.2", z_set=z, lifts=2), z
 
 
 def _case223(L: LevelState, n: int):
@@ -683,68 +663,69 @@ def _case223(L: LevelState, n: int):
         (L.pair(a_seq[i], b_seq[i])[0], a_seq[i + 1], b_seq[(i + 2) % n])
         for i in range(n - 1)
     ]
-    ctx = CaseContext(n, "2.2.3", lifts=n - 1)
-    return ctx, edge_lift(L, moves), None
+    edge_lift(L, moves)
+    return CaseContext(n, "2.2.3", lifts=n - 1), None
 
 
 # -- Case 3: exactly one degree-n vertex -----------------------------------------
 
 
-def _case3(L: LevelState, n: int):
-    z = L.of_degree(n, SIDE_A)[0]
-    iso_a = L.isolated(SIDE_A, 1)
-    if not iso_a:
+def _case3(L: LevelState, n: int, s: str, t: str):
+    """One degree-n vertex z, in class s."""
+    z = L.of_degree(n, s)[0]
+    iso_s = L.isolated(s, 1)
+    if not iso_s:
         raise StructuralError("case 3: class of the full vertex has no isolated vertex")
-    v = iso_a[0]
-    ones_b = L.of_degree(1, SIDE_B)
-    if ones_b:
-        u = ones_b[0]
+    v = iso_s[0]
+    ones_t = L.of_degree(1, t)
+    if ones_t:
+        u = ones_t[0]
         if u in L.nbrs[z]:
             away = _first(L, lambda e: not e.touches(u) and not e.touches(z), 1)
             if not away:
                 raise StructuralError("case 3.1: no edge disjoint from u and z")
         else:
             away = _first(L, lambda e: e.touches(z), 1)
-        L = edge_lift(L, [(away[0], v, u)])
+        edge_lift(L, [(away[0], v, u)])
         zz = (v, u)
-        return CaseContext(n, "3.1", x_set=(z,), z_set=zz, lifts=1), L, zz
-    iso_b = L.isolated(SIDE_B, 1)
-    if not iso_b:
+        return CaseContext(n, "3.1", x_set=(z,), z_set=zz, lifts=1), zz
+    iso_t = L.isolated(t, 1)
+    if not iso_t:
         raise StructuralError("case 3.2: opposite class has no isolated vertex")
-    u = iso_b[0]
-    if all(L.deg[y] == 2 for y in L.sides[SIDE_B] if y != u):
-        return _case321(L, n, z, v, u)
-    return _case322(L, n, z, v, u)
+    u = iso_t[0]
+    if all(L.deg[y] == 2 for y in L.sides[t] if y != u):
+        return _case321(L, n, s, t, z, v, u)
+    return _case322(L, n, s, t, z, v, u)
 
 
-def _case321(L: LevelState, n: int, z: V, v: V, u: V):
-    """Full vertex with an isolated opposite vertex; all others degree two."""
+def _case321(L: LevelState, n: int, s: str, t: str, z: V, v: V, u: V):
+    """Full vertex z in class s, u isolated in class t, the rest of t degree two."""
     nbrs = L.nbrs
-    mult_free = [y for y in L.sides[SIDE_B] if y != u and len(nbrs[y]) == 2]
+    mult_free = [y for y in L.sides[t] if y != u and len(nbrs[y]) == 2]
     adj_free = [x for x in mult_free if x in nbrs[z]]
     if adj_free:
         x = adj_free[0]
         eid = _first(L, lambda e: e.touches(z) and not e.touches(x), 1)[0]
-        L = edge_lift(L, [(eid, v, u)])
+        edge_lift(L, [(eid, v, u)])
         zz = (v, x)
         ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=1, note="plain neighbor")
-        return ctx, L, zz
+        return ctx, zz
     if not mult_free:
         # every degree-2 vertex is a doubled pair
-        iso_a = L.isolated(SIDE_A, 2)
-        if len(iso_a) < 2:
+        iso_s = L.isolated(s, 2)
+        if len(iso_s) < 2:
             raise StructuralError("case 3.2.1: second isolated vertex missing")
-        v2 = iso_a[1]
+        v2 = iso_s[1]
         a_nb = min(nbrs[z])
-        b_cands = [y for y in L.of_degree(2, SIDE_B) if y not in nbrs[z]]
+        b_cands = [y for y in L.of_degree(2, t) if y not in nbrs[z]]
         if not b_cands:
             raise StructuralError("case 3.2.1: no doubled pair away from the full vertex")
         b = b_cands[0]
         zp = next(iter(nbrs[b]))
-        L = edge_lift(L, [(L.pair(z, a_nb)[0], v, b), (L.pair(zp, b)[0], v2, a_nb)])
+        edge_lift(L, [(L.pair(z, a_nb)[0], v, b), (L.pair(zp, b)[0], v2, a_nb)])
         zz = (v, v2, a_nb, b)
         ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=2, note="parallel pairs")
-        return ctx, L, zz
+        return ctx, zz
     # Mixed shape: the full vertex sees only doubled pairs while plain
     # degree-2 vertices live elsewhere.  Lift one copy of every doubled
     # pair at z onto v and the non-neighbors of z; afterwards z is simple
@@ -754,52 +735,50 @@ def _case321(L: LevelState, n: int, z: V, v: V, u: V):
         raise StructuralError("case 3.2.1: unexpected neighborhood shape at the full vertex")
     if any(len(L.pair(z, x)) != 2 for x in star):
         raise StructuralError("case 3.2.1: neighbor of the full vertex not doubled")
-    targets = [y for y in L.sides[SIDE_B] if y not in nbrs[z]]
+    targets = [y for y in L.sides[t] if y not in nbrs[z]]
     if len(targets) != len(star):
         raise StructuralError("case 3.2.1: target count mismatch")
-    L = edge_lift(L, [(L.pair(z, x)[0], v, y) for x, y in zip(star, targets)])
+    edge_lift(L, [(L.pair(z, x)[0], v, y) for x, y in zip(star, targets)])
     zz = (z, v, star[0], u)
     ctx = CaseContext(
         n, "3.2.1", x_set=(z,), z_set=zz, lifts=len(star), note="lifted parallel star"
     )
-    return ctx, L, zz
+    return ctx, zz
 
 
-def _case322(L: LevelState, n: int, z: V, v: V, u: V):
-    """Full vertex with two isolated opposite vertices; the rest of its class degree one."""
-    ones_a = L.of_degree(1, SIDE_A)
+def _case322(L: LevelState, n: int, s: str, t: str, z: V, v: V, u: V):
+    """Full vertex z in class s, two isolated vertices in class t, the rest of s degree one."""
+    ones_s = L.of_degree(1, s)
     for x in sorted(L.nbrs[z]):
-        for y in ones_a:
+        for y in ones_s:
             if x not in L.nbrs[y]:
-                L = edge_lift(L, [(L.pair(z, x)[0], y, u)])
+                edge_lift(L, [(L.pair(z, x)[0], y, u)])
                 zz = (y, u)
-                ctx = CaseContext(n, "3.2.2", x_set=(z,), z_set=zz, lifts=1)
-                return ctx, L, zz
+                return CaseContext(n, "3.2.2", x_set=(z,), z_set=zz, lifts=1), zz
     raise StructuralError("case 3.2.2: every neighbor of z covers all degree-1 vertices")
 
 
 # -- Case 4: two degree-n vertices ------------------------------------------------
 
 
-def _case4(L: LevelState, n: int):
-    z1 = L.of_degree(n, SIDE_A)[0]
-    z2 = L.of_degree(n, SIDE_B)[0]
+def _case4(L: LevelState, n: int, s: str, t: str):
+    """Degree-n vertices z1 in class s and z2 in class t."""
+    z1 = L.of_degree(n, s)[0]
+    z2 = L.of_degree(n, t)[0]
     joint = L.pair(z1, z2)
     if len(joint) < 2:
         raise StructuralError("case 4: the two full vertices are not doubly joined")
-    iso_a = L.isolated(SIDE_A, 1)
-    iso_b = L.isolated(SIDE_B, 1)
-    if not iso_a or not iso_b:
+    iso_s = L.isolated(s, 1)
+    iso_t = L.isolated(t, 1)
+    if not iso_s or not iso_t:
         raise StructuralError("case 4: missing isolated vertices")
-    v1, v2 = iso_a[0], iso_b[0]
-    loose = [y for y in L.of_degree(1, SIDE_B) if y not in L.nbrs[z1]]
+    v1, v2 = iso_s[0], iso_t[0]
+    loose = [y for y in L.of_degree(1, t) if y not in L.nbrs[z1]]
     if loose:
-        x = loose[0]
-        L = edge_lift(L, [(joint[0], v1, x)])
-        zz = (v1, x)
-        return CaseContext(n, "4", x_set=(z1, z2), z_set=zz, lifts=1), L, zz
-    if len(joint) != 2:
+        y, zz = loose[0], (v1, loose[0])
+    elif len(joint) != 2:
         raise StructuralError("case 4: full vertex must carry exactly one doubled edge")
-    L = edge_lift(L, [(joint[0], v1, v2)])
-    zz = (z1, v2)
-    return CaseContext(n, "4", x_set=(z1, z2), z_set=zz, lifts=1), L, zz
+    else:
+        y, zz = v2, (z1, v2)
+    edge_lift(L, [(joint[0], v1, y)])
+    return CaseContext(n, "4", x_set=(z1, z2), z_set=zz, lifts=1), zz

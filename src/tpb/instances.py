@@ -141,21 +141,6 @@ def gen_random_semiregular(a: int, b: int, delta_a: int, seed: int) -> DemandGra
     return D
 
 
-def gen_random(profile: str, **kw) -> DemandGraph:
-    """Dispatch by profile name: edge_version, blocked or semiregular."""
-    if profile == "edge_version":
-        return gen_random_edge(
-            kw["n"], kw.get("seed", 0), kw.get("max_edges"), kw.get("max_degree")
-        )
-    if profile == "blocked":
-        return gen_random_blocked(kw["n"], kw["sizes"], kw.get("seed", 0))
-    if profile == "semiregular":
-        return gen_random_semiregular(
-            kw["a"], kw["b"], kw["delta_a"], kw.get("seed", 0)
-        )
-    raise PreconditionError(f"unknown profile {profile!r}")
-
-
 # -- instance files -----------------------------------------------------------
 
 

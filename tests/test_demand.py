@@ -112,14 +112,17 @@ def test_edge_lift_example():
 def test_edge_lift_degrees():
     D = g(2, 2, [(A(0), B(0))])
     D2 = edge_lift(D, [(0, A(1), B(1))])
-    assert D2.degree(A(0)) == 1 and D2.degree(B(0)) == 1
-    assert D2.degree(A(1)) == 2 and D2.degree(B(1)) == 2
+    degs = D2.degree_map()
+    assert degs[A(0)] == 1 and degs[B(0)] == 1
+    assert degs[A(1)] == 2 and degs[B(1)] == 2
 
 
 def test_edge_lift_rejects_shared_vertex():
     D = g(2, 2, [(A(0), B(0))])
     with pytest.raises(PreconditionError):
         edge_lift(D, [(0, A(0), B(1))])
+    with pytest.raises(PreconditionError):
+        edge_lift(D, [(0, B(1), A(0))])
 
 
 def test_edge_lift_rejects_within_class_edge():
@@ -140,6 +143,10 @@ def test_edge_lift_batch_failure_leaves_input_unchanged():
         edge_lift(D, [(0, A(2), B(2)), (1, A(0), B(7))])
     with pytest.raises(PreconditionError):
         edge_lift(D, [(0, A(2), B(2)), (1, A(2), B(1))])
+    with pytest.raises(PreconditionError):  # the target pair lies in class B only
+        edge_lift(D, [(0, A(2), B(2)), (1, B(0), B(2))])
+    with pytest.raises(PreconditionError):
+        edge_lift(D, [(0, A(2), B(2)), (1, A(0), A(2))])
     assert (list(D.edges.items()), D.next_fresh_id) == before
 
 
@@ -229,10 +236,10 @@ def test_verify_bad_paths():
 
 def test_multiplicity_and_degree_count_parallels():
     D = g(2, 2, [(A(0), B(0))] * 3)
-    assert D.multiplicity(A(0), B(0)) == 3
-    assert D.degree(A(0)) == 3
+    assert Counter(e.pair() for e in D.edges.values()) == {(A(0), B(0)): 3}
+    assert D.degree_map()[A(0)] == 3
     assert D.max_degree() == 3
-    assert D.neighbors(A(0)) == {B(0)}
+    assert D.max_multiplicity() == 3
 
 
 def test_induced_identity_and_filter():
@@ -330,3 +337,34 @@ def test_batched_edge_lift_equals_one_move_per_call(D, data):
     assert list(batched.edges.items()) == list(G.edges.items())
     assert batched.next_fresh_id == G.next_fresh_id
     assert (batched is D) == (G is D)
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=5), st.data())
+def test_edge_lift_from_class_b_mirrors_class_a(D, data):
+    # lifting with x in class B is the lift of the transposed graph with x in
+    # class A, flipped back: the same ids, labels, u/v order and padding
+    flips = data.draw(st.lists(st.booleans(), min_size=D.m, max_size=D.m))
+    pairs = [(e.v, e.u) if f else (e.u, e.v) for e, f in zip(D.edges.values(), flips)]
+    D = DemandGraph.from_pairs(D.a, D.b, pairs)
+    D = D.with_edges([(B(0), A(0))] * data.draw(st.integers(0, 2)), padding=True)
+    T = D.transpose()
+    G = T
+    moves = []
+    for _ in range(data.draw(st.integers(1, 6))):
+        legal = [
+            (eid, A(i), B(j))
+            for eid, e in sorted(G.edges.items())
+            for i in range(G.a)
+            for j in range(G.b)
+            if not e.touches(A(i)) and not e.touches(B(j))
+        ]
+        if not legal:
+            break
+        move = data.draw(st.sampled_from(legal))
+        moves.append(move)
+        G = edge_lift(G, [move])
+    want = edge_lift(T, moves).transpose()
+    got = edge_lift(D, [(eid, x.flip(), y.flip()) for eid, x, y in moves])
+    assert list(got.edges.items()) == list(want.edges.items())
+    assert got.next_fresh_id == want.next_fresh_id

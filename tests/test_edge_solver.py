@@ -64,7 +64,7 @@ def test_pad_avoids_full_vertices():
     P = pad_to_full(D, 4)
     assert P.m == 6
     assert P.max_degree() <= 4
-    assert P.degree(A(0)) == 4
+    assert P.degree_map()[A(0)] == 4
 
 
 # -- induction conditions -----------------------------------------------------------
@@ -174,7 +174,8 @@ def test_place_f_disjoint_edges():
     F = (0, 1, 2, 3)
     out = place_F(D, F, A(6), A(7), B(6), B(7))
     zset = {A(6), A(7), B(6), B(7)}
-    assert all(out.degree(v) == 4 for v in zset)
+    degs = out.degree_map()
+    assert all(degs[v] == 4 for v in zset)
 
 
 def test_place_f_with_parallel_pair():
@@ -244,204 +245,183 @@ def test_chain_instances_resolve_directly():
             assert trace.tags() == ["2.2.3"]
 
 
-def test_case_1_variants():
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 3
-            + [(A(1), B(1))] * 3
-            + [(A(0), B(1))] * 2
-            + [(A(1), B(0))] * 2,
-        ),
+# hand-built K_{6,6} instances: (tag of the first step, its note, demand pairs)
+CASE_VARIANTS = [
+    (
         "1.1",
-    )
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 3
-            + [(A(0), B(1))] * 2
-            + [(A(1), B(0))] * 2
-            + [(A(2), B(1))] * 3,
-        ),
+        "",
+        [(A(0), B(0))] * 3 + [(A(1), B(1))] * 3 + [(A(0), B(1))] * 2 + [(A(1), B(0))] * 2,
+    ),
+    (
         "1.2",
-    )
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 2
-            + [(A(0), B(1))] * 2
-            + [(A(0), B(2)), (A(1), B(0)), (A(1), B(0)), (A(2), B(0))]
-            + [(A(3), B(3))] * 2,
-        ),
+        "",
+        [(A(0), B(0))] * 3 + [(A(0), B(1))] * 2 + [(A(1), B(0))] * 2 + [(A(2), B(1))] * 3,
+    ),
+    (
         "1.3",
-    )
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 4
-            + [(A(0), B(1)), (A(1), B(0))]
-            + [(A(2), B(2))] * 2
-            + [(A(3), B(3))] * 2,
-        ),
+        "",
+        [(A(0), B(0))] * 2
+        + [(A(0), B(1))] * 2
+        + [(A(0), B(2)), (A(1), B(0)), (A(1), B(0)), (A(2), B(0))]
+        + [(A(3), B(3))] * 2,
+    ),
+    (
         "1.3",
-    )
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 2
-            + [(A(0), B(1)), (A(0), B(2)), (A(0), B(3))]
-            + [(A(1), B(0)), (A(1), B(1))]
-            + [(A(2), B(0)), (A(2), B(1)), (A(2), B(2))],
-        ),
+        "",
+        [(A(0), B(0))] * 4
+        + [(A(0), B(1)), (A(1), B(0))]
+        + [(A(2), B(2))] * 2
+        + [(A(3), B(3))] * 2,
+    ),
+    (
         "1.4",
-    )
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 2
-            + [(A(0), B(1))] * 2
-            + [(A(1), B(0))] * 2
-            + [(A(1), B(1)), (A(2), B(1))]
-            + [(A(2), B(2))] * 2,
-        ),
+        "",
+        [(A(0), B(0))] * 2
+        + [(A(0), B(1)), (A(0), B(2)), (A(0), B(3))]
+        + [(A(1), B(0)), (A(1), B(1))]
+        + [(A(2), B(0)), (A(2), B(1)), (A(2), B(2))],
+    ),
+    (
         "1.5",
-    )
+        "",
+        [(A(0), B(0))] * 2
+        + [(A(0), B(1))] * 2
+        + [(A(1), B(0))] * 2
+        + [(A(1), B(1)), (A(2), B(1))]
+        + [(A(2), B(2))] * 2,
+    ),
+    (
+        "2.1",
+        "",
+        [(A(0), B(0))]
+        + [(A(1), B(1))] * 2
+        + [(A(2), B(2))] * 2
+        + [(A(3), B(3))] * 2
+        + [(A(4), B(4))] * 3,
+    ),
+    (
+        "2.1",
+        "",
+        [(A(0), B(0)), (A(0), B(1))]
+        + [(A(1), B(2))] * 2
+        + [(A(2), B(3))] * 2
+        + [(A(3), B(4))] * 2
+        + [(A(4), B(5)), (A(5), B(5))],
+    ),
+    (
+        "2.2.1",
+        "",
+        [(A(0), B(0)), (A(0), B(1)), (A(1), B(0)), (A(1), B(1))]
+        + [(A(2), B(2))] * 2
+        + [(A(3), B(3))] * 2
+        + [(A(4), B(4))] * 2,
+    ),
+    (
+        "2.2.2",
+        "",
+        [(A(0), B(0))] * 2
+        + [(A(0), B(1))] * 2
+        + [(A(1), B(2))] * 2
+        + [(A(1), B(3))] * 2
+        + [(A(2), B(4))] * 2,
+    ),
+    (
+        "3.1",
+        "",
+        [(A(0), B(0))] * 2
+        + [(A(0), B(1)), (A(0), B(2)), (A(0), B(3)), (A(0), B(4))]
+        + [(A(1), B(5))] * 2
+        + [(A(2), B(5))] * 2,
+    ),
+    (
+        "3.1",
+        "",
+        [(A(0), B(0))] * 3
+        + [(A(0), B(1))] * 3
+        + [(A(1), B(2)), (A(2), B(3)), (A(3), B(4)), (A(4), B(5))],
+    ),
+    (
+        "3.2.1",
+        "plain neighbor",
+        [(A(0), B(0))] * 2
+        + [(A(0), B(1)), (A(0), B(2)), (A(0), B(3)), (A(0), B(4))]
+        + [(A(1), B(1)), (A(2), B(2)), (A(3), B(3)), (A(4), B(4))],
+    ),
+    (
+        "3.2.1",
+        "parallel pairs",
+        [(A(0), B(0))] * 2
+        + [(A(0), B(1))] * 2
+        + [(A(0), B(2))] * 2
+        + [(A(1), B(3))] * 2
+        + [(A(2), B(4))] * 2,
+    ),
+    (
+        "3.2.1",
+        "lifted parallel star",
+        [(A(0), B(0))] * 2
+        + [(A(0), B(1))] * 2
+        + [(A(0), B(2))] * 2
+        + [(A(1), B(4)), (A(2), B(4)), (A(3), B(5)), (A(4), B(5))],
+    ),
+    (
+        "3.2.2",
+        "",
+        [(A(0), B(0))] * 2
+        + [(A(0), B(1))] * 2
+        + [(A(0), B(2)), (A(0), B(3))]
+        + [(A(1), B(2)), (A(2), B(3)), (A(3), B(0)), (A(4), B(1))],
+    ),
+    (
+        "4",
+        "",
+        [(A(0), B(0))] * 3
+        + [(A(0), B(1)), (A(0), B(2)), (A(0), B(3))]
+        + [(A(1), B(0)), (A(2), B(0)), (A(3), B(0))]
+        + [(A(4), B(4))],
+    ),
+    (
+        "4",
+        "",
+        [(A(0), B(0))] * 2
+        + [(A(0), B(1)), (A(0), B(2)), (A(0), B(3)), (A(0), B(4))]
+        + [(A(1), B(0)), (A(2), B(0)), (A(3), B(0)), (A(4), B(0))],
+    ),
+]
+
+
+def case_instances(case, transposed=False):
+    """The hand-built instances of one case, as (instance, tag, note)."""
+    for tag, note, pairs in CASE_VARIANTS:
+        if tag.split(".")[0] == case:
+            D = g(6, pairs)
+            yield (D.transpose() if transposed else D), tag, note
+
+
+def check_case_variants(case):
+    for D, tag, note in case_instances(case):
+        _, trace = solved_with(D, tag)
+        if note:
+            assert trace.steps[0].note == note
+
+
+def test_case_1_variants():
+    check_case_variants("1")
 
 
 def test_case_2_variants():
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))]
-            + [(A(1), B(1))] * 2
-            + [(A(2), B(2))] * 2
-            + [(A(3), B(3))] * 2
-            + [(A(4), B(4))] * 3,
-        ),
-        "2.1",
-    )
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0)), (A(0), B(1))]
-            + [(A(1), B(2))] * 2
-            + [(A(2), B(3))] * 2
-            + [(A(3), B(4))] * 2
-            + [(A(4), B(5)), (A(5), B(5))],
-        ),
-        "2.1",
-    )
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0)), (A(0), B(1)), (A(1), B(0)), (A(1), B(1))]
-            + [(A(2), B(2))] * 2
-            + [(A(3), B(3))] * 2
-            + [(A(4), B(4))] * 2,
-        ),
-        "2.2.1",
-    )
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 2
-            + [(A(0), B(1))] * 2
-            + [(A(1), B(2))] * 2
-            + [(A(1), B(3))] * 2
-            + [(A(2), B(4))] * 2,
-        ),
-        "2.2.2",
-    )
+    check_case_variants("2")
 
 
 def test_case_3_variants():
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 2
-            + [(A(0), B(1)), (A(0), B(2)), (A(0), B(3)), (A(0), B(4))]
-            + [(A(1), B(5))] * 2
-            + [(A(2), B(5))] * 2,
-        ),
-        "3.1",
-    )
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 3
-            + [(A(0), B(1))] * 3
-            + [(A(1), B(2)), (A(2), B(3)), (A(3), B(4)), (A(4), B(5))],
-        ),
-        "3.1",
-    )
-    plain = solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 2
-            + [(A(0), B(1)), (A(0), B(2)), (A(0), B(3)), (A(0), B(4))]
-            + [(A(1), B(1)), (A(2), B(2)), (A(3), B(3)), (A(4), B(4))],
-        ),
-        "3.2.1",
-    )
-    assert plain[1].steps[0].note == "plain neighbor"
-    par = solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 2
-            + [(A(0), B(1))] * 2
-            + [(A(0), B(2))] * 2
-            + [(A(1), B(3))] * 2
-            + [(A(2), B(4))] * 2,
-        ),
-        "3.2.1",
-    )
-    assert par[1].steps[0].note == "parallel pairs"
-    repair = solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 2
-            + [(A(0), B(1))] * 2
-            + [(A(0), B(2))] * 2
-            + [(A(1), B(4)), (A(2), B(4)), (A(3), B(5)), (A(4), B(5))],
-        ),
-        "3.2.1",
-    )
-    assert repair[1].steps[0].note == "lifted parallel star"
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 2
-            + [(A(0), B(1))] * 2
-            + [(A(0), B(2)), (A(0), B(3))]
-            + [(A(1), B(2)), (A(2), B(3)), (A(3), B(0)), (A(4), B(1))],
-        ),
-        "3.2.2",
-    )
+    check_case_variants("3")
 
 
 def test_case_4_variants():
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 3
-            + [(A(0), B(1)), (A(0), B(2)), (A(0), B(3))]
-            + [(A(1), B(0)), (A(2), B(0)), (A(3), B(0))]
-            + [(A(4), B(4))],
-        ),
-        "4",
-    )
-    solved_with(
-        g(
-            6,
-            [(A(0), B(0))] * 2
-            + [(A(0), B(1)), (A(0), B(2)), (A(0), B(3)), (A(0), B(4))]
-            + [(A(1), B(0)), (A(2), B(0)), (A(3), B(0)), (A(4), B(0))],
-        ),
-        "4",
-    )
+    check_case_variants("4")
 
 
-def test_orientation_swap_recorded():
+def orientation_swap_instance():
     # degree-1 vertices only in class B force a swap for case 2.1
     pairs = (
         [(A(0), B(0)), (A(0), B(1))]
@@ -450,7 +430,11 @@ def test_orientation_swap_recorded():
         + [(A(3), B(4))] * 2
         + [(A(4), B(5))] * 2
     )
-    D = g(6, pairs)
+    return g(6, pairs)
+
+
+def test_orientation_swap_recorded():
+    D = orientation_swap_instance()
     res, trace = solve_edge_version(D)
     assert verify_resolution(D, res) == []
     step = trace.steps[0]
@@ -535,6 +519,47 @@ def test_outputs_and_traces_pinned(family, n):
         make = clustered_instance if family == "clustered" else gen_random_edge
         instances = (make(n, seed) for seed in range(8))
     assert solves_digest(instances) == PINNED_DIGESTS[(family, n)]
+
+
+# every hand-built case instance with the classes swapped, in CASE_VARIANTS order
+TRANSPOSED_CASES_DIGEST = "30fd403e9bab2abdaf3aba65b30b9df9609479f80c674e038350183b89ba4e6e"
+
+
+def test_transposed_case_instances_pinned():
+    instances = [D for case in "1234" for D, _, _ in case_instances(case, transposed=True)]
+    swapped = set()
+    for D, (tag, note, _) in zip(instances, CASE_VARIANTS):
+        res, trace = solve_edge_version(D)
+        assert verify_resolution(D, res) == []
+        first = trace.steps[0]
+        assert (first.case_tag, first.note) == (tag, note)
+        swapped.update((s.case_tag, s.note) for s in trace.steps if s.swapped)
+    assert swapped == {
+        ("2.2.2", ""),
+        ("3.1", ""),
+        ("3.2.1", "plain neighbor"),
+        ("3.2.1", "parallel pairs"),
+        ("3.2.1", "lifted parallel star"),
+        ("3.2.2", ""),
+    }
+    assert solves_digest(instances) == TRANSPOSED_CASES_DIGEST
+
+
+# the first gen_random_edge(n, seed) instances, scanning n = 6.. and seeds 0..,
+# whose induction swaps the classes for case 3.1, 4 and 3.2.2
+SWAPPED_RANDOM_DIGESTS = {
+    (6, 95, "3.1"): "63178f955c034fdea8212fc357e3fee066a72902406ead9779696236e34225a5",
+    (8, 264, "4"): "5055e1991ab93eb1ab49f5aeaade8f6b6115ef3658433fd264d8cb8658e5271d",
+    (12, 134, "3.2.2"): "695cb1ce40d9fa1b63394df6fcabc07866f4cd9e6232d87d96d2076c882f745c",
+}
+
+
+@pytest.mark.parametrize("n,seed,tag", sorted(SWAPPED_RANDOM_DIGESTS))
+def test_swapped_random_instances_pinned(n, seed, tag):
+    D = gen_random_edge(n, seed)
+    _, trace = solve_edge_version(D)
+    assert [s.case_tag for s in trace.steps if s.swapped] == [tag]
+    assert solves_digest([D]) == SWAPPED_RANDOM_DIGESTS[(n, seed, tag)]
 
 
 def test_deep_induction_needs_no_stack_per_level():
@@ -661,7 +686,8 @@ def test_level_state_matches_rebuild(data):
                             st.sampled_from(sorted(L.edges) + [L.next_fresh_id]),
                             st.sampled_from(alive_a),
                             st.sampled_from(alive_b),
-                        ),
+                            st.booleans(),
+                        ).map(lambda t: (t[0], t[2], t[1]) if t[3] else t[:3]),
                         min_size=1,
                         max_size=3,
                     ),
@@ -703,11 +729,31 @@ def test_levels_touch_no_whole_graph(monkeypatch):
     D = clustered_instance(96, 0)
     res, trace = solve_edge_version(D)
     assert verify_resolution(D, res) == []
-    swapped = sum(s.swapped for s in trace.steps)
     base = trace.tags()[-1] == "base"
     assert len(trace.steps) > 30
-    # one state for the whole induction, plus a copy each way for a swapped level
-    assert calls["__init__"] == 1 + 2 * swapped
+    assert calls["__init__"] == 1  # one state for the whole induction
     # only the oracle, at the n <= 5 base case, reads the vertex list
     assert calls["vertices"] == calls["degree_map"] == int(base)
     assert calls["induced"] == calls["transpose"] == 0
+
+
+def test_swapped_levels_build_one_state(monkeypatch):
+    inits = []
+    real = LevelState.__init__
+
+    def counted(self, *args, **kwargs):
+        inits.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(LevelState, "__init__", counted)
+    instances = [
+        orientation_swap_instance(),  # swapped 2.1
+        *(D for D, _, _ in case_instances("3", transposed=True)),  # swapped 3.1, 3.2.x
+        gen_random_edge(8, 264),  # swapped 4
+    ]
+    for D in instances:
+        inits.clear()
+        res, trace = solve_edge_version(D)
+        assert verify_resolution(D, res) == []
+        assert sum(s.swapped for s in trace.steps) > 0
+        assert len(inits) == 1

@@ -13,6 +13,7 @@ from pathlib import Path
 
 import tpb
 import tpb.edge_solver
+from tpb.edge_solver import LevelState
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -52,6 +53,29 @@ def test_edge_solver_stages_run_through_their_module_globals(monkeypatch):
     assert calls["pad_to_full"] == len(inductive)
     assert calls["check_conditions"] == len([t for t in inductive if t != "2.2.3"])
     assert calls["find_cover_F"] == calls["place_F"] == len(case1)
+
+
+def test_edge_lift_runs_through_its_module_global_on_the_state(monkeypatch):
+    # the traced `demand.edge_lift` span counts case batches, and
+    # `demand.edges_copied` stays 0 only while each call returns its input
+    calls = []
+    real = tpb.edge_solver.edge_lift
+
+    def counting(G, moves):
+        out = real(G, moves)
+        calls.append((G, out))
+        return out
+
+    monkeypatch.setattr(tpb.edge_solver, "edge_lift", counting)
+    # instances whose induction swaps the classes for case 3.1, 4 and 3.2.2
+    for n, seed in ((6, 95), (8, 264), (12, 134)):
+        D = tpb.gen_random_edge(n, seed)
+        calls.clear()
+        res, trace = tpb.solve_edge_version(D)
+        assert tpb.verify_resolution(D, res) == []
+        assert any(s.swapped for s in trace.steps)
+        assert len(calls) == sum(1 for s in trace.steps if s.lifts)
+        assert all(isinstance(G, LevelState) and out is G for G, out in calls)
 
 
 def test_benchmark_selftest_passes():
