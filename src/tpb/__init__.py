@@ -24,7 +24,6 @@ from .demand import (
     Path,
     Resolution,
     V,
-    edge_lift,
     extract_resolution,
     lift,
     transpose_resolution,
@@ -33,7 +32,9 @@ from .demand import (
 from .edge_solver import (
     CaseContext,
     CaseTrace,
+    LevelState,
     check_conditions,
+    edge_lift,
     find_cover_F,
     pad_to_full,
     place_F,

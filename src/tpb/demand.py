@@ -5,9 +5,9 @@ graph K_{a,b}: every edge is a terminal pair that must be realized as a
 path in the base graph.  Each physical edge carries a stable id plus a
 lineage label.  Lifting an edge to a vertex replaces it by a two-edge
 detour that inherits the label, so the edges sharing a label always form
-a walk between the two original terminals.  `lift` and its bipartite twin
-`edge_lift` each apply a batch of moves with one copy of the edge dict
-(`edge_lift` also changes the edge solver's level state in place).
+a walk between the two original terminals.  `lift` applies a batch of
+moves with one copy of the edge dict; its bipartite twin `edge_lift`
+lives with the edge solver's level state, which it changes in place.
 Once some sequence of liftings produces a simple class-crossing subgraph,
 every label class contains an actual path between its terminals;
 `extract_resolution` reads those paths off, and `verify_resolution` is
@@ -178,16 +178,6 @@ class DemandGraph:
             seen.add(key)
         return True
 
-    def replace_edges(
-        self, gone: set[int], added: dict[int, Edge], next_fresh_id: int
-    ) -> "DemandGraph":
-        """New graph without the ids in `gone`, with `added` appended; self if both are empty."""
-        if not gone and not added:
-            return self
-        edges = {eid: e for eid, e in self.edges.items() if eid not in gone}
-        edges.update(added)
-        return DemandGraph(self.a, self.b, edges, next_fresh_id)
-
     def transpose(self) -> "DemandGraph":
         edges = {
             eid: Edge(e.id, e.label, e.u.flip(), e.v.flip(), e.padding)
@@ -219,47 +209,6 @@ def lift(D: DemandGraph, moves: Iterable[tuple[int, V]]) -> DemandGraph:
             edges[i + 1] = Edge(i + 1, e.label, z, e.v, e.padding)
             i += 2
     return D if i == D.next_fresh_id else DemandGraph(D.a, D.b, edges, i)
-
-
-def edge_lift(D, moves: Iterable[tuple[int, V, V]]):
-    """Apply the edge-liftings (edge_id, x, y) in order as one batch.
-
-    Each replaces class-crossing edge uv by the three edges xy, uy, xv with
-    fresh ids, exactly as one call per move would: the same as lifting uv
-    to x and the x-side half on to y, but the graph stays bipartite.  Each
-    move needs x and y in opposite classes, either way round, and four
-    distinct vertices; u is the endpoint of the lifted edge in x's class,
-    so a lift with x in class B mirrors the class-A lift of the transposed
-    graph.  The whole batch is checked before anything changes, and the result comes
-    from `D.replace_edges`: a DemandGraph is never modified and gives a new
-    graph (itself for an empty batch), while the edge solver's level state
-    applies the batch in place.
-    """
-    gone: set[int] = set()
-    added: dict[int, Edge] = {}
-    i = D.next_fresh_id
-    for edge_id, x, y in moves:
-        if edge_id in added:
-            e = added.pop(edge_id)
-        else:
-            e = None if edge_id in gone else D.edges.get(edge_id)
-            if e is None:
-                raise NotFoundError(f"edge id {edge_id} not in graph")
-            gone.add(edge_id)
-        D._check_vertex(x)
-        D._check_vertex(y)
-        if x.side == y.side:
-            raise PreconditionError("edge-lift target must pair vertices of opposite classes")
-        if e.u.side == e.v.side:
-            raise PreconditionError("edge-lift applies to class-crossing edges only")
-        u, v = (e.u, e.v) if e.u.side == x.side else (e.v, e.u)
-        if len({u, v, x, y}) != 4:
-            raise PreconditionError("edge-lift needs four distinct vertices")
-        added[i] = Edge(i, e.label, x, y, e.padding)
-        added[i + 1] = Edge(i + 1, e.label, u, y, e.padding)
-        added[i + 2] = Edge(i + 2, e.label, x, v, e.padding)
-        i += 3
-    return D.replace_edges(gone, added, i)
 
 
 # -- reading paths back out ------------------------------------------------

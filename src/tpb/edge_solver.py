@@ -18,8 +18,10 @@ violation raises StructuralError naming the case, since it can only mean
 a handler bug.  The induction runs as one loop over one `LevelState`:
 the remaining graph on its global vertex ids, with degrees, degree
 buckets, each vertex pair's edge ids and neighbour sets kept up to date
-by every change.  Padding adds only the edges a level owes, each case
-applies its liftings in one `edge_lift` batch on the state in place, and
+by every change.  The stage operations (`pad_to_full`, `check_conditions`,
+`find_cover_F`, `place_F` and the bipartite lifting `edge_lift`) take
+that state: padding adds only the edges a level owes, each case applies
+its liftings in one `edge_lift` batch on the state in place, and
 removing Z sets its incident edges aside, so a level costs about what
 it changes rather than the size of the graph.  The paper states cases
 2.1, 2.2.2, 3 and 4 with either class as "A"; their handlers take the
@@ -48,11 +50,10 @@ from .demand import (
     Edge,
     Resolution,
     V,
-    edge_lift,
     extract_resolution,
     verify_resolution,
 )
-from .errors import DomainError, PreconditionError, StructuralError
+from .errors import DomainError, NotFoundError, PreconditionError, StructuralError
 from .oracle import RESOLVABLE, SearchBudget, decide
 
 _BASE_BUDGET = SearchBudget(max_nodes=10_000_000, max_millis=120_000)
@@ -84,9 +85,11 @@ class CaseTrace:
 class LevelState:
     """The remaining graph of the induction, changed in place.
 
-    Vertices keep their ids in the input graph.  `sides` holds each
-    class's alive vertices in index order, `deg` their degrees and
-    `bydeg` the alive vertices by degree; `ids` gives each vertex pair's
+    Built from the alive edges of a demand graph D, optionally with the
+    class indices already `removed` and the edges already set aside as
+    `frozen`; vertices keep their ids in D.  `sides` holds each class's
+    alive vertices in index order, `deg` their degrees and `bydeg` the
+    alive vertices by degree; `ids` gives each vertex pair's
     edge ids lowest first, `nbrs` the neighbour sets and `parallel` the
     pairs with two or more edges.  `idle` is a min-heap per class that
     holds every isolated vertex, pruned lazily of vertices that have
@@ -98,19 +101,16 @@ class LevelState:
 
     def __init__(
         self,
-        a: int,
-        b: int,
-        edges: Iterable[Edge],
-        next_fresh_id: int,
+        D: DemandGraph,
         removed: dict[str, list[int]] | None = None,
         frozen: dict[int, Edge] | None = None,
     ):
-        self.a, self.b = a, b
-        self.next_fresh_id = next_fresh_id
+        self.a, self.b = D.a, D.b
+        self.next_fresh_id = D.next_fresh_id
         self.removed = removed or {SIDE_A: [], SIDE_B: []}
         self.frozen = frozen if frozen is not None else {}
         self.sides = {}
-        for side, size in ((SIDE_A, a), (SIDE_B, b)):
+        for side, size in ((SIDE_A, D.a), (SIDE_B, D.b)):
             gone = set(self.removed[side])
             self.sides[side] = {V(side, i): None for i in range(size) if i not in gone}
         self.deg = dict.fromkeys([*self.sides[SIDE_A], *self.sides[SIDE_B]], 0)
@@ -120,15 +120,8 @@ class LevelState:
         self.ids: dict[tuple[V, V], list[int]] = {}
         self.parallel: set[tuple[V, V]] = set()
         self.edges: dict[int, Edge] = {}
-        for e in sorted(edges):
+        for e in sorted(D.edges.values()):
             self._add(e)
-
-    @staticmethod
-    def of(D: "DemandGraph | LevelState") -> "LevelState":
-        """D itself if it is a level state, else a fresh state of the graph D."""
-        if isinstance(D, LevelState):
-            return D
-        return LevelState(D.a, D.b, D.edges.values(), D.next_fresh_id)
 
     @property
     def m(self) -> int:
@@ -227,6 +220,44 @@ class LevelState:
 # -- public operations --------------------------------------------------------
 
 
+def edge_lift(L: LevelState, moves: Iterable[tuple[int, V, V]]) -> LevelState:
+    """Apply the edge-liftings (edge_id, x, y) to L in order, in place; returns L.
+
+    Each replaces class-crossing edge uv by the three edges xy, uy, xv with
+    fresh ids, exactly as one call per move would: the same as lifting uv
+    to x and the x-side half on to y, but the graph stays bipartite.  Each
+    move needs alive x and y in opposite classes, either way round, and
+    four distinct vertices; u is the endpoint of the lifted edge in x's
+    class, so a lift with x in class B mirrors the class-A lift of the
+    transposed graph.  The whole batch is checked before L changes.
+    """
+    gone: set[int] = set()
+    added: dict[int, Edge] = {}
+    i = L.next_fresh_id
+    for edge_id, x, y in moves:
+        if edge_id in added:
+            e = added.pop(edge_id)
+        else:
+            e = None if edge_id in gone else L.edges.get(edge_id)
+            if e is None:
+                raise NotFoundError(f"edge id {edge_id} not in graph")
+            gone.add(edge_id)
+        L._check_vertex(x)
+        L._check_vertex(y)
+        if x.side == y.side:
+            raise PreconditionError("edge-lift target must pair vertices of opposite classes")
+        if e.u.side == e.v.side:
+            raise PreconditionError("edge-lift applies to class-crossing edges only")
+        u, v = (e.u, e.v) if e.u.side == x.side else (e.v, e.u)
+        if len({u, v, x, y}) != 4:
+            raise PreconditionError("edge-lift needs four distinct vertices")
+        added[i] = Edge(i, e.label, x, y, e.padding)
+        added[i + 1] = Edge(i + 1, e.label, u, y, e.padding)
+        added[i + 2] = Edge(i + 2, e.label, x, v, e.padding)
+        i += 3
+    return L.replace_edges(gone, added, i)
+
+
 def solve_edge_version(D: DemandGraph) -> tuple[Resolution, CaseTrace]:
     """Resolve an in-hypothesis instance and report the case trace."""
     if D.a != D.b:
@@ -249,13 +280,12 @@ def solve_edge_version(D: DemandGraph) -> tuple[Resolution, CaseTrace]:
     return res, trace
 
 
-def check_conditions(dp: DemandGraph | LevelState, z: tuple[V, ...], n: int) -> list[str]:
+def check_conditions(L: LevelState, z: tuple[V, ...], n: int) -> list[str]:
     """Check the four induction conditions for removing z; returns failures.
 
     Reads only z, the pairs at z and the vertices whose degree exceeds
     n - |z|/2, since every other vertex meets condition (3) already.
     """
-    L = LevelState.of(dp)
     problems = []
     zset = set(z)
     za = sum(1 for v in zset if v.side == SIDE_A)
@@ -289,20 +319,19 @@ def check_conditions(dp: DemandGraph | LevelState, z: tuple[V, ...], n: int) -> 
     return problems
 
 
-def pad_to_full(D: DemandGraph | LevelState, n: int) -> DemandGraph | LevelState:
+def pad_to_full(L: LevelState, n: int) -> LevelState:
     """Add flagged demands between deficient vertices until |E| = 2n-2.
 
-    Each demand joins the lowest-index vertices of degree below n.  A
-    level state is padded in place and returned; a graph gives a new one.
+    Each demand joins the lowest-index vertices of degree below n.  L is
+    padded in place and returned.
     """
-    L = LevelState.of(D)
     if L.m > 2 * n - 2:
         raise PreconditionError("instance already exceeds 2n-2 edges")
     if max(L.bydeg, default=0) > n:
         raise PreconditionError("instance already exceeds degree n")
     owed = 2 * n - 2 - L.m
     if not owed:
-        return D
+        return L
 
     def slots(side: str):
         for v in L.sides[side]:
@@ -311,40 +340,34 @@ def pad_to_full(D: DemandGraph | LevelState, n: int) -> DemandGraph | LevelState
     pairs = list(islice(zip(slots(SIDE_A), slots(SIDE_B)), owed))
     if len(pairs) < owed:
         raise StructuralError("no deficient vertex pair available for padding")
-    nid = D.next_fresh_id
+    nid = L.next_fresh_id
     added = {i: Edge(i, i, u, v, True) for i, (u, v) in enumerate(pairs, nid)}
-    return D.replace_edges(set(), added, nid + owed)
+    return L.replace_edges((), added, nid + owed)
 
 
-def find_cover_F(
-    D: DemandGraph | LevelState, X: tuple[V, ...], Y: tuple[V, ...]
-) -> tuple[int, ...]:
+def find_cover_F(L: LevelState, X: tuple[V, ...], Y: tuple[V, ...]) -> tuple[int, ...]:
     """Four edges covering every vertex at most twice, Y at least once, X exactly twice.
 
     The selection follows the subcases on |Y|; a selection that comes up
     empty or fails validation raises StructuralError, since the case
     analysis guarantees one exists.
     """
-    L = LevelState.of(D)
     F = _structured_cover(L, X, Y)
     if F is None or not _cover_ok(L, F, X, Y):
         raise StructuralError(f"no structured 4-edge cover for |Y|={len(Y)}")
     return tuple(sorted(F))
 
 
-def place_F(
-    D: DemandGraph | LevelState, F: tuple[int, ...], u1: V, u2: V, v1: V, v2: V
-) -> DemandGraph | LevelState:
+def place_F(L: LevelState, F: tuple[int, ...], u1: V, u2: V, v1: V, v2: V) -> LevelState:
     """Edge-lift the cover edges onto the four isolated corners of Z.
 
     Takes the first of the up-to-24 assignments of F to the slots u1v1,
     u1v2, u2v2, u2v1 whose twelve new pairs at Z are distinct, which for
     isolated corners is to say it leaves no parallel edge at Z, and
-    applies it as one batch.  A corner that carries an edge raises
-    PreconditionError.
+    applies it as one batch to L in place.  A corner that carries an edge
+    raises PreconditionError.
     """
-    deg = LevelState.of(D).deg
-    busy = [v for v in (u1, u2, v1, v2) if deg.get(v)]
+    busy = [v for v in (u1, u2, v1, v2) if L.deg.get(v)]
     if busy:
         raise PreconditionError(f"place_F needs isolated corners; {busy[0]} has an edge")
     slots = [(u1, v1), (u1, v2), (u2, v2), (u2, v1)]
@@ -352,11 +375,11 @@ def place_F(
         moves = [(eid, x, y) for eid, (x, y) in zip(perm, slots)]
         made = set()
         for eid, x, y in moves:
-            e = D.edges[eid]
+            e = L.edges[eid]
             u, v = (e.u, e.v) if e.u.side == x.side else (e.v, e.u)
             made.update(((x, y), (u, y), (x, v)))
         if len(made) == 3 * len(moves):
-            return edge_lift(D, moves)
+            return edge_lift(L, moves)
     raise StructuralError("no numbering of the cover edges avoids parallels at Z")
 
 
@@ -369,7 +392,7 @@ def _resolve(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
     Every level works on the one state L; removing Z moves the edges
     touching it to `L.frozen`, where they are final.
     """
-    L = LevelState.of(D)
+    L = LevelState(D)
     while True:
         n = len(L.sides[SIDE_A])
         if not L.parallel:

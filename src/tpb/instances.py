@@ -159,6 +159,16 @@ def serialize_instance(D: DemandGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _decimal(tok: str, ln: int, what: str) -> int:
+    """Read an unsigned field of ASCII digits; anything else is a FormatError at line ln."""
+    if tok.isascii() and tok.isdigit():
+        try:
+            return int(tok)
+        except ValueError:  # more digits than int() reads from text
+            pass
+    raise FormatError(f"line {ln}: {what} {tok!r}")
+
+
 def parse_instance(text: str) -> DemandGraph:
     a = b = m = None
     pairs: list[tuple[V, V]] = []
@@ -172,10 +182,7 @@ def parse_instance(text: str) -> DemandGraph:
                 raise FormatError(f"line {ln}: duplicate header")
             if len(toks) != 5 or toks[1] != "tpb":
                 raise FormatError(f"line {ln}: header must read 'p tpb <a> <b> <m>'")
-            try:
-                a, b, m = int(toks[2]), int(toks[3]), int(toks[4])
-            except ValueError:
-                raise FormatError(f"line {ln}: non-integer header field")
+            a, b, m = (_decimal(t, ln, "non-integer header field") for t in toks[2:])
             if a < 1 or b < 1 or m < 0:
                 raise FormatError(f"line {ln}: header values out of range")
         elif toks[0] == "e":
@@ -183,12 +190,9 @@ def parse_instance(text: str) -> DemandGraph:
                 raise FormatError(f"line {ln}: edge record before header")
             if len(toks) not in (3, 4):
                 raise FormatError(f"line {ln}: edge record must read 'e <i> <j> [mult]'")
-            try:
-                i = int(toks[1])
-                j = int(toks[2])
-                mult = int(toks[3]) if len(toks) == 4 else 1
-            except ValueError:
-                raise FormatError(f"line {ln}: non-integer edge field")
+            i = _decimal(toks[1], ln, "non-integer edge field")
+            j = _decimal(toks[2], ln, "non-integer edge field")
+            mult = _decimal(toks[3], ln, "non-integer edge field") if len(toks) == 4 else 1
             if not 1 <= i <= a:
                 raise FormatError(f"line {ln}: class-A index {i} out of range 1..{a}")
             if not 1 <= j <= b:
@@ -253,11 +257,8 @@ def parse_resolution(text: str) -> tuple[str, Resolution | None]:
                 raise FormatError(f"line {ln}: route record without a SOLVED status")
             if len(toks) < 4:
                 raise FormatError(f"line {ln}: truncated route record")
-            try:
-                eid = int(toks[1])
-                k = int(toks[2])
-            except ValueError:
-                raise FormatError(f"line {ln}: non-integer route field")
+            eid = _decimal(toks[1], ln, "non-integer route field")
+            k = _decimal(toks[2], ln, "non-integer route field")
             verts = toks[3:]
             if len(verts) != k + 1:
                 raise FormatError(
@@ -265,15 +266,14 @@ def parse_resolution(text: str) -> tuple[str, Resolution | None]:
                 )
             path = []
             for pos, tok in enumerate(verts):
-                digits = tok[1:]
-                if tok[0] not in "ab" or not (digits.isascii() and digits.isdigit()):
+                if tok[0] not in "ab":
                     raise FormatError(f"line {ln}: bad vertex token {tok!r}")
+                idx = _decimal(tok[1:], ln, "bad vertex token") - 1
                 want = "a" if pos % 2 == 0 else "b"
                 if tok[0] != want:
                     raise FormatError(
                         f"line {ln}: route vertices must alternate starting at class A"
                     )
-                idx = int(digits) - 1
                 path.append(A(idx) if tok[0] == "a" else B(idx))
             if eid in routes:
                 raise FormatError(f"line {ln}: duplicate route for edge {eid}")

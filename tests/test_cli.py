@@ -44,9 +44,10 @@ def test_oracle_on_sharp_edge(tmp_path, capsys):
 
 def test_malformed_header_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "bad.tpb"
-    bad.write_text("p tpb x 2 3\n")
-    assert run("solve", "--in", str(bad)) == 2
-    assert "line 1" in capsys.readouterr().err
+    for text in ("p tpb x 2 3\n", "p tpb 1_0 2 1\ne 1 1\n", "p tpb \u0661 2 1\ne 1 1\n"):
+        bad.write_text(text, encoding="utf-8")
+        assert run("solve", "--in", str(bad)) == 2
+        assert "line 1" in capsys.readouterr().err
 
 
 def test_verify_flags_duplicate_use(tmp_path, capsys):

@@ -10,6 +10,7 @@ from tpb import (
     B,
     DemandGraph,
     DomainError,
+    LevelState,
     NotFoundError,
     Path,
     PreconditionError,
@@ -25,6 +26,20 @@ from tpb.demand import _shortcut_walk
 
 def g(a, b, pairs):
     return DemandGraph.from_pairs(a, b, pairs)
+
+
+def graph_of(L):
+    """The alive edges of a level state as a graph."""
+    return DemandGraph(L.a, L.b, dict(L.edges), L.next_fresh_id)
+
+
+def state_of(L):
+    """Everything a level state holds, for comparing two states."""
+    return (
+        list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.ids, L.nbrs,
+        L.parallel, {s: list(vs) for s, vs in L.sides.items()}, L.removed, L.frozen,
+        {s: L.isolated(s, L.a + L.b) for s in L.sides},
+    )
 
 
 # -- lift ---------------------------------------------------------------------
@@ -54,7 +69,7 @@ def test_lift_composition_equals_edge_lift():
     one = lift(D, [(0, A(1))])
     half = next(eid for eid, e in one.edges.items() if e.pair() == (A(0), A(1)))
     two = lift(one, [(half, B(1))])
-    direct = edge_lift(D, [(0, A(1), B(1))])
+    direct = edge_lift(LevelState(D), [(0, A(1), B(1))])
     assert Counter(e.pair() for e in two.edges.values()) == Counter(
         e.pair() for e in direct.edges.values()
     )
@@ -99,30 +114,29 @@ def test_lift_batch_may_move_edges_it_creates():
 
 
 def test_edge_lift_example():
-    D = g(2, 2, [(A(0), B(0))])
-    D2 = edge_lift(D, [(0, A(1), B(1))])
-    assert sorted(e.pair() for e in D2.edges.values()) == [
+    L = LevelState(g(2, 2, [(A(0), B(0))]))
+    assert edge_lift(L, [(0, A(1), B(1))]) is L
+    assert sorted(e.pair() for e in L.edges.values()) == [
         (A(0), B(1)),
         (A(1), B(0)),
         (A(1), B(1)),
     ]
-    assert all(e.label == 0 for e in D2.edges.values())
+    assert all(e.label == 0 for e in L.edges.values())
 
 
 def test_edge_lift_degrees():
-    D = g(2, 2, [(A(0), B(0))])
-    D2 = edge_lift(D, [(0, A(1), B(1))])
-    degs = D2.degree_map()
+    L = edge_lift(LevelState(g(2, 2, [(A(0), B(0))])), [(0, A(1), B(1))])
+    degs = L.deg
     assert degs[A(0)] == 1 and degs[B(0)] == 1
     assert degs[A(1)] == 2 and degs[B(1)] == 2
 
 
 def test_edge_lift_rejects_shared_vertex():
-    D = g(2, 2, [(A(0), B(0))])
+    L = LevelState(g(2, 2, [(A(0), B(0))]))
     with pytest.raises(PreconditionError):
-        edge_lift(D, [(0, A(0), B(1))])
+        edge_lift(L, [(0, A(0), B(1))])
     with pytest.raises(PreconditionError):
-        edge_lift(D, [(0, B(1), A(0))])
+        edge_lift(L, [(0, B(1), A(0))])
 
 
 def test_edge_lift_rejects_within_class_edge():
@@ -130,24 +144,28 @@ def test_edge_lift_rejects_within_class_edge():
     D2 = lift(D, [(0, A(1))])  # creates the within-class edge (A0, A1)
     aa = next(eid for eid, e in D2.edges.items() if e.pair() == (A(0), A(1)))
     with pytest.raises(PreconditionError):
-        edge_lift(D2, [(aa, A(0), B(1))])
+        edge_lift(LevelState(D2), [(aa, A(0), B(1))])
 
 
 def test_edge_lift_batch_failure_leaves_input_unchanged():
-    D = g(3, 3, [(A(0), B(0)), (A(1), B(1))])
-    before = list(D.edges.items()), D.next_fresh_id
-    assert edge_lift(D, []) is D
-    with pytest.raises(NotFoundError):
-        edge_lift(D, [(0, A(1), B(1)), (0, A(2), B(2))])
-    with pytest.raises(DomainError):
-        edge_lift(D, [(0, A(2), B(2)), (1, A(0), B(7))])
-    with pytest.raises(PreconditionError):
-        edge_lift(D, [(0, A(2), B(2)), (1, A(2), B(1))])
-    with pytest.raises(PreconditionError):  # the target pair lies in class B only
-        edge_lift(D, [(0, A(2), B(2)), (1, B(0), B(2))])
-    with pytest.raises(PreconditionError):
-        edge_lift(D, [(0, A(2), B(2)), (1, A(0), A(2))])
-    assert (list(D.edges.items()), D.next_fresh_id) == before
+    def fresh():
+        L = LevelState(g(4, 4, [(A(0), B(0)), (A(1), B(1))]))
+        L.remove([A(3), B(3)])
+        return L
+
+    L = fresh()
+    assert edge_lift(L, []) is L
+    for error, moves in (
+        (NotFoundError, [(0, A(1), B(1)), (0, A(2), B(2))]),
+        (DomainError, [(0, A(2), B(2)), (1, A(0), B(7))]),
+        (DomainError, [(0, A(2), B(2)), (1, A(3), B(0))]),  # A3 is removed
+        (PreconditionError, [(0, A(2), B(2)), (1, A(2), B(1))]),
+        (PreconditionError, [(0, A(2), B(2)), (1, B(0), B(2))]),  # target in class B only
+        (PreconditionError, [(0, A(2), B(2)), (1, A(0), A(2))]),
+    ):
+        with pytest.raises(error):
+            edge_lift(L, moves)
+        assert state_of(L) == state_of(fresh()), moves
 
 
 # -- extraction ----------------------------------------------------------------
@@ -157,7 +175,7 @@ def test_extract_length_one_and_simple_walk():
     D = g(3, 3, [(A(0), B(0)), (A(1), B(1))])
     r = extract_resolution(D, D)
     assert r.routes[0] == Path((A(0), B(0)))
-    final = edge_lift(D, [(0, A(2), B(2))])
+    final = graph_of(edge_lift(LevelState(D), [(0, A(2), B(2))]))
     r = extract_resolution(final, D)
     assert r.routes[0].vertices[0] == A(0)
     assert r.routes[0].vertices[-1] == B(0)
@@ -318,7 +336,7 @@ def test_batched_lift_equals_one_move_per_call(D, data):
 @given(graphs(max_n=5), st.data())
 def test_batched_edge_lift_equals_one_move_per_call(D, data):
     D = D.with_edges([(A(0), B(0))] * data.draw(st.integers(0, 2)), padding=True)
-    G = D
+    G = LevelState(D)
     moves = []
     for _ in range(data.draw(st.integers(0, 8))):
         legal = [
@@ -332,11 +350,10 @@ def test_batched_edge_lift_equals_one_move_per_call(D, data):
             break
         move = data.draw(st.sampled_from(legal))
         moves.append(move)
-        G = edge_lift(G, [move])
-    batched = edge_lift(D, iter(moves))
-    assert list(batched.edges.items()) == list(G.edges.items())
-    assert batched.next_fresh_id == G.next_fresh_id
-    assert (batched is D) == (G is D)
+        assert edge_lift(G, [move]) is G
+    batched = LevelState(D)
+    assert edge_lift(batched, iter(moves)) is batched
+    assert state_of(batched) == state_of(G)
 
 
 @settings(max_examples=80, deadline=None)
@@ -348,8 +365,7 @@ def test_edge_lift_from_class_b_mirrors_class_a(D, data):
     pairs = [(e.v, e.u) if f else (e.u, e.v) for e, f in zip(D.edges.values(), flips)]
     D = DemandGraph.from_pairs(D.a, D.b, pairs)
     D = D.with_edges([(B(0), A(0))] * data.draw(st.integers(0, 2)), padding=True)
-    T = D.transpose()
-    G = T
+    G = LevelState(D.transpose())
     moves = []
     for _ in range(data.draw(st.integers(1, 6))):
         legal = [
@@ -363,8 +379,8 @@ def test_edge_lift_from_class_b_mirrors_class_a(D, data):
             break
         move = data.draw(st.sampled_from(legal))
         moves.append(move)
-        G = edge_lift(G, [move])
-    want = edge_lift(T, moves).transpose()
-    got = edge_lift(D, [(eid, x.flip(), y.flip()) for eid, x, y in moves])
+        edge_lift(G, [move])
+    want = graph_of(edge_lift(LevelState(D.transpose()), moves)).transpose()
+    got = edge_lift(LevelState(D), [(eid, x.flip(), y.flip()) for eid, x, y in moves])
     assert list(got.edges.items()) == list(want.edges.items())
     assert got.next_fresh_id == want.next_fresh_id

@@ -35,6 +35,10 @@ def g(n, pairs):
     return DemandGraph.from_pairs(n, n, pairs)
 
 
+def state(n, pairs):
+    return LevelState(g(n, pairs))
+
+
 def solved_with(D, tag):
     res, trace = solve_edge_version(D)
     assert verify_resolution(D, res) == []
@@ -47,46 +51,47 @@ def solved_with(D, tag):
 
 def test_pad_noop_when_full():
     D = gen_chain(5)  # already 2n-2 edges
-    assert pad_to_full(D, 5).edges == D.edges
+    L = LevelState(D)
+    assert pad_to_full(L, 5) is L
+    assert L.edges == D.edges
 
 
 def test_pad_empty():
-    D = DemandGraph.empty(4, 4)
-    P = pad_to_full(D, 4)
-    assert P.m == 6
-    assert P.max_degree() <= 4
-    assert all(e.padding for e in P.edges.values())
+    L = LevelState(DemandGraph.empty(4, 4))
+    assert pad_to_full(L, 4) is L
+    assert L.m == 6
+    assert max(L.deg.values()) <= 4
+    assert all(e.padding for e in L.edges.values())
 
 
 def test_pad_avoids_full_vertices():
     pairs = [(A(0), B(j)) for j in range(4)] + [(A(1), B(0))]
-    D = g(4, pairs)  # A0 already at degree 4 = n
-    P = pad_to_full(D, 4)
-    assert P.m == 6
-    assert P.max_degree() <= 4
-    assert P.degree_map()[A(0)] == 4
+    L = state(4, pairs)  # A0 already at degree 4 = n
+    assert pad_to_full(L, 4) is L
+    assert L.m == 6
+    assert max(L.deg.values()) <= 4
+    assert L.deg[A(0)] == 4
 
 
 # -- induction conditions -----------------------------------------------------------
 
 
 def test_conditions_empty_z():
-    D = gen_chain(6)
-    assert check_conditions(D, (), 6) == []
+    assert check_conditions(LevelState(gen_chain(6)), (), 6) == []
 
 
 def test_conditions_flag_parallels_at_z():
-    D = g(6, [(A(0), B(0))] * 2)
-    problems = check_conditions(D, (A(0), B(1)), 6)
+    L = state(6, [(A(0), B(0))] * 2)
+    problems = check_conditions(L, (A(0), B(1)), 6)
     assert any(p.startswith("(4)") for p in problems)
 
 
 def test_conditions_flag_unbalanced_and_degree():
-    D = g(6, [(A(0), B(j)) for j in range(6)])
-    problems = check_conditions(D, (A(1), A(2)), 6)
+    L = state(6, [(A(0), B(j)) for j in range(6)])
+    problems = check_conditions(L, (A(1), A(2)), 6)
     assert any(p.startswith("(1)") for p in problems)
-    D = g(6, [(A(0), B(0))] * 6)
-    problems = check_conditions(D, (A(1), B(1)), 6)
+    L = state(6, [(A(0), B(0))] * 6)
+    problems = check_conditions(L, (A(1), B(1)), 6)
     assert any(p.startswith("(3)") for p in problems)  # A0 keeps degree 6 > 5
 
 
@@ -114,7 +119,7 @@ def test_cover_c4_subcase():
     Y = tuple(v for v in D.vertices() if degs[v] >= 5)
     X = tuple(v for v in D.vertices() if degs[v] == 6)
     assert len(Y) == 4
-    F = find_cover_F(D, X, Y)
+    F = find_cover_F(LevelState(D), X, Y)
     cover = cover_counts(D, F)
     assert all(cover.get(y, 0) >= 1 for y in Y)
     assert all(c <= 2 for c in cover.values())
@@ -132,23 +137,22 @@ def test_cover_parallel_plus_disjoint():
         (A(1), B(0)),
     ]
     D = g(6, pairs)
-    F = find_cover_F(D, (), ())
+    F = find_cover_F(LevelState(D), (), ())
     assert all(c <= 2 for c in cover_counts(D, F).values())
 
 
 def test_cover_without_structured_selection_raises():
     # a simple graph has no parallel pair to start the |Y| = 0 selection
-    D = g(6, [(A(i), B(i)) for i in range(6)])
+    L = state(6, [(A(i), B(i)) for i in range(6)])
     with pytest.raises(StructuralError):
-        find_cover_F(D, (), ())
+        find_cover_F(L, (), ())
 
 
 def test_cover_matches_exhaustive_properties():
-    D = gen_random_edge(8, 505)
-    full = pad_to_full(D, 8)
-    degs = full.degree_map()
-    Y = tuple(v for v in full.vertices() if degs[v] >= 7)
-    X = tuple(v for v in full.vertices() if degs[v] == 8)
+    full = pad_to_full(LevelState(gen_random_edge(8, 505)), 8)
+    degs = full.deg
+    Y = tuple(v for v in sorted(degs) if degs[v] >= 7)
+    X = tuple(v for v in sorted(degs) if degs[v] == 8)
     F = find_cover_F(full, X, Y)
     cover = cover_counts(full, F)
     assert all(c <= 2 for c in cover.values())
@@ -170,20 +174,19 @@ def test_cover_matches_exhaustive_properties():
 
 def test_place_f_disjoint_edges():
     pairs = [(A(0), B(0)), (A(1), B(1)), (A(2), B(2)), (A(3), B(3))]
-    D = g(8, pairs + [(A(0), B(1))] * 2)  # extra bulk, irrelevant
+    L = state(8, pairs + [(A(0), B(1))] * 2)  # extra bulk, irrelevant
     F = (0, 1, 2, 3)
-    out = place_F(D, F, A(6), A(7), B(6), B(7))
+    assert place_F(L, F, A(6), A(7), B(6), B(7)) is L
     zset = {A(6), A(7), B(6), B(7)}
-    degs = out.degree_map()
-    assert all(degs[v] == 4 for v in zset)
+    assert all(L.deg[v] == 4 for v in zset)
 
 
 def test_place_f_with_parallel_pair():
     pairs = [(A(0), B(0))] * 2 + [(A(1), B(1)), (A(2), B(2))]
-    D = g(8, pairs)
-    out = place_F(D, (0, 1, 2, 3), A(6), A(7), B(6), B(7))
+    L = state(8, pairs)
+    place_F(L, (0, 1, 2, 3), A(6), A(7), B(6), B(7))
     mult = {}
-    for e in out.edges.values():
+    for e in L.edges.values():
         if e.u in {A(6), A(7), B(6), B(7)} or e.v in {A(6), A(7), B(6), B(7)}:
             key = e.pair()
             mult[key] = mult.get(key, 0) + 1
@@ -192,18 +195,17 @@ def test_place_f_with_parallel_pair():
 
 def test_place_f_c4_cover():
     pairs = [(A(0), B(0)), (A(1), B(0)), (A(1), B(1)), (A(0), B(1))]
-    D = g(8, pairs)
-    out = place_F(D, (0, 1, 2, 3), A(6), A(7), B(6), B(7))
-    assert out.m == D.m + 8
+    L = state(8, pairs)
+    place_F(L, (0, 1, 2, 3), A(6), A(7), B(6), B(7))
+    assert L.m == len(pairs) + 8
 
 
 def test_place_f_rejects_a_corner_with_an_edge():
     pairs = [(A(0), B(0)), (A(1), B(1)), (A(2), B(2)), (A(3), B(3)), (A(6), B(0))]
-    D = g(8, pairs)
-    with pytest.raises(PreconditionError):
-        place_F(D, (0, 1, 2, 3), A(6), A(7), B(6), B(7))
-    L = LevelState.of(D)
+    L = state(8, pairs)
     before = list(L.edges.items())
+    with pytest.raises(PreconditionError):
+        place_F(L, (0, 1, 2, 3), A(6), A(7), B(6), B(7))
     with pytest.raises(PreconditionError):
         place_F(L, (0, 1, 2, 3), A(7), A(6), B(6), B(7))
     assert list(L.edges.items()) == before
@@ -654,7 +656,7 @@ def test_incremental_conditions_agree_with_full_check(monkeypatch):
 
 def rebuilt(L):
     return LevelState(
-        L.a, L.b, L.edges.values(), L.next_fresh_id,
+        DemandGraph(L.a, L.b, dict(L.edges), L.next_fresh_id),
         {side: list(ix) for side, ix in L.removed.items()}, dict(L.frozen),
     )
 
@@ -673,7 +675,7 @@ def test_level_state_matches_rebuild(data):
     n = data.draw(st.integers(4, 9), label="n")
     cells = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
     pairs = data.draw(st.lists(cells, max_size=2 * n - 2), label="pairs")
-    L = LevelState.of(DemandGraph.from_pairs(n, n, [(A(i), B(j)) for i, j in pairs]))
+    L = LevelState(DemandGraph.from_pairs(n, n, [(A(i), B(j)) for i, j in pairs]))
     for _ in range(data.draw(st.integers(1, 8), label="ops")):
         op = data.draw(st.sampled_from(["lift", "pad", "remove"]), label="op")
         alive_a, alive_b = list(L.sides[SIDE_A]), list(L.sides[SIDE_B])

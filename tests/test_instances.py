@@ -109,6 +109,15 @@ def test_parse_errors_carry_line_numbers():
         parse_instance("e 1 1\n")
     with pytest.raises(FormatError):
         parse_instance("c only a comment\n")
+    # numbers are ASCII digits only: no separator, other script, sign or overlong run
+    for text, line in (
+        ("p tpb 1_0 2 1\ne 1 1\n", "line 1"),
+        ("p tpb 2 2 1\ne \u0661 1\n", "line 2"),
+        ("p tpb 2 2 1\ne 1 1 +1\n", "line 2"),
+        ("p tpb 2 2 1\ne 1 1 " + "1" * 5000 + "\n", "line 2"),
+    ):
+        with pytest.raises(FormatError, match=line):
+            parse_instance(text)
 
 
 def test_parse_rejects_edges_beyond_the_header_count_before_expanding():
@@ -179,9 +188,13 @@ def test_resolution_parse_errors():
         parse_resolution("s SOLVED\nr 0 2 a1 b1\n")
     with pytest.raises(FormatError):
         parse_resolution("s MAYBE\n")
+    for eid in ("1_0", "\u0661", "+0"):
+        with pytest.raises(FormatError, match="line 2: non-integer route field"):
+            parse_resolution(f"s SOLVED\nr {eid} 1 a1 b1\n")
 
 
 def test_resolution_rejects_non_ascii_digits():
-    for tok in ("a²", "a١"):  # superscript two, Arabic-Indic one
+    # superscript two, Arabic-Indic one, a sign, more digits than int() reads
+    for tok in ("a²", "a١", "a+1", "a" + "1" * 5000):
         with pytest.raises(FormatError, match="bad vertex token"):
             parse_resolution(f"s SOLVED\nr 0 1 {tok} b1\n")

@@ -35,12 +35,14 @@ def test_every_traced_function_resolves():
 
 def test_edge_solver_stages_run_through_their_module_globals(monkeypatch):
     calls = Counter()
-    for name in ("check_conditions", "pad_to_full", "find_cover_F", "place_F"):
+    states = []
+    for name in ("check_conditions", "pad_to_full", "find_cover_F", "place_F", "edge_lift"):
         real = getattr(tpb.edge_solver, name)
 
-        def counting(*args, _real=real, _name=name, **kwargs):
+        def counting(L, *args, _real=real, _name=name, **kwargs):
             calls[_name] += 1
-            return _real(*args, **kwargs)
+            states.append(L)
+            return _real(L, *args, **kwargs)
 
         monkeypatch.setattr(tpb.edge_solver, name, counting)
     D = load("workloads").clustered_instance(tpb, 32, 0)
@@ -53,6 +55,10 @@ def test_edge_solver_stages_run_through_their_module_globals(monkeypatch):
     assert calls["pad_to_full"] == len(inductive)
     assert calls["check_conditions"] == len([t for t in inductive if t != "2.2.3"])
     assert calls["find_cover_F"] == calls["place_F"] == len(case1)
+    assert calls["edge_lift"] == sum(1 for s in trace.steps if s.lifts)
+    # every stage acts on the solve's one level state, never on a graph
+    assert isinstance(states[0], LevelState)
+    assert all(L is states[0] for L in states)
 
 
 def test_edge_lift_runs_through_its_module_global_on_the_state(monkeypatch):
