@@ -212,10 +212,10 @@ def cmd_gen(args) -> int:
         else:
             print(f"unknown family {fam}", file=sys.stderr)
             return EXIT_USAGE
+        text = serialize_instance(D)
     except (PreconditionError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    text = serialize_instance(D)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

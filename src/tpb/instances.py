@@ -2,11 +2,13 @@
 
 Instance files are DIMACS-flavoured: `c` comment lines, one
 `p tpb <a> <b> <m>` header, then `e <i> <j> [mult]` lines with 1-based
-vertex indices (repeated lines accumulate).  Edge ids are assigned in
-file order, expanding multiplicities in line order.  The canonical form
-sorts edge lines by (i, j) with multiplicities merged, which makes the
-serialize/parse round trip the identity.  Resolution files carry an
-`s SOLVED|UNSOLVED|UNKNOWN` line and one `r` record per route.
+vertex indices (repeated lines accumulate).  The header's m is at most
+a*b, because at most a*b edge-disjoint routes fit in K_{a,b}.  Edge ids
+are assigned in file order, expanding multiplicities in line order.
+The canonical form sorts edge lines by (i, j) with multiplicities
+merged, which makes the serialize/parse round trip the identity.
+Resolution files carry an `s SOLVED|UNSOLVED|UNKNOWN` line and one `r`
+record per route.
 """
 from __future__ import annotations
 
@@ -148,6 +150,8 @@ def serialize_instance(D: DemandGraph) -> str:
     """Canonical text form: header, then merged edge lines sorted by (i, j)."""
     if not D.is_bipartite_demand():
         raise FormatError("only class-crossing demand graphs are serializable")
+    if D.m > D.a * D.b:
+        raise FormatError(f"{D.m} demand edges exceed the {D.a * D.b} edges of K_{{{D.a},{D.b}}}")
     mult = Counter()
     for e in D.edges.values():
         i = e.u.index if e.u.side == SIDE_A else e.v.index
@@ -185,6 +189,8 @@ def parse_instance(text: str) -> DemandGraph:
             a, b, m = (_decimal(t, ln, "non-integer header field") for t in toks[2:])
             if a < 1 or b < 1 or m < 0:
                 raise FormatError(f"line {ln}: header values out of range")
+            if m > a * b:
+                raise FormatError(f"line {ln}: {m} demand edges exceed the {a * b} edges of K_{{{a},{b}}}")
         elif toks[0] == "e":
             if a is None:
                 raise FormatError(f"line {ln}: edge record before header")

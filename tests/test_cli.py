@@ -142,13 +142,13 @@ def test_solve_writes_status_file_when_unsolved(tmp_path):
 
 
 def test_unknown_budget_exit_code(tmp_path, capsys):
-    inst = tmp_path / "se5.tpb"
-    run("gen", "--family", "sharp-edge", "--n", "5", "--out", str(inst))
-    # 1 ms wall clock cannot finish the n=5 proof
+    inst = tmp_path / "se7.tpb"
+    run("gen", "--family", "sharp-edge", "--n", "7", "--out", str(inst))
+    # the n=7 refutation takes more than 400 k nodes; the clock is read every 1024
     code = run(
         "solve", "--in", str(inst), "--algo", "oracle", "--timeout-ms", "1"
     )
-    assert code in (1, 3)  # fast machines may still finish the refutation
+    assert code == 3
 
 
 def test_timeout_below_one_is_usage_error(tmp_path, capsys):
@@ -178,6 +178,9 @@ def test_gen_without_n_is_usage_error(capsys):
         ("random-semiregular", "--n", "0"),
         ("random-semiregular", "--n", "8", "--delta-a", "-1"),
         ("random-semiregular", "--n", "4", "--a", "0", "--b", "4"),
+        # more demands than base edges: no instance file may hold them
+        ("sharp-conj", "--n", "1"),
+        ("random-semiregular", "--n", "2", "--delta-a", "3"),
     ],
 )
 def test_gen_out_of_range_size_is_usage_error(args, capsys):
@@ -201,9 +204,14 @@ def test_unwritable_or_missing_file_is_usage_error(tmp_path, capsys):
 
 def test_oversized_multiplicity_is_usage_error(tmp_path, capsys):
     inst = tmp_path / "big.tpb"
-    inst.write_text("p tpb 4 4 1\ne 1 1 99999999999")
-    assert run("solve", "--in", str(inst)) == 2
-    assert capsys.readouterr().err.startswith("parse error: line 2")
+    # a header may not declare more demands than K_{4,4} has edges
+    for text, line in (
+        ("p tpb 4 4 1\ne 1 1 99999999999", 2),
+        ("p tpb 4 4 99999999999\ne 1 1 99999999999", 1),
+    ):
+        inst.write_text(text)
+        assert run("solve", "--in", str(inst)) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: line {line}:")
 
 
 def test_non_utf8_input_is_usage_error(tmp_path, capsys):

@@ -37,6 +37,8 @@ def test_sharp_conjecture_shape():
     assert D.m == 6
     assert all(mult(D)[(A(i), B(i))] == 2 for i in range(3))
     assert gen_sharp_conjecture(1).m == 2
+    with pytest.raises(FormatError, match="exceed the 1 edges"):  # K_{1,1} has one edge
+        serialize_instance(gen_sharp_conjecture(1))
     D = gen_sharp_conjecture(6)
     assert D.m == 6 * 3
 
@@ -126,6 +128,10 @@ def test_parse_rejects_edges_beyond_the_header_count_before_expanding():
         parse_instance("p tpb 4 4 1\ne 1 1 99999999999")
     with pytest.raises(FormatError, match="line 3"):
         parse_instance("p tpb 4 4 2\ne 1 1\ne 2 2 2\n")
+    # nor may the header declare more demands than the base graph has edges
+    for text in ("p tpb 4 4 99999999999\ne 1 1 99999999999", "p tpb 2 2 5\n"):
+        with pytest.raises(FormatError, match="line 1: .* exceed the"):
+            parse_instance(text)
 
 
 def test_serialize_canonicalizes():

@@ -1,4 +1,6 @@
 """Exact oracle: decisions, budgets, enumeration."""
+import random
+from collections import Counter
 from itertools import permutations, product
 
 import pytest
@@ -19,9 +21,12 @@ from tpb import (
     gen_sharp_edge,
     verify_resolution,
 )
+from tpb.demand import SIDE_A
 from tpb.oracle import search
 
 BUDGET = SearchBudget(max_nodes=10_000_000, max_millis=120_000)
+# the oracle-search benchmark workload's budget
+WORKLOAD_BUDGET = SearchBudget(max_nodes=4_000, max_millis=120_000)
 
 
 def naive_decide(D):
@@ -71,6 +76,93 @@ def naive_decide(D):
     return rec(0)
 
 
+def reference_decide(D):
+    """`decide`'s search without its two symmetry cuts.
+
+    It takes the demands in the same order, the paths in the same
+    (length, vertex sequence) order and makes the same necessary-condition
+    cuts, so both return the lexicographically first routing.  Returns
+    the status, each demand's route as a vertex-index sequence, and the
+    number of paths tried.
+    """
+    a, b = D.a, D.b
+    degs = D.degree_map()
+    mult = Counter(e.pair() for e in D.edges.values())
+    demands = []
+    for eid in sorted(D.edges):
+        e = D.edges[eid]
+        ai, bj = (e.u.index, e.v.index) if e.u.side == SIDE_A else (e.v.index, e.u.index)
+        demands.append(((-mult[e.pair()], -(degs[e.u] + degs[e.v]), e.pair(), eid), eid, ai, bj))
+    demands = [d[1:] for d in sorted(demands)]
+    cnt_a = Counter(ai for _, ai, _ in demands)
+    cnt_b = Counter(bj for _, _, bj in demands)
+    if any(c > b for c in cnt_a.values()) or any(c > a for c in cnt_b.values()):
+        return UNRESOLVABLE, None, 0
+    free_a, free_b = [b] * a, [a] * b
+    used = set()
+    routes = {}
+    nodes = 0
+
+    def walk(seq, length, bj):
+        # alternating index sequences seq + ... ending at B_bj, `length` edges in all
+        cur, on_a = seq[-1], len(seq) % 2 == 1
+        if len(seq) == length:
+            if (cur, bj) not in used:
+                yield seq + [bj]
+            return
+        for w in range(b if on_a else a):
+            edge, free, cnt = ((cur, w), free_b, cnt_b) if on_a else ((w, cur), free_a, cnt_a)
+            if (on_a and w == bj) or w in seq[len(seq) % 2 :: 2] or edge in used:
+                continue
+            if free[w] >= cnt[w] + 2:
+                yield from walk(seq + [w], length, bj)
+
+    def rec(k):
+        nonlocal nodes
+        if k == len(demands):
+            return True
+        groups = Counter((ai, bj) for _, ai, bj in demands[k:])
+        need = sum(3 * c - (0 if pair in used else 2) for pair, c in groups.items())
+        if need > a * b - len(used):
+            return False
+        eid, ai, bj = demands[k]
+        cnt_a[ai] -= 1
+        cnt_b[bj] -= 1
+        for length in range(1, 2 * min(a, b), 2):
+            for seq in walk([ai], length, bj):
+                nodes += 1
+                edges = [(seq[t], seq[t + 1]) if t % 2 == 0 else (seq[t + 1], seq[t]) for t in range(length)]
+                used.update(edges)
+                for i, j in edges:
+                    free_a[i] -= 1
+                    free_b[j] -= 1
+                routes[eid] = seq
+                if rec(k + 1):
+                    return True
+                used.difference_update(edges)
+                for i, j in edges:
+                    free_a[i] += 1
+                    free_b[j] += 1
+        cnt_a[ai] += 1
+        cnt_b[bj] += 1
+        return False
+
+    if rec(0):
+        return RESOLVABLE, routes, nodes
+    return UNRESOLVABLE, None, nodes
+
+
+def relabeled(D, seed):
+    """D under a seeded permutation of each class and of the edge order."""
+    rng = random.Random(seed)
+    perm_a, perm_b = list(range(D.a)), list(range(D.b))
+    rng.shuffle(perm_a)
+    rng.shuffle(perm_b)
+    pairs = [(A(perm_a[e.u.index]), B(perm_b[e.v.index])) for e in D.edges.values()]
+    rng.shuffle(pairs)
+    return DemandGraph.from_pairs(D.a, D.b, pairs)
+
+
 def test_single_edge():
     D = DemandGraph.from_pairs(2, 2, [(A(0), B(0))])
     v = decide(D, BUDGET)
@@ -87,10 +179,14 @@ def test_sharp_conjecture_unresolvable():
 
 
 def test_sharp_edge_unresolvable():
-    for n in (4, 5):
+    for n, ceiling in ((4, 0), (5, 100), (6, 4_000)):
         v = decide(gen_sharp_edge(n), BUDGET)
         assert v.status == UNRESOLVABLE
-        assert v.nodes_explored <= 10_000_000
+        assert v.nodes_explored <= ceiling, n
+    # the benchmark's relabelled copies, whose refutation the labels must not slow
+    for seed in range(10):
+        v = decide(relabeled(gen_sharp_edge(5), seed), WORKLOAD_BUDGET)
+        assert v.status == UNRESOLVABLE, seed
 
 
 def test_resolvable_verdicts_verify():
@@ -178,6 +274,30 @@ def test_agreement_with_naive_reference():
         verdict = decide(D, BUDGET)
         assert verdict.status in (RESOLVABLE, UNRESOLVABLE)
         assert (verdict.status == RESOLVABLE) == naive_decide(D)
+
+
+def test_symmetry_cuts_keep_the_first_routing():
+    # every canonical instance on K_{n,n}, n <= 4, with at most 2n-1
+    # demands and degree at most n, then random ones on K_{5,5}
+    rng = random.Random(5)
+    sample = [D for n in (1, 2, 3, 4) for D in enumerate_demands(n, 2 * n - 1, n)]
+    for _ in range(40):
+        pairs = [(A(rng.randrange(5)), B(rng.randrange(5))) for _ in range(rng.randint(8, 15))]
+        sample.append(DemandGraph.from_pairs(5, 5, pairs))
+    statuses = Counter()
+    for D in sample:
+        status, routes, nodes = reference_decide(D)
+        v = decide(D, BUDGET)
+        assert v.status == status
+        if status == RESOLVABLE:
+            got = {eid: [x.index for x in p.vertices] for eid, p in v.resolution.routes.items()}
+            assert got == routes
+        assert v.nodes_explored <= nodes
+        # without the symmetry cuts, decide is the reference search
+        plain = decide(D, BUDGET, symmetry_cuts=False)
+        assert (plain.status, plain.resolution, plain.nodes_explored) == (v.status, v.resolution, nodes)
+        statuses[status] += 1
+    assert statuses[RESOLVABLE] > 500 and statuses[UNRESOLVABLE] > 40
 
 
 def test_enumerate_tiny():
