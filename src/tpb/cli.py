@@ -145,8 +145,8 @@ def cmd_solve(args) -> int:
 
     report.millis = int((time.monotonic() - started) * 1000)
     if res is not None:
-        problems = verify_resolution(D, res)
-        if problems:
+        # solve_edge_version verifies its resolution itself
+        if algo != "edge" and verify_resolution(D, res):
             print("internal error: produced resolution fails verification", file=sys.stderr)
             return EXIT_UNSOLVED
         outcome = "solved"

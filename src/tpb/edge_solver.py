@@ -431,9 +431,7 @@ def _base_case(L: LevelState, trace: CaseTrace) -> None:
         {eid: e._replace(u=L.local(e.u), v=L.local(e.v)) for eid, e in L.edges.items()},
         L.next_fresh_id,
     )
-    # Without the symmetry cuts: the same routing, and the trace's node
-    # count stays that of the plain lexicographic search.
-    verdict = decide(C, _BASE_BUDGET, symmetry_cuts=False)
+    verdict = decide(C, _BASE_BUDGET)
     if verdict.status != RESOLVABLE:
         raise StructuralError(
             f"oracle reported {verdict.status} on an in-hypothesis base instance"

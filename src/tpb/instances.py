@@ -3,7 +3,9 @@
 Instance files are DIMACS-flavoured: `c` comment lines, one
 `p tpb <a> <b> <m>` header, then `e <i> <j> [mult]` lines with 1-based
 vertex indices (repeated lines accumulate).  The header's m is at most
-a*b, because at most a*b edge-disjoint routes fit in K_{a,b}.  Edge ids
+a*b, because at most a*b edge-disjoint routes fit in K_{a,b}, and at
+most MAX_DEMANDS = 1 000 000, so that a file cannot ask for more memory
+than its demands can use.  Edge ids
 are assigned in file order, expanding multiplicities in line order.
 The canonical form sorts edge lines by (i, j) with multiplicities
 merged, which makes the serialize/parse round trip the identity.
@@ -21,6 +23,8 @@ from .errors import FormatError, PreconditionError
 SOLVED = "SOLVED"
 UNSOLVED = "UNSOLVED"
 UNKNOWN_STATUS = "UNKNOWN"
+
+MAX_DEMANDS = 1_000_000  # the most demand edges an instance file may declare
 
 
 # -- sharp unresolvable families -----------------------------------------------
@@ -191,6 +195,8 @@ def parse_instance(text: str) -> DemandGraph:
                 raise FormatError(f"line {ln}: header values out of range")
             if m > a * b:
                 raise FormatError(f"line {ln}: {m} demand edges exceed the {a * b} edges of K_{{{a},{b}}}")
+            if m > MAX_DEMANDS:
+                raise FormatError(f"line {ln}: {m} demand edges exceed the limit of {MAX_DEMANDS}")
         elif toks[0] == "e":
             if a is None:
                 raise FormatError(f"line {ln}: edge record before header")

@@ -10,12 +10,28 @@ A search in that order whose every cut discards only partial routings
 that no complete routing extends returns the lexicographically first
 routing R*, or exhausts its space when there is none.
 
-Two cuts are necessary conditions.  Every vertex must keep one free base
-edge per unrouted demand endpoint, and two more to be crossed as an
-intermediate; this is checked once at the root, and the filter on
-intermediates keeps it true below.  And the routing's total length
-cannot exceed the number of free base edges, where parallel demands
-admit at most one direct route.
+Call slack(w) the number of free base edges at w less the number of
+unrouted demands at w.  Slack never grows: a path that ends at w lowers
+both terms by one, and a path that crosses w lowers the first by two.
+Three cuts are necessary conditions.
+
+1. Crossing w takes two free edges, and each unrouted demand at w needs
+   one more, so a path may cross only vertices of slack at least 2.
+2. The routing's total length cannot exceed the number of free base
+   edges, where parallel demands admit at most one direct route.
+3. Saturation: call w usable for v when the base edge vw is free and
+   either an unrouted demand joins v and w, or slack(w) >= 2.  Every v
+   needs at least as many usable vertices as it has unrouted demands.
+   Each of those demands leaves v by its own free edge vw.  Either w is
+   the demand's other end, or the path crosses w, which needs slack(w)
+   >= 2 then and so, as slack never grows, now.  Since usable edges are
+   free, this also asks every vertex to keep one free edge per unrouted
+   demand.  The cut is checked at the root and after every routed path,
+   where only the vertices whose usable set the path shrank are looked
+   at: the intermediates, the free non-partners of an intermediate whose
+   slack fell below 2, and the ends of a pair that lost its last demand.
+   It refutes `gen_sharp_edge(n)` at the root: A0 has n demands, but B1,
+   of slack 1, leaves it only n - 1 usable vertices.
 
 Two more cuts break symmetries, in the lex-leader manner of Crawford,
 Ginsberg, Luks and Roy ("Symmetry-breaking predicates for search
@@ -40,11 +56,9 @@ do extend, but never a prefix of R*:
    P.  So no completion of P is R*.
 
 Every cut keeps R*, so the cuts together keep it too: the verdict never
-changes, a resolution is the same R* with or without the symmetry cuts,
-and only the number of nodes explored falls.  A verdict of
-unresolvable is only ever produced by exhausting the reduced space.
-`decide(..., symmetry_cuts=False)` makes the necessary-condition cuts
-only, and so explores the nodes of the plain lexicographic search.
+changes, a resolution is always R*, and only the number of nodes
+explored falls.  A verdict of unresolvable is only ever produced by
+exhausting the reduced space.
 """
 from __future__ import annotations
 
@@ -72,7 +86,7 @@ class SearchBudget:
             raise PreconditionError("search budget components must be at least 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class OracleVerdict:
     status: str
     resolution: Resolution | None
@@ -107,46 +121,68 @@ def search(depth: int, choices: Callable[[int], Iterator[object]]) -> bool:
     return True
 
 
-def _extend(level, cur: int, nxt: int, remaining: int, options, p_nxt: int, p_cur: int):
-    """Extend a demand's partial path by `remaining` >= 2 edges to its B end.
+def _bits(m: int) -> Iterator[int]:
+    """The positions of the set bits of m, lowest first."""
+    while m:
+        low = m & -m
+        yield low.bit_length() - 1
+        m ^= low
 
-    `level` holds the demand's path so far, its B end, the on-path flags
-    and the possible intermediates of each side, the used-edge tables and
-    `route`, which applies a complete path.  The path ends at cur, on side
-    1 - nxt; its next vertex comes from `options`, and p_s is the number
-    of fresh vertices of side s on it.  A module function rather than a
-    closure in `decide`, so that no level leaves a reference cycle for the
-    garbage collector: the verdict's memory is all that a call keeps.
+
+def _extend(
+    level, m: int, nxt: int, remaining: int, p_nxt: int, p_cur: int, on_nxt: int, on_cur: int
+):
+    """Extend a demand's partial path by `remaining` >= 3 edges to its B end.
+
+    `level` holds the demand's path so far, its B end, whether it is the
+    last demand on its pair, the bitmasks of each side's possible
+    intermediates that are not fresh, the bits of each side's fresh ones
+    in order, the free-edge bitmasks, and `commit` and `retract`, which
+    apply and undo a complete path.  The next vertex is one of the bits of
+    m, on side nxt: a possible intermediate, off the path, joined to the
+    path's end by a free edge.  p_s is the number of fresh vertices and
+    on_s the bitmask of the vertices of side s on the path.  A fresh
+    vertex may be crossed only if it is the lowest one of its side that
+    the path does not cross yet.  A vertex after which the path cannot go
+    on is skipped without a call.  A module function rather than a closure
+    in `decide`, so that no level leaves a reference cycle for the garbage
+    collector: the verdict's memory is all that a call keeps.
     """
-    seq, bj, on_path, inner, used, route = level
-    row, vis = used[1 - nxt][cur], on_path[nxt]
-    for w, q in options:
-        if vis[w] or row[w]:
+    seq, bj, last_demand, inner, fresh, fm, commit, retract = level
+    low_fresh = fresh[nxt][p_nxt]
+    while m:
+        bit = m & -m
+        m ^= bit
+        w = bit.bit_length() - 1
+        if remaining > 3:
+            after = fm[nxt][w] & (inner[1 - nxt] | fresh[1 - nxt][p_cur]) & ~on_cur
+            if after:
+                q = p_nxt + 1 if bit == low_fresh else p_nxt
+                seq.append(w)
+                yield from _extend(level, after, 1 - nxt, remaining - 1, p_cur, q, on_cur, on_nxt | bit)
+                seq.pop()
             continue
-        if q < 0:
-            q = p_nxt
-        elif q == p_nxt:
-            q += 1
-        else:
-            continue  # w is fresh, and a lower fresh vertex stands in for it
+        # w is on side B; the last intermediate, on side A, is chosen here
+        last = fm[1][w] & fm[1][bj] & (inner[0] | fresh[0][p_cur]) & ~on_cur
         seq.append(w)
-        if remaining > 2:
-            vis[w] = True
-            yield from _extend(level, w, 1 - nxt, remaining - 1, inner[1 - nxt], p_cur, q)
-            vis[w] = False
-        elif not used[0][w][bj]:
+        while last:
+            x = last & -last
+            last ^= x
+            seq.append(x.bit_length() - 1)
             seq.append(bj)
-            yield from route(seq)
+            if commit(seq, last_demand):
+                yield
+            retract(seq)
+            seq.pop()
             seq.pop()
         seq.pop()
 
 
-def decide(D: DemandGraph, budget: SearchBudget, symmetry_cuts: bool = True) -> OracleVerdict:
+def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
     """Decide resolvability of a bipartite demand graph in K_{a,b}.
 
     A resolution is the lexicographically first routing R* of the module
-    docstring, with or without `symmetry_cuts`; `nodes_explored` counts
-    the paths tried.
+    docstring; `nodes_explored` counts the paths tried.
     """
     if not D.is_bipartite_demand():
         raise PreconditionError("the oracle decides class-crossing demand graphs")
@@ -161,25 +197,32 @@ def decide(D: DemandGraph, budget: SearchBudget, symmetry_cuts: bool = True) -> 
     # Sides are 0 (class A) and 1 (class B).  cnt[s][v] counts the
     # unrouted demands at v on side s.
     demands = []
-    cnt = ([0] * a, [0] * b)
+    cnt_a, cnt_b = cnt = ([0] * a, [0] * b)
     for eid in sorted(D.edges, key=key):
         e = D.edges[eid]
         u, v = (e.u, e.v) if e.u.side == SIDE_A else (e.v, e.u)
         demands.append((eid, u.index, v.index))
-        cnt[0][u.index] += 1
-        cnt[1][v.index] += 1
+        cnt_a[u.index] += 1
+        cnt_b[v.index] += 1
     depth = len(demands)
 
-    # used[s][v][w] says whether the base edge between v on side s and w
-    # on the other side is taken, and free[s][v] counts v's free edges.
+    # Bitmasks over the other side: fm_s[v] holds the w whose base edge to
+    # v on side s is free, and pm_s[v] v's partners in unrouted demands.
+    # hi_s holds the vertices of side s with slack (free edges less
+    # unrouted demands) at least 2.  The vertices usable for A_i in the
+    # saturation cut are fm_a[i] & (pm_a[i] | hi_b).
     size = (a, b)
-    used_a = [[False] * b for _ in range(a)]
-    used_b = [[False] * a for _ in range(b)]
-    used = (used_a, used_b)
-    free = ([b] * a, [a] * b)
-    # free >= cnt at every vertex is necessary, and the cnt + 2 filter on
-    # intermediates keeps it true below the root once it holds there.
-    if any(c > b for c in cnt[0]) or any(c > a for c in cnt[1]):
+    full = ((1 << b) - 1, (1 << a) - 1)
+    fm_a, fm_b = fm = [full[0]] * a, [full[1]] * b
+    pm_a, pm_b = [0] * a, [0] * b
+    for _, ai, bj in demands:
+        pm_a[ai] |= 1 << bj
+        pm_b[bj] |= 1 << ai
+    hi_a = sum(1 << i for i, c in enumerate(cnt_a) if b - c >= 2)
+    hi_b = sum(1 << j for j, c in enumerate(cnt_b) if a - c >= 2)
+    if any(cnt_a[i] > (fm_a[i] & (pm_a[i] | hi_b)).bit_count() for i in range(a)) or any(
+        cnt_b[j] > (fm_b[j] & (pm_b[j] | hi_a)).bit_count() for j in range(b)
+    ):
         return OracleVerdict(UNRESOLVABLE, None, 0)
 
     # Parallel demands are adjacent in the key order: pairs[group[k]:] are
@@ -192,33 +235,75 @@ def decide(D: DemandGraph, budget: SearchBudget, symmetry_cuts: bool = True) -> 
         group.append(len(pairs) - 1)
 
     seqs: list[list[int]] = [[] for _ in range(depth)]  # the committed path of each level
+    saved: list[tuple[int, int, int, int]] = []  # hi_a, hi_b, pm_a[ai], pm_b[bj] before each commit
     used_total = 0
     nodes = 0
+    max_nodes = budget.max_nodes
     deadline = time.monotonic() + budget.max_millis / 1000.0
 
-    def commit(seq: list[int], on: bool) -> None:
-        nonlocal used_total
-        delta = -1 if on else 1
-        free_a, free_b = free
-        bs = seq[1::2]
-        for i, j in chain(zip(seq[::2], bs), zip(seq[2::2], bs)):
-            used_a[i][j] = on
-            used_b[j][i] = on
-            free_a[i] += delta
-            free_b[j] += delta
-        used_total -= delta * (len(seq) - 1)
-
-    def route(seq: list[int]):
-        # seq is a complete path: count the node and apply it
-        nonlocal nodes
+    def commit(seq: list[int], last_demand: bool) -> bool:
+        # Count a node and route the demand seq[0]-seq[-1] along seq;
+        # last_demand says whether it is the last one on its pair.
+        # Returns whether the saturation cut still holds.
+        nonlocal used_total, nodes, hi_a, hi_b
         nodes += 1
-        if nodes > budget.max_nodes:
+        if nodes > max_nodes:
             raise _BudgetExceeded
         if nodes % 1024 == 0 and time.monotonic() > deadline:
             raise _BudgetExceeded
-        commit(seq, True)
-        yield
-        commit(seq, False)
+        ai, bj = seq[0], seq[-1]
+        saved.append((hi_a, hi_b, pm_a[ai], pm_b[bj]))
+        As, Bs = seq[::2], seq[1::2]
+        for i, j in zip(As, Bs):
+            fm_a[i] ^= 1 << j
+            fm_b[j] ^= 1 << i
+        # The edges below join each B vertex of the path to the A vertex
+        # after it, so each intermediate ends exactly one of them, by which
+        # time it has lost its two free edges.  Once its slack falls below
+        # 2 it is no longer usable from its free edges without demands.
+        shrunk_a = shrunk_b = 0
+        inner_a, inner_b = As[1:], Bs[:-1]
+        for i, j in zip(inner_a, Bs):
+            fm_a[i] ^= 1 << j
+            fm_b[j] ^= 1 << i
+            if fm_a[i].bit_count() < cnt_a[i] + 2:
+                hi_a ^= 1 << i
+                shrunk_b |= fm_a[i] & ~pm_a[i]
+            if fm_b[j].bit_count() < cnt_b[j] + 2:
+                hi_b ^= 1 << j
+                shrunk_a |= fm_b[j] & ~pm_b[j]
+        used_total += len(seq) - 1
+        # The ends lose a free edge and a demand each, so their slack holds.
+        cnt_a[ai] -= 1
+        cnt_b[bj] -= 1
+        if last_demand:
+            pm_a[ai] ^= 1 << bj
+            pm_b[bj] ^= 1 << ai
+            shrunk_a |= 1 << ai
+            shrunk_b |= 1 << bj
+        # The cut held before, so only a vertex whose usable set shrank can
+        # break it: an intermediate, a neighbour of one that lost its
+        # slack, or an end of a pair that lost its last demand.
+        for v in chain(inner_a, _bits(shrunk_a)):
+            if cnt_a[v] > (fm_a[v] & (pm_a[v] | hi_b)).bit_count():
+                return False
+        for v in chain(inner_b, _bits(shrunk_b)):
+            if cnt_b[v] > (fm_b[v] & (pm_b[v] | hi_a)).bit_count():
+                return False
+        return True
+
+    def retract(seq: list[int]) -> None:
+        # Undo commit(seq).
+        nonlocal used_total, hi_a, hi_b
+        ai, bj = seq[0], seq[-1]
+        hi_a, hi_b, pm_a[ai], pm_b[bj] = saved.pop()
+        Bs = seq[1::2]
+        for i, j in chain(zip(seq[::2], Bs), zip(seq[2::2], Bs)):
+            fm_a[i] ^= 1 << j
+            fm_b[j] ^= 1 << i
+        used_total -= len(seq) - 1
+        cnt_a[ai] += 1
+        cnt_b[bj] += 1
 
     def choices(k: int):
         # Counting bound: each group of c parallel demands needs 3c - 2
@@ -226,48 +311,51 @@ def decide(D: DemandGraph, budget: SearchBudget, symmetry_cuts: bool = True) -> 
         spare = a * b - used_total - 3 * (depth - k)
         if spare < 0:
             for i, j in pairs[group[k] :]:
-                if not used_a[i][j]:
+                if fm_a[i] >> j & 1:
                     spare += 2
                     if spare >= 0:
                         break
             else:
                 return
         _, ai, bj = demands[k]
-        cnt[0][ai] -= 1
-        cnt[1][bj] -= 1
         seq = seqs[k] = [ai]
-        # The possible intermediates of each side, as (vertex, its place
-        # among the side's fresh vertices or -1).  Crossing v takes two free
-        # edges, and each unrouted demand at v needs one more.
-        inner: tuple[list[tuple[int, int]], ...] = ([], [])
-        for s, end in ((0, ai), (1, bj)):
-            c, f, full = cnt[s], free[s], size[1 - s]
-            p = 0
+        # The possible intermediates of each side: crossing v takes two free
+        # edges, and each unrouted demand at v needs one more.  inner[s]
+        # holds those that are not fresh, and fresh[s] the bits of the
+        # fresh ones in increasing order, then 0.
+        inner = [0, 0]
+        fresh: tuple[list[int], ...] = ([], [])
+        for s, end, h in ((0, ai, hi_a), (1, bj, hi_b)):
+            c, f, fs = cnt[s], fm[s], full[s]
             for v in range(size[s]):
-                if v != end and f[v] >= c[v] + 2:
-                    if c[v] or f[v] < full or not symmetry_cuts:
-                        inner[s].append((v, -1))
+                if v != end and h >> v & 1:
+                    if c[v] or f[v] != fs:
+                        inner[s] |= 1 << v
                     else:
-                        inner[s].append((v, p))
-                        p += 1
-        level = (seq, bj, ([False] * a, [False] * b), inner, used, route)
-        if symmetry_cuts and k and group[k] == group[k - 1]:
+                        fresh[s].append(1 << v)
+            fresh[s].append(0)
+        last_demand = k + 1 == depth or group[k + 1] != group[k]
+        level = (seq, bj, last_demand, inner, fresh, fm, commit, retract)
+        if k and group[k] == group[k - 1]:
             # Lex leader: this path must exceed the previous parallel one in
             # (length, vertex sequence).  That path's first edge is taken,
             # so a path of its length exceeds it iff its second vertex does.
             lo = seqs[k - 1]
             first = len(lo) - 1
-            above = [x for x in inner[1] if x[0] > lo[1]]
+            above = -2 << lo[1]
         else:
-            first, above = 1, inner[1]
-            if not used_a[ai][bj]:
+            first, above = 1, -1
+            if fm_a[ai] >> bj & 1:
                 seq.append(bj)
-                yield from route(seq)
+                if commit(seq, last_demand):
+                    yield
+                retract(seq)
                 seq.pop()
-        for length in range(max(first, 3), 2 * min(a, b), 2):
-            yield from _extend(level, ai, 1, length, above if length == first else inner[1], 0, 0)
-        cnt[0][ai] += 1
-        cnt[1][bj] += 1
+        # A path of length 2t + 1 crosses t intermediates of each side.
+        t = min(inner[s].bit_count() + len(fresh[s]) - 1 for s in (0, 1))
+        step = fm_a[ai] & (inner[1] | fresh[1][0])
+        for length in range(max(first, 3), 2 * t + 2, 2):
+            yield from _extend(level, step & above if length == first else step, 1, length, 0, 0, 0, 0)
 
     try:
         found = search(depth, choices)
@@ -275,7 +363,12 @@ def decide(D: DemandGraph, budget: SearchBudget, symmetry_cuts: bool = True) -> 
         return OracleVerdict(UNKNOWN, None, nodes)
     if not found:
         return OracleVerdict(UNRESOLVABLE, None, nodes)
+    # The paths reuse the input's vertex objects where it has them, so a
+    # verdict holds little more than its paths.
     verts = ([A(i) for i in range(a)], [B(j) for j in range(b)])
+    for e in D.edges.values():
+        for w in (e.u, e.v):
+            verts[w.side != SIDE_A][w.index] = w
     routes = {
         eid: Path(tuple(verts[t % 2][x] for t, x in enumerate(seq)))
         for (eid, _, _), seq in zip(demands, seqs)

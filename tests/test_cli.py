@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, files, reproducibility."""
 import pytest
 
+import tpb.cli
+import tpb.edge_solver
 from tpb.cli import main
 from tpb.instances import parse_instance, parse_resolution
 
@@ -20,6 +22,26 @@ def test_gen_solve_verify_chain(tmp_path, capsys):
     assert "outcome: solved" in out
     assert "2.2.3" in out
     assert run("verify", "--in", str(inst), "--resolution", str(sol)) == 0
+
+
+def test_solve_verifies_each_resolution_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    real = tpb.cli.verify_resolution
+
+    def counting(D, res):
+        calls.append(D)
+        return real(D, res)
+
+    for module in (tpb.cli, tpb.edge_solver):
+        monkeypatch.setattr(module, "verify_resolution", counting)
+    inst = tmp_path / "chain.tpb"
+    assert run("gen", "--family", "chain", "--n", "6", "--out", str(inst)) == 0
+    # the edge solver verifies inside solve_edge_version, the oracle's
+    # resolution is verified by the command
+    for algo in ("edge", "oracle"):
+        calls.clear()
+        assert run("solve", "--in", str(inst), "--algo", algo) == 0
+        assert len(calls) == 1, algo
 
 
 def test_quarter_with_over_a_thousand_within_class_edges(tmp_path, capsys):
@@ -142,9 +164,10 @@ def test_solve_writes_status_file_when_unsolved(tmp_path):
 
 
 def test_unknown_budget_exit_code(tmp_path, capsys):
-    inst = tmp_path / "se7.tpb"
-    run("gen", "--family", "sharp-edge", "--n", "7", "--out", str(inst))
-    # the n=7 refutation takes more than 400 k nodes; the clock is read every 1024
+    # 8 disjoint pairs with 3 parallel demands each: UNKNOWN after 50 k
+    # nodes, while the clock is read every 1024
+    inst = tmp_path / "t8.tpb"
+    inst.write_text("p tpb 8 8 24\n" + "".join(f"e {i} {i} 3\n" for i in range(1, 9)))
     code = run(
         "solve", "--in", str(inst), "--algo", "oracle", "--timeout-ms", "1"
     )
@@ -204,10 +227,12 @@ def test_unwritable_or_missing_file_is_usage_error(tmp_path, capsys):
 
 def test_oversized_multiplicity_is_usage_error(tmp_path, capsys):
     inst = tmp_path / "big.tpb"
-    # a header may not declare more demands than K_{4,4} has edges
+    # a header may not declare more demands than K_{4,4} has edges, nor
+    # more than the format's limit of a million
     for text, line in (
         ("p tpb 4 4 1\ne 1 1 99999999999", 2),
         ("p tpb 4 4 99999999999\ne 1 1 99999999999", 1),
+        ("p tpb 1000000 1000000 999999999999\ne 1 1 999999999999", 1),
     ):
         inst.write_text(text)
         assert run("solve", "--in", str(inst)) == 2

@@ -77,13 +77,14 @@ def naive_decide(D):
 
 
 def reference_decide(D):
-    """`decide`'s search without its two symmetry cuts.
+    """`decide`'s search without its symmetry cuts and its saturation cut.
 
-    It takes the demands in the same order, the paths in the same
-    (length, vertex sequence) order and makes the same necessary-condition
-    cuts, so both return the lexicographically first routing.  Returns
-    the status, each demand's route as a vertex-index sequence, and the
-    number of paths tried.
+    It takes the demands in the same order and the paths in the same
+    (length, vertex sequence) order, and makes only the root degree check,
+    the counting bound and the slack filter on intermediates, so both
+    return the lexicographically first routing.  Returns the status, each
+    demand's route as a vertex-index sequence, and the number of paths
+    tried.
     """
     a, b = D.a, D.b
     degs = D.degree_map()
@@ -179,14 +180,35 @@ def test_sharp_conjecture_unresolvable():
 
 
 def test_sharp_edge_unresolvable():
-    for n, ceiling in ((4, 0), (5, 100), (6, 4_000)):
+    # the saturation cut refutes the family at the root: A0 has n demands
+    # but B1, whose slack is 1, leaves it only n - 1 usable edges
+    for n in range(4, 65):
         v = decide(gen_sharp_edge(n), BUDGET)
-        assert v.status == UNRESOLVABLE
-        assert v.nodes_explored <= ceiling, n
+        assert (v.status, v.nodes_explored) == (UNRESOLVABLE, 0), n
     # the benchmark's relabelled copies, whose refutation the labels must not slow
     for seed in range(10):
         v = decide(relabeled(gen_sharp_edge(5), seed), WORKLOAD_BUDGET)
-        assert v.status == UNRESOLVABLE, seed
+        assert (v.status, v.nodes_explored) == (UNRESOLVABLE, 0), seed
+
+
+def uniform(n, seed):
+    """The oracle benchmark's uniform random instance: 2n+2..3n demands on K_{n,n}."""
+    rng = random.Random(seed)
+    m = rng.randint(2 * n + 2, 3 * n)
+    return DemandGraph.from_pairs(n, n, [(A(rng.randrange(n)), B(rng.randrange(n))) for _ in range(m)])
+
+
+def test_uniform_instances_decided_within_budget():
+    # without the saturation cut, one instance of each size is still
+    # UNKNOWN after 100 k nodes
+    budget = SearchBudget(max_nodes=10_000, max_millis=120_000)
+    for n in (6, 7):
+        for seed in range(40):
+            D = uniform(n, seed)
+            v = decide(D, budget)
+            assert v.status in (RESOLVABLE, UNRESOLVABLE), (n, seed)
+            if v.status == RESOLVABLE:
+                assert verify_resolution(D, v.resolution) == []
 
 
 def test_resolvable_verdicts_verify():
@@ -197,8 +219,13 @@ def test_resolvable_verdicts_verify():
         assert verify_resolution(D, v.resolution) == []
 
 
+def threshold_instance(n, copies):
+    """n disjoint pairs A_i-B_i with `copies` parallel demands each."""
+    return DemandGraph.from_pairs(n, n, [(A(i), B(i)) for i in range(n) for _ in range(copies)])
+
+
 def test_budget_exhaustion_is_unknown():
-    D = gen_sharp_edge(5)
+    D = threshold_instance(8, 3)
     v = decide(D, SearchBudget(max_nodes=5, max_millis=120_000))
     assert v.status == UNKNOWN
 
@@ -278,12 +305,14 @@ def test_agreement_with_naive_reference():
 
 def test_symmetry_cuts_keep_the_first_routing():
     # every canonical instance on K_{n,n}, n <= 4, with at most 2n-1
-    # demands and degree at most n, then random ones on K_{5,5}
+    # demands and degree at most n, then random ones on K_{5,5} and the
+    # benchmark's relabelled sharp_edge(5)
     rng = random.Random(5)
     sample = [D for n in (1, 2, 3, 4) for D in enumerate_demands(n, 2 * n - 1, n)]
-    for _ in range(40):
+    for _ in range(200):
         pairs = [(A(rng.randrange(5)), B(rng.randrange(5))) for _ in range(rng.randint(8, 15))]
         sample.append(DemandGraph.from_pairs(5, 5, pairs))
+    sample += [relabeled(gen_sharp_edge(5), seed) for seed in range(10)]
     statuses = Counter()
     for D in sample:
         status, routes, nodes = reference_decide(D)
@@ -293,9 +322,6 @@ def test_symmetry_cuts_keep_the_first_routing():
             got = {eid: [x.index for x in p.vertices] for eid, p in v.resolution.routes.items()}
             assert got == routes
         assert v.nodes_explored <= nodes
-        # without the symmetry cuts, decide is the reference search
-        plain = decide(D, BUDGET, symmetry_cuts=False)
-        assert (plain.status, plain.resolution, plain.nodes_explored) == (v.status, v.resolution, nodes)
         statuses[status] += 1
     assert statuses[RESOLVABLE] > 500 and statuses[UNRESOLVABLE] > 40
 
