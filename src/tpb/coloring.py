@@ -6,15 +6,17 @@ colors any loopless multigraph from a palette of Δ+μ colors using the
 fan/fold/reduce recoloring argument, which always succeeds within Δ+μ
 colors (Berge and Fournier's proof of Vizing's theorem for multigraphs),
 so a stalled fan raises StructuralError.
-`greedy_list_color` assigns each edge a color from its own admissible
-list and is guaranteed to succeed whenever every list is larger than the
+`greedy_list_color` assigns each edge a color from one ordered palette,
+minus the colors excluded for that edge, and is guaranteed to succeed
+whenever the palette size minus an edge's excluded colors exceeds the
 edge's adjacency count.
 """
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping
+from heapq import heapify, heapreplace
+from typing import Collection, Mapping, Sequence
 
 from .demand import A, B, DemandGraph, V
 from .errors import PreconditionError, StructuralError
@@ -36,8 +38,8 @@ class EdgeColoring:
     palette_size: int
 
 
-#: Lists of admissible colors per edge id, for `greedy_list_color`.
-ListAssignment = Mapping[int, frozenset]
+#: Colors each edge id may not take, for `greedy_list_color`.
+Exclusions = Mapping[int, Collection]
 
 
 def konig_decompose(H: DemandGraph) -> MatchingDecomposition:
@@ -227,19 +229,21 @@ def _compact(color: dict[int, int]) -> EdgeColoring:
 
 
 def greedy_list_color(
-    H: DemandGraph, lists: ListAssignment, max_nodes: int = 1000
+    H: DemandGraph, palette: Sequence, excluded: Exclusions, max_nodes: int = 1000
 ) -> EdgeColoring | None:
-    """Proper coloring with colors(e) drawn from L(e), or None on failure.
+    """Proper coloring with colors(e) drawn from `palette` minus excluded[e], or None.
 
     Edges are processed in decreasing adjacency order with backtracking
-    bounded by `max_nodes` assignments.  Success is guaranteed when every
-    list exceeds the number of edges adjacent to its edge, since then the
+    bounded by `max_nodes` assignments; each edge tries the colors in
+    palette order, skipping the taken and the excluded ones.  Success is
+    guaranteed when, for every edge, the palette size minus its excluded
+    colors exceeds the number of edges adjacent to it, since then the
     first pass can never dead-end.
     """
     inc: dict[V, list[int]] = defaultdict(list)
     for eid, e in H.edges.items():
-        if eid not in lists:
-            raise PreconditionError(f"edge {eid} has no color list")
+        if eid not in excluded:
+            raise PreconditionError(f"edge {eid} has no exclusion list")
         inc[e.u].append(eid)
         inc[e.v].append(eid)
     order = sorted(
@@ -254,7 +258,8 @@ def greedy_list_color(
         e = H.edges[eid]
         # only levels < i hold colors while this generator is live
         taken = {chosen[o] for w in (e.u, e.v) for o in inc[w] if o in chosen}
-        for c in sorted(lists[eid]):
+        taken.update(excluded[eid])
+        for c in palette:
             if c in taken:
                 continue
             nodes += 1
@@ -305,14 +310,20 @@ def deficit_pairs(def_a: dict[int, int], def_b: dict[int, int]) -> list[tuple[V,
     """Pair the largest class-A deficit with the largest class-B one until A has none.
 
     Ties go to the lowest index.  Both deficit maps, keyed by index within
-    the class, are used up in place; an empty def_a gives no pairs.
+    the class, are used up in place; an empty def_a gives no pairs.  Each
+    class keeps a heap of (-deficit, index) with one entry per index, so a
+    pair costs O(log n).
     """
+    heap_a = [(-d, i) for i, d in def_a.items()]
+    heap_b = [(-d, j) for j, d in def_b.items()]
+    heapify(heap_a)
+    heapify(heap_b)
     pairs = []
-    while def_a:
-        i = max(def_a, key=lambda i: (def_a[i], -i))
-        if def_a[i] == 0:
-            break
-        j = max(def_b, key=lambda j: (def_b[j], -j))
+    while heap_a and heap_a[0][0] < 0:
+        nd, i = heap_a[0]
+        heapreplace(heap_a, (nd + 1, i))
+        nd, j = heap_b[0]
+        heapreplace(heap_b, (nd + 1, j))
         pairs.append((A(i), B(j)))
         def_a[i] -= 1
         def_b[j] -= 1

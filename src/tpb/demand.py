@@ -166,18 +166,6 @@ class DemandGraph:
     def is_bipartite_demand(self) -> bool:
         return all(e.u.side != e.v.side for e in self.edges.values())
 
-    def is_simple_base(self) -> bool:
-        """True when this graph is a simple subgraph of the base graph."""
-        seen = set()
-        for e in self.edges.values():
-            if e.u.side == e.v.side:
-                return False
-            key = e.pair()
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
-
     def transpose(self) -> "DemandGraph":
         edges = {
             eid: Edge(e.id, e.label, e.u.flip(), e.v.flip(), e.padding)
@@ -215,15 +203,13 @@ def lift(D: DemandGraph, moves: Iterable[tuple[int, V]]) -> DemandGraph:
 
 
 def _euler_trail(edges: list[Edge], s: V, t: V) -> list[V]:
-    """Order a label class into the walk it forms from s to t."""
+    """Order a label class that meets s into the walk it forms from s to t."""
     adj: dict[V, list[tuple[int, V]]] = {}
     for k, e in enumerate(edges):
         adj.setdefault(e.u, []).append((k, e.v))
         adj.setdefault(e.v, []).append((k, e.u))
     for lst in adj.values():
         lst.sort(key=lambda kv: (kv[1], kv[0]))
-    if s not in adj:
-        raise StructuralError("label class misses its terminal")
     used = [False] * len(edges)
     ptr = {v: 0 for v in adj}
     stack = [s]
@@ -263,33 +249,66 @@ def _shortcut_walk(walk: list[V]) -> list[V]:
     return out
 
 
+def _trace(edges: list[Edge], s: V, t: V) -> list[V]:
+    """The path a label class gives from s to t.
+
+    While s and every vertex reached from it meet at most two of the
+    class's edges, the trail from s is unique and repeats no vertex, so it
+    is followed as it stands.  A vertex meeting three or more sends the
+    class through `_euler_trail` (lowest neighbour, then lowest edge id)
+    and `_shortcut_walk`.
+    """
+    nbrs: dict[V, list[V]] = {}
+    for e in edges:
+        nbrs.setdefault(e.u, []).append(e.v)
+        nbrs.setdefault(e.v, []).append(e.u)
+    ns = nbrs.get(s)
+    if ns is None:
+        raise StructuralError("label class misses its terminal")
+    walk = [s]
+    while len(ns) == 1:
+        w = ns[0]
+        ns = nbrs[w]
+        ns.remove(walk[-1])  # the edge just walked; the class is simple
+        walk.append(w)
+    if not ns:
+        if len(walk) != len(edges) + 1 or walk[-1] != t:
+            raise StructuralError("label class does not form a walk between its terminals")
+        return walk
+    return _shortcut_walk(_euler_trail(sorted(edges, key=lambda e: e.id), s, t))
+
+
 def extract_resolution(final: DemandGraph, original: DemandGraph) -> Resolution:
     """Recover one path per original edge from a fully lifted simple graph.
 
     `final` must be a simple class-crossing graph reached from `original`
     (possibly plus auxiliary padding demands) by liftings.  Labels that do
-    not belong to `original` are ignored.
+    not belong to `original` are ignored.  One pass over `final` checks it
+    and groups its edges by label; each class is then traced by `_trace`.
     """
     if final.a != original.a or final.b != original.b:
         raise StructuralError("final and original graphs live on different bases")
-    if not final.is_simple_base():
-        raise StructuralError("extraction requires a simple class-crossing graph")
+    classes: dict[int, list[Edge]] = {}
+    pairs: set[tuple[int, int]] = set()
+    for e in final.edges.values():
+        u, v = e.u, e.v
+        key = (u.index, v.index) if u.side == SIDE_A else (v.index, u.index)
+        if u.side == v.side or key in pairs:
+            raise StructuralError("extraction requires a simple class-crossing graph")
+        pairs.add(key)
+        classes.setdefault(e.label, []).append(e)
     seen = set()
     for e in original.edges.values():
         if e.label in seen:
             raise StructuralError("original graph carries duplicate labels")
         seen.add(e.label)
-    classes: dict[int, list[Edge]] = {}
-    for e in final.edges.values():
-        classes.setdefault(e.label, []).append(e)
     routes: dict[int, Path] = {}
     for eid in sorted(original.edges):
         e0 = original.edges[eid]
         cls = classes.get(e0.label)
         if not cls:
             raise StructuralError(f"label {e0.label} has no edges left to trace")
-        walk = _euler_trail(sorted(cls, key=lambda e: e.id), e0.u, e0.v)
-        routes[eid] = Path(tuple(_shortcut_walk(walk)))
+        routes[eid] = Path(tuple(_trace(cls, e0.u, e0.v)))
     return Resolution(routes)
 
 

@@ -156,6 +156,8 @@ def serialize_instance(D: DemandGraph) -> str:
         raise FormatError("only class-crossing demand graphs are serializable")
     if D.m > D.a * D.b:
         raise FormatError(f"{D.m} demand edges exceed the {D.a * D.b} edges of K_{{{D.a},{D.b}}}")
+    if D.m > MAX_DEMANDS:
+        raise FormatError(f"{D.m} demand edges exceed the limit of {MAX_DEMANDS}")
     mult = Counter()
     for e in D.edges.values():
         i = e.u.index if e.u.side == SIDE_A else e.v.index

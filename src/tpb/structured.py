@@ -11,8 +11,10 @@ class-B vertices.
 degrees: after semiregular padding, a Kőnig decomposition is re-cut into
 one matching of size Δ_A per class-A vertex, each lifted onto its
 vertex; the leftover within-class edges then receive distinct class-B
-vertices via list coloring, where every edge's list holds the B-vertices
-adjacent to neither endpoint.  The list coloring is greedy, so success
+vertices via list coloring from the palette of all B-vertices, where
+each edge excludes the at most 2Δ_A B-vertices adjacent to an endpoint,
+so the palette size minus the excluded colors exceeds the adjacency
+count whenever b > 6Δ_A - 2.  The list coloring is greedy, so success
 is guaranteed for Δ_A <= floor((b+1)/6) and attempted up to b/4.
 Each lifting stage is one batched `lift` call: one edge-dict copy.
 """
@@ -247,8 +249,8 @@ def check_quarter_claims(G: DemandGraph, delta_a: int) -> None:
         raise StructuralError("within-class degree exceeds 2*delta_a")
 
 
-def quarter_lists(G: DemandGraph, delta_a: int) -> dict[int, frozenset[V]]:
-    """Admissible lift targets per within-class edge: B-vertices new to both ends."""
+def quarter_lists(G: DemandGraph, delta_a: int) -> dict[int, set[V]]:
+    """Excluded lift targets per within-class edge: the B-vertices next to either end."""
     nb: dict[V, set[V]] = {A(i): set() for i in range(G.a)}
     aa_edges = []
     for e in G.edges.values():
@@ -259,14 +261,13 @@ def quarter_lists(G: DemandGraph, delta_a: int) -> dict[int, frozenset[V]]:
                 nb[e.u].add(e.v)
             else:
                 nb[e.v].add(e.u)
-    all_b = {B(j) for j in range(G.b)}
-    lists = {}
+    excluded = {}
     for e in aa_edges:
-        L = frozenset(all_b - nb[e.u] - nb[e.v])
-        if len(L) < G.b - 2 * delta_a:
-            raise StructuralError("admissible list shorter than b - 2*delta_a")
-        lists[e.id] = L
-    return lists
+        X = nb[e.u] | nb[e.v]
+        if len(X) > 2 * delta_a:
+            raise StructuralError("more than 2*delta_a excluded lift targets")
+        excluded[e.id] = X
+    return excluded
 
 
 def solve_quarter(D: DemandGraph) -> Resolution | None:
@@ -296,8 +297,9 @@ def solve_quarter(D: DemandGraph) -> Resolution | None:
     G = quarter_lift(reg, groups)
     check_quarter_claims(G, ta)
     within = G.induced({A(i) for i in range(G.a)})
-    lists = quarter_lists(G, ta)
-    col = greedy_list_color(within, lists, max_nodes=max(1000, within.m + 1))
+    excluded = quarter_lists(G, ta)
+    palette = [B(j) for j in range(G.b)]
+    col = greedy_list_color(within, palette, excluded, max_nodes=max(1000, within.m + 1))
     if col is None:
         return None
     G = lift(G, ((eid, col.colors[eid]) for eid in sorted(col.colors)))

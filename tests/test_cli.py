@@ -3,6 +3,7 @@ import pytest
 
 import tpb.cli
 import tpb.edge_solver
+import tpb.instances
 from tpb.cli import main
 from tpb.instances import parse_instance, parse_resolution
 
@@ -209,6 +210,14 @@ def test_gen_without_n_is_usage_error(capsys):
 def test_gen_out_of_range_size_is_usage_error(args, capsys):
     assert run("gen", "--family", *args) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gen_beyond_the_demand_limit_is_usage_error(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(tpb.instances, "MAX_DEMANDS", 5)
+    out = tmp_path / "f"
+    assert run("gen", "--family", "chain", "--n", "6", "--out", str(out)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
 
 
 def test_unwritable_or_missing_file_is_usage_error(tmp_path, capsys):

@@ -17,6 +17,7 @@ from tpb import (
     regularize,
     vizing_color,
 )
+from tpb.coloring import deficit_pairs
 from tpb.demand import Edge
 
 
@@ -196,14 +197,13 @@ def test_vizing_complete_multigraphs():
 
 def test_list_color_single_edge():
     D = DemandGraph.from_pairs(1, 1, [(A(0), B(0))])
-    col = greedy_list_color(D, {0: frozenset([5])})
+    col = greedy_list_color(D, [5], {0: ()})
     assert col.colors == {0: 5}
 
 
 def test_list_color_star_distinct():
     D = DemandGraph.from_pairs(1, 4, [(A(0), B(j)) for j in range(4)])
-    lists = {eid: frozenset(range(4)) for eid in D.edges}
-    col = greedy_list_color(D, lists)
+    col = greedy_list_color(D, range(4), {eid: () for eid in D.edges})
     assert sorted(col.colors.values()) == [0, 1, 2, 3]
 
 
@@ -211,15 +211,20 @@ def test_list_color_path_with_binary_lists():
     D = DemandGraph.from_pairs(
         2, 2, [(A(0), B(0)), (B(0), A(1)), (A(1), B(1))]
     )
-    lists = {eid: frozenset([0, 1]) for eid in D.edges}
-    col = greedy_list_color(D, lists)
+    col = greedy_list_color(D, [0, 1], {eid: () for eid in D.edges})
     assert col is not None
     assert proper(D, col.colors)
 
 
 def test_list_color_reports_failure():
     D = DemandGraph.from_pairs(1, 2, [(A(0), B(0)), (A(0), B(1))])
-    assert greedy_list_color(D, {eid: frozenset([0]) for eid in D.edges}) is None
+    assert greedy_list_color(D, [0], {eid: () for eid in D.edges}) is None
+
+
+def test_list_color_needs_every_exclusion_list():
+    D = DemandGraph.from_pairs(1, 2, [(A(0), B(0)), (A(0), B(1))])
+    with pytest.raises(PreconditionError):
+        greedy_list_color(D, [0, 1], {0: ()})
 
 
 def parallel_within_class_graph():
@@ -228,28 +233,32 @@ def parallel_within_class_graph():
     return DemandGraph(5, 12, {k: Edge(k, k, A(u), A(v)) for k, (u, v) in enumerate(pairs)}, 9)
 
 
-def test_list_color_parallel_edges_pinned_colorings():
-    H = parallel_within_class_graph()
+def window_exclusions(H, step, short):
+    # each edge may take the B(j) of a cyclic window starting at step * eid,
+    # one longer than the edge's adjacency count less `short`
     degs = H.degree_map()
-    # lists one larger than the adjacency count: no backtracking needed
-    lists = {
-        eid: frozenset(B((5 * eid + j) % 12) for j in range(degs[e.u] + degs[e.v] - 1))
+    return {
+        eid: {B((step * eid + j) % 12) for j in range(degs[e.u] + degs[e.v] - 1 - short, 12)}
         for eid, e in H.edges.items()
     }
-    col = greedy_list_color(H, lists)
+
+
+def test_list_color_parallel_edges_pinned_colorings():
+    H = parallel_within_class_graph()
+    palette = [B(j) for j in range(12)]
+    # lists one larger than the adjacency count: no backtracking needed
+    excluded = window_exclusions(H, 5, 0)
+    col = greedy_list_color(H, palette, excluded)
     assert {eid: c.index for eid, c in col.colors.items()} == {
         0: 0, 1: 5, 2: 1, 3: 3, 4: 0, 5: 1, 6: 6, 7: 2, 8: 4
     }
     assert col.palette_size == 7
-    assert greedy_list_color(H, lists, max_nodes=8) is None
+    assert greedy_list_color(H, palette, excluded, max_nodes=8) is None
     # lists two short of the adjacency count: the first pass dead-ends and
     # the search needs 14 assignments
-    lists = {
-        eid: frozenset(B((3 * eid + j) % 12) for j in range(degs[e.u] + degs[e.v] - 4))
-        for eid, e in H.edges.items()
-    }
-    assert greedy_list_color(H, lists, max_nodes=13) is None
-    col = greedy_list_color(H, lists, max_nodes=14)
+    excluded = window_exclusions(H, 3, 3)
+    assert greedy_list_color(H, palette, excluded, max_nodes=13) is None
+    col = greedy_list_color(H, palette, excluded, max_nodes=14)
     assert {eid: c.index for eid, c in col.colors.items()} == {
         0: 0, 1: 3, 2: 6, 3: 9, 4: 2, 5: 3, 6: 7, 7: 1, 8: 0
     }
@@ -258,17 +267,16 @@ def test_list_color_parallel_edges_pinned_colorings():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
 def test_list_color_guarantee(seed):
-    # lists one larger than the adjacency count never fail
+    # palette size minus excluded colors one larger than the adjacency count never fails
     H = random_multigraph(seed, max_verts=6, max_mult=2, max_edges=10)
     degs = H.degree_map()
-    lists = {}
-    for eid, e in H.edges.items():
-        adjacent = degs[e.u] + degs[e.v] - 2
-        lists[eid] = frozenset(range(adjacent + 1))
-    col = greedy_list_color(H, lists)
+    adjacent = {eid: degs[e.u] + degs[e.v] - 2 for eid, e in H.edges.items()}
+    palette = range(max(adjacent.values(), default=0) + 1)
+    excluded = {eid: range(adj + 1, len(palette)) for eid, adj in adjacent.items()}
+    col = greedy_list_color(H, palette, excluded)
     assert col is not None
     assert proper(H, col.colors)
-    assert all(col.colors[eid] in lists[eid] for eid in H.edges)
+    assert all(col.colors[eid] <= adjacent[eid] for eid in H.edges)
 
 
 # -- semiregular padding ------------------------------------------------------------
@@ -325,3 +333,33 @@ def test_regularize_rejects_infeasible():
         regularize(D, 2, 2)
     with pytest.raises(PreconditionError):
         regularize(DemandGraph.empty(2, 2), 1, 2)
+
+
+def reference_deficit_pairs(def_a, def_b):
+    """Two max() scans per pair, as the padding once ran."""
+    pairs = []
+    while def_a:
+        i = max(def_a, key=lambda i: (def_a[i], -i))
+        if def_a[i] == 0:
+            break
+        j = max(def_b, key=lambda j: (def_b[j], -j))
+        pairs.append((A(i), B(j)))
+        def_a[i] -= 1
+        def_b[j] -= 1
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_deficit_pairs_matches_two_max_scans(seed):
+    # sparse indices, many ties, zero deficits, and B holding more than A owes
+    rng = random.Random(seed)
+    def_a = {i: rng.choice((0, 0, 1, 2, 2, 3)) for i in rng.sample(range(12), rng.randint(0, 6))}
+    def_b = {j: rng.choice((0, 1, 1, 2, 4)) for j in rng.sample(range(12), rng.randint(1, 6))}
+    owed = sum(def_a.values()) - sum(def_b.values())
+    if owed > 0:
+        j = rng.choice(sorted(def_b))
+        def_b[j] += owed + rng.randint(0, 2)
+    ref_a, ref_b = dict(def_a), dict(def_b)
+    assert deficit_pairs(def_a, def_b) == reference_deficit_pairs(ref_a, ref_b)
+    assert (def_a, def_b) == (ref_a, ref_b)

@@ -1,4 +1,5 @@
 """Lifting calculus: liftings, walk recovery, verifier."""
+import random
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from tpb import (
     lift,
     verify_resolution,
 )
-from tpb.demand import _shortcut_walk
+from tpb.demand import Edge, _shortcut_walk
 
 
 def g(a, b, pairs):
@@ -186,6 +187,144 @@ def test_extract_length_one_and_simple_walk():
 def test_shortcut_drops_two_cycle():
     walk = [A(0), B(1), A(0), B(0)]
     assert _shortcut_walk(walk) == [A(0), B(0)]
+
+
+def revisiting_final():
+    """A simple final graph whose two label classes revisit vertices.
+
+    Demand 0 (A0-B0) runs round the closed walk A0-B1-A1-B2-A0 before
+    its last edge, so A0 carries three class edges; demand 1 (A2-B3)
+    meets A2 three times and A3 four times.
+    """
+    orig = DemandGraph(4, 6, {0: Edge(0, 0, A(0), B(0)), 1: Edge(1, 1, A(2), B(3))}, 2)
+    steps = [
+        (0, A(1), B(2)), (0, A(0), B(1)), (0, B(0), A(0)), (0, B(2), A(0)), (0, B(1), A(1)),
+        (1, A(2), B(4)), (1, B(4), A(3)), (1, A(3), B(5)), (1, B(5), A(2)),
+        (1, A(2), B(1)), (1, B(1), A(3)), (1, A(3), B(3)),
+    ]
+    edges = {10 + k: Edge(10 + k, lab, u, v) for k, (lab, u, v) in enumerate(steps)}
+    return DemandGraph(4, 6, edges, 10 + len(steps)), orig
+
+
+def test_extract_revisiting_class_pinned():
+    final, orig = revisiting_final()
+    r = extract_resolution(final, orig)
+    assert r.routes == {0: Path((A(0), B(0))), 1: Path((A(2), B(5), A(3), B(3)))}
+    assert verify_resolution(orig, r) == []
+
+
+def reference_euler_trail(edges, s, t):
+    adj = {}
+    for k, e in enumerate(edges):
+        adj.setdefault(e.u, []).append((k, e.v))
+        adj.setdefault(e.v, []).append((k, e.u))
+    for lst in adj.values():
+        lst.sort(key=lambda kv: (kv[1], kv[0]))
+    if s not in adj:
+        raise StructuralError("label class misses its terminal")
+    used = [False] * len(edges)
+    ptr = {v: 0 for v in adj}
+    stack = [s]
+    out = []
+    while stack:
+        w = stack[-1]
+        lst = adj[w]
+        i = ptr[w]
+        while i < len(lst) and used[lst[i][0]]:
+            i += 1
+        if i == len(lst):
+            ptr[w] = i
+            out.append(stack.pop())
+        else:
+            used[lst[i][0]] = True
+            ptr[w] = i + 1
+            stack.append(lst[i][1])
+    out.reverse()
+    if len(out) != len(edges) + 1 or out[0] != s or out[-1] != t:
+        raise StructuralError("label class does not form a walk between its terminals")
+    return out
+
+
+def reference_shortcut_walk(walk):
+    out = []
+    pos = {}
+    for w in walk:
+        if w in pos:
+            cut = pos[w]
+            for dropped in out[cut + 1:]:
+                del pos[dropped]
+            del out[cut + 1:]
+        else:
+            pos[w] = len(out)
+            out.append(w)
+    return out
+
+
+def reference_extract(final, original):
+    """Every class through the Euler trail and the shortcut, as extraction once ran."""
+    classes = {}
+    for e in final.edges.values():
+        classes.setdefault(e.label, []).append(e)
+    routes = {}
+    for eid in sorted(original.edges):
+        e0 = original.edges[eid]
+        cls = classes.get(e0.label)
+        if not cls:
+            raise StructuralError(f"label {e0.label} has no edges left to trace")
+        walk = reference_euler_trail(sorted(cls, key=lambda e: e.id), e0.u, e0.v)
+        routes[eid] = Path(tuple(reference_shortcut_walk(walk)))
+    return routes
+
+
+def random_walk_final(seed):
+    """Random walks on disjoint base edges of a small K_{a,b}, one label each.
+
+    Walks revisit vertices freely; every demand's walk has odd length, so
+    its ends lie in opposite classes.  Some walks carry a label outside
+    the original (padding), and sometimes one final edge goes missing.
+    """
+    rng = random.Random(seed)
+    a, b = rng.randint(2, 4), rng.randint(2, 4)
+    free = {(i, j) for i in range(a) for j in range(b)}
+    orig, steps = {}, []
+    for label in range(rng.randint(1, 4)):
+        start = A(rng.randrange(a)) if rng.random() < 0.5 else B(rng.randrange(b))
+        walk = [start]
+        for _ in range(rng.randint(1, 9)):
+            w = walk[-1]
+            nxt = [B(j) for j in range(b) if (w.index, j) in free] if w.side == "A" else [
+                A(i) for i in range(a) if (i, w.index) in free
+            ]
+            if not nxt:
+                break
+            x = rng.choice(nxt)
+            free.discard((w.index, x.index) if w.side == "A" else (x.index, w.index))
+            walk.append(x)
+        if len(walk) % 2 == 1:
+            walk.pop()  # the edge it drops stays unused
+        if len(walk) < 2:
+            continue
+        if rng.random() < 0.8:
+            orig[label] = Edge(label, label, walk[0], walk[-1])
+        steps += [(label, x, y) if rng.random() < 0.5 else (label, y, x) for x, y in zip(walk, walk[1:])]
+    if steps and rng.random() < 0.15:
+        steps.pop(rng.randrange(len(steps)))
+    ids = rng.sample(range(100, 100 + 3 * len(steps)), len(steps))
+    final = DemandGraph(a, b, {i: Edge(i, lab, x, y) for i, (lab, x, y) in zip(ids, steps)}, 200)
+    return final, DemandGraph(a, b, orig, 10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**9))
+def test_extract_matches_euler_trail_and_shortcut(seed):
+    final, orig = random_walk_final(seed)
+    try:
+        expected = reference_extract(final, orig)
+    except StructuralError:
+        with pytest.raises(StructuralError):
+            extract_resolution(final, orig)
+        return
+    assert extract_resolution(final, orig).routes == expected
 
 
 def test_extract_requires_simple_graph():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tpb.instances
 from tpb import (
     A,
     B,
@@ -41,6 +42,13 @@ def test_sharp_conjecture_shape():
         serialize_instance(gen_sharp_conjecture(1))
     D = gen_sharp_conjecture(6)
     assert D.m == 6 * 3
+
+
+def test_serialize_refuses_more_demands_than_a_file_may_hold(monkeypatch):
+    # parse_instance would refuse the file, so it is never written
+    monkeypatch.setattr(tpb.instances, "MAX_DEMANDS", 5)
+    with pytest.raises(FormatError, match="10 demand edges exceed the limit of 5"):
+        serialize_instance(gen_chain(6))
 
 
 def test_sharp_conjecture_counting_bound():
