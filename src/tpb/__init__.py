@@ -9,7 +9,6 @@ unresolvable families, and text formats for instances and resolutions.
 
 from .coloring import (
     EdgeColoring,
-    MatchingDecomposition,
     choose_semiregular_targets,
     greedy_list_color,
     konig_decompose,
@@ -70,8 +69,6 @@ from .oracle import (
     enumerate_demands,
 )
 from .structured import (
-    BlockPartition,
-    RepartitionResult,
     repartition_matchings,
     solve_blocked,
     solve_quarter,

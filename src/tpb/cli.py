@@ -32,7 +32,7 @@ from .instances import (
     serialize_resolution,
 )
 from .oracle import RESOLVABLE, UNRESOLVABLE, SearchBudget, decide
-from .structured import BlockPartition, solve_blocked, solve_quarter
+from .structured import solve_blocked, solve_quarter
 
 EXIT_SOLVED = 0
 EXIT_UNSOLVED = 1
@@ -85,7 +85,7 @@ def _try_edge(D: DemandGraph, report: RunReport) -> Resolution:
 def _try_blocked(D: DemandGraph, blocks: tuple[int, int, int] | None) -> Resolution:
     if blocks is None:
         raise PreconditionError("blocked solving needs --blocks")
-    return solve_blocked(D, BlockPartition.from_sizes(blocks))
+    return solve_blocked(D, blocks)
 
 
 def _read_text(path: str) -> str:
@@ -273,7 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
     pg.add_argument("--b", type=int, default=None)
     pg.add_argument("--delta-a", dest="delta_a", type=int, default=1)
     pg.add_argument("--seed", type=int, default=0)
-    pg.add_argument("--blocks", default=None)
+    pg.add_argument(
+        "--blocks",
+        default=None,
+        help="random-blocked block sizes i,j,k (default n-2*floor(n/3), floor(n/3), "
+        "floor(n/3); unequal, and so outside the blocked solver's guarantee, "
+        "when n is not a multiple of 3)",
+    )
     pg.add_argument("--out", default=None)
     pg.set_defaults(func=cmd_gen)
     return parser

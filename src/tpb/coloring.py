@@ -24,13 +24,6 @@ from .oracle import _BudgetExceeded, search
 
 
 @dataclass
-class MatchingDecomposition:
-    """Ordered matchings (as edge-id sets) partitioning a graph's edges."""
-
-    matchings: list[frozenset[int]]
-
-
-@dataclass
 class EdgeColoring:
     """Proper edge coloring; colors are ints (or vertices in list mode)."""
 
@@ -42,14 +35,12 @@ class EdgeColoring:
 Exclusions = Mapping[int, Collection]
 
 
-def konig_decompose(H: DemandGraph) -> MatchingDecomposition:
-    """Partition a bipartite multigraph's edges into exactly Δ matchings."""
+def konig_decompose(H: DemandGraph) -> list[frozenset[int]]:
+    """Partition a bipartite multigraph's edges into exactly Δ matchings of edge ids."""
     for e in H.edges.values():
         if e.u.side == e.v.side:
             raise PreconditionError("Kőnig decomposition needs a class-crossing graph")
     delta = H.max_degree()
-    if delta == 0:
-        return MatchingDecomposition([])
     palette = frozenset(range(delta))
     at: dict[V, dict[int, int]] = defaultdict(dict)
     color: dict[int, int] = {}
@@ -75,7 +66,7 @@ def konig_decompose(H: DemandGraph) -> MatchingDecomposition:
     matchings = [set() for _ in range(delta)]
     for eid, c in color.items():
         matchings[c].add(eid)
-    return MatchingDecomposition([frozenset(m) for m in matchings])
+    return [frozenset(m) for m in matchings]
 
 
 def _chain(H: DemandGraph, at, start: V, c1: int, c2: int) -> tuple[list[int], V]:

@@ -62,16 +62,12 @@ def gen_chain(n: int) -> DemandGraph:
 # -- seeded random families ---------------------------------------------------
 
 
-def gen_random_edge(
-    n: int, seed: int, max_edges: int | None = None, max_degree: int | None = None
-) -> DemandGraph:
+def gen_random_edge(n: int, seed: int) -> DemandGraph:
     """Random instance within the edge-version hypotheses (|E| <= 2n-2, Δ <= n)."""
     if n < 1:
         raise PreconditionError("n must be at least 1")
-    me = 2 * n - 2 if max_edges is None else max_edges
-    md = n if max_degree is None else max_degree
     rng = random.Random(seed)
-    target = rng.randint(0, me)
+    target = rng.randint(0, 2 * n - 2)
     deg_a = [0] * n
     deg_b = [0] * n
     pairs: list[tuple[V, V]] = []
@@ -80,12 +76,12 @@ def gen_random_edge(
         attempts += 1
         i = rng.randrange(n)
         j = rng.randrange(n)
-        if deg_a[i] < md and deg_b[j] < md:
+        if deg_a[i] < n and deg_b[j] < n:
             pairs.append((A(i), B(j)))
             deg_a[i] += 1
             deg_b[j] += 1
     D = DemandGraph.from_pairs(n, n, pairs)
-    assert D.m <= me and D.max_degree() <= md
+    assert D.m <= 2 * n - 2 and D.max_degree() <= n
     return D
 
 

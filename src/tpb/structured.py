@@ -1,11 +1,12 @@
 """Constructive solvers for blocked and degree-bounded demand graphs.
 
 `solve_blocked` handles square instances whose classes split into three
-aligned blocks with no cross-block demands and Δ <= floor(n/3): each
-block is padded to regularity, decomposed into perfect matchings that
-are lifted onto the block's own class-A vertices, and the resulting
-within-class edges are edge-colored and lifted onto the other blocks'
-class-B vertices.
+aligned, contiguous blocks of the given sizes with no cross-block
+demands and Δ <= floor(n/3): each block is padded to regularity and
+decomposed into perfect matchings, all of which are lifted onto their
+blocks' own class-A vertices in one batch; each block's within-class
+edges are then edge-colored and all of them lifted onto the other
+blocks' class-B vertices in a second batch.
 
 `solve_quarter` handles general bipartite instances with small class-A
 degrees: after semiregular padding, a Kőnig decomposition is re-cut into
@@ -20,10 +21,7 @@ Each lifting stage is one batched `lift` call: one edge-dict copy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .coloring import (
-    MatchingDecomposition,
     choose_semiregular_targets,
     deficit_pairs,
     greedy_list_color,
@@ -45,51 +43,9 @@ from .demand import (
 from .errors import PreconditionError, StructuralError
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Three aligned index blocks per class, pairwise equal sizes."""
-
-    u_blocks: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-    v_blocks: tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
-
-    @staticmethod
-    def from_sizes(sizes: tuple[int, int, int]) -> "BlockPartition":
-        starts = [0, sizes[0], sizes[0] + sizes[1]]
-        blocks = tuple(
-            tuple(range(starts[k], starts[k] + sizes[k])) for k in range(3)
-        )
-        return BlockPartition(blocks, blocks)
-
-    def validate(self, n: int) -> None:
-        t = n // 3
-        for blocks, label in ((self.u_blocks, "A"), (self.v_blocks, "B")):
-            seen: set[int] = set()
-            for blk in blocks:
-                for i in blk:
-                    if not 0 <= i < n:
-                        raise PreconditionError(f"class-{label} block index {i} out of range")
-                    if i in seen:
-                        raise PreconditionError(f"class-{label} blocks overlap at {i}")
-                    seen.add(i)
-            if len(seen) != n:
-                raise PreconditionError(f"class-{label} blocks do not cover the class")
-        for k in range(3):
-            if len(self.u_blocks[k]) != len(self.v_blocks[k]):
-                raise PreconditionError(f"block {k + 1} has unequal class sizes")
-            if len(self.u_blocks[k]) < t:
-                raise PreconditionError(f"block {k + 1} smaller than floor(n/3)")
-
-
-@dataclass
-class RepartitionResult:
-    """a matchings of size Δ_A partitioning the decomposed edge set."""
-
-    matchings: list[frozenset[int]]
-
-
 def repartition_matchings(
-    H: DemandGraph, dec: MatchingDecomposition, delta_a: int
-) -> RepartitionResult:
+    H: DemandGraph, matchings: list[frozenset[int]], delta_a: int
+) -> list[frozenset[int]]:
     """Re-cut Δ_B size-b matchings into a matchings of size Δ_A.
 
     Each input matching is chunked into full groups; a short leftover is
@@ -98,7 +54,7 @@ def repartition_matchings(
     blocks under b/2 edges of the next matching, so the fill always
     succeeds, and the total count guarantees nothing is left at the end.
     """
-    sizes = {len(m) for m in dec.matchings}
+    sizes = {len(m) for m in matchings}
     if len(sizes) > 1 or (sizes and sizes != {H.b}):
         raise PreconditionError("expected matchings that saturate class B")
     if delta_a < 1:
@@ -106,13 +62,13 @@ def repartition_matchings(
     # the carry-fill argument needs delta_a <= b/4; exact chunking never carries
     if 4 * delta_a > H.b and H.b % delta_a != 0:
         raise PreconditionError("repartition requires delta_a <= b/4")
-    total = sum(len(m) for m in dec.matchings)
+    total = sum(len(m) for m in matchings)
     if total % delta_a != 0:
         raise PreconditionError("total edge count is not a multiple of delta_a")
 
     groups: list[frozenset[int]] = []
     carry: list[int] = []
-    for m in dec.matchings:
+    for m in matchings:
         avail = sorted(m)
         if carry:
             blocked = set()
@@ -142,71 +98,74 @@ def repartition_matchings(
         carry = avail
     if carry:
         raise StructuralError("edges left over after the final matching")
-    return RepartitionResult(groups)
+    return groups
 
 
 # -- blocked instances ---------------------------------------------------------
 
 
-def solve_blocked(D: DemandGraph, part: BlockPartition) -> Resolution:
-    """Resolve a block-respecting instance with Δ <= floor(n/3)."""
+def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
+    """Resolve a block-respecting instance with Δ <= floor(n/3).
+
+    Block k holds the indices from sizes[0] + ... + sizes[k-1] on, in both
+    classes.  The construction is guaranteed for equal blocks: there every
+    block's Vizing coloring needs at most Δ + μ = 2*floor(n/3) colors, the
+    number of class-B vertices in the other two blocks.  A larger block may
+    need more colors than that, which raises PreconditionError.
+    """
     if D.a != D.b:
         raise PreconditionError("blocked solving needs a square base graph")
     n = D.a
-    part.validate(n)
     t = n // 3
+    if len(sizes) != 3 or sum(sizes) != n or min(sizes) < t:
+        raise PreconditionError(f"need three block sizes of at least floor(n/3) = {t} summing to n = {n}")
     if D.max_degree() > t:
         raise PreconditionError(f"max degree {D.max_degree()} exceeds floor(n/3) = {t}")
-    block_of_a = {}
-    block_of_b = {}
-    for k in range(3):
-        for i in part.u_blocks[k]:
-            block_of_a[i] = k
-        for j in part.v_blocks[k]:
-            block_of_b[j] = k
+    starts = (0, sizes[0], sizes[0] + sizes[1], n)
+    blocks = [range(starts[k], starts[k + 1]) for k in range(3)]
     for e in D.edges.values():
-        i = e.u.index if e.u.side == SIDE_A else e.v.index
-        j = e.v.index if e.u.side == SIDE_A else e.u.index
-        if block_of_a[i] != block_of_b[j]:
-            raise PreconditionError(f"edge {e.id} joins block {block_of_a[i] + 1} to block {block_of_b[j] + 1}")
+        i, j = (e.u.index, e.v.index) if e.u.side == SIDE_A else (e.v.index, e.u.index)
+        bi = (i >= starts[1]) + (i >= starts[2])
+        bj = (j >= starts[1]) + (j >= starts[2])
+        if bi != bj:
+            raise PreconditionError(f"edge {e.id} joins block {bi + 1} to block {bj + 1}")
 
     # Pad every block to t-regularity with flagged parallel demands.
     degs = D.degree_map()
     pairs = []
-    for k in range(3):
-        def_a = {i: t - degs[A(i)] for i in part.u_blocks[k]}
-        def_b = {j: t - degs[B(j)] for j in part.v_blocks[k]}
-        pairs += deficit_pairs(def_a, def_b)
-    G = padded = D.with_edges(pairs, padding=True)
+    for blk in blocks:
+        pairs += deficit_pairs({i: t - degs[A(i)] for i in blk}, {j: t - degs[B(j)] for j in blk})
+    padded = D.with_edges(pairs, padding=True)
 
-    for k in range(3):
-        if not part.u_blocks[k]:
-            continue
-        ua = sorted(part.u_blocks[k])
-        vb = sorted(part.v_blocks[k])
-        sub = G.induced({A(i) for i in ua} | {B(j) for j in vb})
-        dec = konig_decompose(sub)
-        if len(dec.matchings) != t:
-            raise StructuralError(f"block {k + 1}: expected {t} matchings, got {len(dec.matchings)}")
-        for j, matching in enumerate(dec.matchings):
-            if len(matching) != len(ua):
+    # Lift the j-th perfect matching of every block onto the block's j-th A-vertex.
+    moves = []
+    for k, blk in enumerate(blocks):
+        matchings = konig_decompose(padded.induced([A(i) for i in blk] + [B(j) for j in blk]))
+        if len(matchings) != t:
+            raise StructuralError(f"block {k + 1}: expected {t} matchings, got {len(matchings)}")
+        for j, matching in enumerate(matchings):
+            if len(matching) != len(blk):
                 raise StructuralError(f"block {k + 1}: matching {j} is not perfect")
-        G = lift(G, ((eid, A(ua[j])) for j, m in enumerate(dec.matchings) for eid in sorted(m)))
-        within = G.induced({A(i) for i in ua})
+            moves += ((eid, A(blk[j])) for eid in sorted(matching))
+    G = lift(padded, moves)
+
+    # Lift each block's within-class edges of color c onto the c-th B-vertex of the others.
+    moves = []
+    for k, blk in enumerate(blocks):
+        within = G.induced(A(i) for i in blk)
         if within.max_multiplicity() > 2:
             raise StructuralError(f"block {k + 1}: within-class multiplicity exceeds 2")
         col = vizing_color(within)
-        targets = [B(j) for j in sorted(part.v_blocks[(k + 1) % 3])] + [
-            B(j) for j in sorted(part.v_blocks[(k + 2) % 3])
-        ]
+        targets = [B(j) for j in blocks[(k + 1) % 3]] + [B(j) for j in blocks[(k + 2) % 3]]
         if col.palette_size > len(targets):
-            raise StructuralError(
+            raise PreconditionError(
                 f"block {k + 1}: {col.palette_size} colors but only {len(targets)} lift targets"
             )
         by_color: dict[int, list[int]] = {}
         for eid, c in col.colors.items():
             by_color.setdefault(c, []).append(eid)
-        G = lift(G, ((eid, targets[c]) for c in sorted(by_color) for eid in sorted(by_color[c])))
+        moves += ((eid, targets[c]) for c in sorted(by_color) for eid in sorted(by_color[c]))
+    G = lift(G, moves)
 
     res = extract_resolution(G, padded)
     return Resolution({eid: res.routes[eid] for eid in D.edges})
@@ -215,59 +174,38 @@ def solve_blocked(D: DemandGraph, part: BlockPartition) -> Resolution:
 # -- degree-bounded instances ----------------------------------------------------
 
 
-def quarter_lift(G: DemandGraph, groups: RepartitionResult) -> DemandGraph:
-    """Lift the i-th matching onto the i-th class-A vertex."""
-    return lift(G, ((eid, A(i)) for i, group in enumerate(groups.matchings) for eid in sorted(group)))
+def check_quarter_claims(G: DemandGraph, delta_a: int) -> dict[int, set[V]]:
+    """Assert the facts the lifting stage must establish; return the exclusion lists.
 
-
-def check_quarter_claims(G: DemandGraph, delta_a: int) -> None:
-    """Assert the structural facts the lifting stage must establish."""
-    cross = {}
+    A within-class edge may not be lifted onto a B-vertex next to either
+    end.  Every class-A vertex keeps delta_a distinct cross edges, so an
+    edge excludes at most 2*delta_a B-vertices.
+    """
+    nb: dict[V, set[V]] = {A(i): set() for i in range(G.a)}
+    within = []
     within_mult: dict[tuple[V, V], int] = {}
     within_deg: dict[V, int] = {}
-    to_b = [0] * G.a
     for e in G.edges.values():
         if e.u.side == e.v.side:
             if e.u.side != SIDE_A:
                 raise StructuralError("lifting created a class-B within edge")
+            within.append(e)
             key = e.pair()
             within_mult[key] = within_mult.get(key, 0) + 1
             within_deg[e.u] = within_deg.get(e.u, 0) + 1
             within_deg[e.v] = within_deg.get(e.v, 0) + 1
         else:
-            key = e.pair()
-            if key in cross:
+            x, y = (e.u, e.v) if e.u.side == SIDE_A else (e.v, e.u)
+            if y in nb[x]:
                 raise StructuralError("lifting created a parallel cross edge")
-            cross[key] = e.id
-            i = e.u.index if e.u.side == SIDE_A else e.v.index
-            to_b[i] += 1
+            nb[x].add(y)
     if any(c > 2 for c in within_mult.values()):
         raise StructuralError("within-class multiplicity exceeds 2")
-    if any(c != delta_a for c in to_b):
+    if any(len(ys) != delta_a for ys in nb.values()):
         raise StructuralError("some class-A vertex does not keep delta_a cross edges")
     if any(d > 2 * delta_a for d in within_deg.values()):
         raise StructuralError("within-class degree exceeds 2*delta_a")
-
-
-def quarter_lists(G: DemandGraph, delta_a: int) -> dict[int, set[V]]:
-    """Excluded lift targets per within-class edge: the B-vertices next to either end."""
-    nb: dict[V, set[V]] = {A(i): set() for i in range(G.a)}
-    aa_edges = []
-    for e in G.edges.values():
-        if e.u.side == e.v.side:
-            aa_edges.append(e)
-        else:
-            if e.u.side == SIDE_A:
-                nb[e.u].add(e.v)
-            else:
-                nb[e.v].add(e.u)
-    excluded = {}
-    for e in aa_edges:
-        X = nb[e.u] | nb[e.v]
-        if len(X) > 2 * delta_a:
-            raise StructuralError("more than 2*delta_a excluded lift targets")
-        excluded[e.id] = X
-    return excluded
+    return {e.id: nb[e.u] | nb[e.v] for e in within}
 
 
 def solve_quarter(D: DemandGraph) -> Resolution | None:
@@ -288,16 +226,15 @@ def solve_quarter(D: DemandGraph) -> Resolution | None:
     if 4 * ta > D.b:
         return None
     reg = regularize(D, ta, tb)
-    dec = konig_decompose(reg)
-    if len(dec.matchings) != tb:
+    matchings = konig_decompose(reg)
+    if len(matchings) != tb:
         raise StructuralError("semiregular graph did not split into Δ_B matchings")
-    groups = repartition_matchings(reg, dec, ta)
-    if len(groups.matchings) != reg.a:
+    groups = repartition_matchings(reg, matchings, ta)
+    if len(groups) != reg.a:
         raise StructuralError("repartition did not produce one matching per A-vertex")
-    G = quarter_lift(reg, groups)
-    check_quarter_claims(G, ta)
-    within = G.induced({A(i) for i in range(G.a)})
-    excluded = quarter_lists(G, ta)
+    G = lift(reg, ((eid, A(i)) for i, group in enumerate(groups) for eid in sorted(group)))
+    excluded = check_quarter_claims(G, ta)
+    within = G.induced(A(i) for i in range(G.a))
     palette = [B(j) for j in range(G.b)]
     col = greedy_list_color(within, palette, excluded, max_nodes=max(1000, within.m + 1))
     if col is None:

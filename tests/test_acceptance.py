@@ -13,7 +13,6 @@ import pytest
 from tpb import (
     A,
     B,
-    BlockPartition,
     DemandGraph,
     RESOLVABLE,
     SearchBudget,
@@ -93,10 +92,9 @@ def test_c4_blocked_pipeline():
     total = 0
     for n in (3, 6, 9, 12):
         t = n // 3
-        part = BlockPartition.from_sizes((t, t, t))
         for seed in range(50):
             D = gen_random_blocked(n, (t, t, t), seed)
-            res = solve_blocked(D, part)
+            res = solve_blocked(D, (t, t, t))
             assert verify_resolution(D, res) == [], f"blocked n={n} seed={seed}"
             if n == 6:
                 v = decide(D, BUDGET)
@@ -200,10 +198,10 @@ def _proper(H, colors):
 def test_c7_coloring_toolkit():
     for seed in range(1000):
         H = _random_bipartite(seed)
-        dec = konig_decompose(H)
-        assert len(dec.matchings) == H.max_degree()
+        matchings = konig_decompose(H)
+        assert len(matchings) == H.max_degree()
         seen: set = set()
-        for m in dec.matchings:
+        for m in matchings:
             vs: set = set()
             for eid in m:
                 e = H.edges[eid]

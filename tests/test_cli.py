@@ -155,6 +155,29 @@ def test_blocked_via_flags(tmp_path, capsys):
     assert run("verify", "--in", str(inst), "--resolution", str(sol)) == 0
 
 
+@pytest.fixture
+def unequal_blocked(tmp_path):
+    # the default blocks for n = 11 are 5,3,3; block 1 needs 7 colors, 6 targets exist
+    inst = tmp_path / "b11.tpb"
+    assert run("gen", "--family", "random-blocked", "--n", "11", "--seed", "8", "--out", str(inst)) == 0
+    return inst
+
+
+def test_auto_passes_unequal_blocks_on_to_the_oracle(unequal_blocked, tmp_path, capsys):
+    sol = tmp_path / "b11.sol"
+    assert run("solve", "--in", str(unequal_blocked), "--blocks", "5,3,3", "--out", str(sol)) == 0
+    assert "algorithm: oracle" in capsys.readouterr().out
+    assert run("verify", "--in", str(unequal_blocked), "--resolution", str(sol)) == 0
+
+
+def test_blocked_on_unequal_blocks_reports_unsolved(unequal_blocked, capsys):
+    assert run("solve", "--in", str(unequal_blocked), "--algo", "blocked", "--blocks", "5,3,3") == 1
+    captured = capsys.readouterr()
+    assert "outcome: unsolved" in captured.out
+    assert "7 colors but only 6 lift targets" in captured.out
+    assert captured.err == ""
+
+
 def test_solve_writes_status_file_when_unsolved(tmp_path):
     inst = tmp_path / "se5.tpb"
     sol = tmp_path / "se5.sol"

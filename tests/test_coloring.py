@@ -69,16 +69,16 @@ def test_konig_four_cycle():
     D = DemandGraph.from_pairs(
         2, 2, [(A(0), B(0)), (A(0), B(1)), (A(1), B(0)), (A(1), B(1))]
     )
-    dec = konig_decompose(D)
-    assert len(dec.matchings) == 2
-    assert all(len(m) == 2 for m in dec.matchings)
+    matchings = konig_decompose(D)
+    assert len(matchings) == 2
+    assert all(len(m) == 2 for m in matchings)
 
 
 def test_konig_parallel_edges_become_singletons():
     D = DemandGraph.from_pairs(1, 1, [(A(0), B(0))] * 4)
-    dec = konig_decompose(D)
-    assert len(dec.matchings) == 4
-    assert all(len(m) == 1 for m in dec.matchings)
+    matchings = konig_decompose(D)
+    assert len(matchings) == 4
+    assert all(len(m) == 1 for m in matchings)
 
 
 def test_konig_rejects_within_class_edges():
@@ -87,10 +87,10 @@ def test_konig_rejects_within_class_edges():
         konig_decompose(D)
 
 
-def check_decomposition(H, dec):
-    assert len(dec.matchings) == H.max_degree()
+def check_decomposition(H, matchings):
+    assert len(matchings) == H.max_degree()
     seen = set()
-    for m in dec.matchings:
+    for m in matchings:
         vs = set()
         for eid in m:
             e = H.edges[eid]
@@ -105,7 +105,7 @@ def check_decomposition(H, dec):
     for v, d in degs.items():
         hit = sum(
             1
-            for m in dec.matchings
+            for m in matchings
             if any(H.edges[eid].touches(v) for eid in m)
         )
         assert hit == d
