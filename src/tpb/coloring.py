@@ -5,7 +5,8 @@ matchings via two-color alternating-path swaps.  `vizing_color` properly
 colors any loopless multigraph from a palette of Δ+μ colors using the
 fan/fold/reduce recoloring argument, which always succeeds within Δ+μ
 colors (Berge and Fournier's proof of Vizing's theorem for multigraphs),
-so a stalled fan raises StructuralError.
+so a stalled fan raises StructuralError.  Both keep each slot's colors
+as an int bitmask; a choice takes the lowest free bit, the least color.
 `greedy_list_color` assigns each edge a color from one ordered palette,
 minus the colors excluded for that edge, and is guaranteed to succeed
 whenever the palette size minus an edge's excluded colors exceeds the
@@ -13,19 +14,18 @@ edge's adjacency count.
 """
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from heapq import heapify, heapreplace
 from typing import Collection, Mapping, Sequence
 
-from .demand import A, B, DemandGraph, V
+from .demand import DemandGraph
 from .errors import PreconditionError, StructuralError
 from .oracle import _BudgetExceeded, search
 
 
 @dataclass
 class EdgeColoring:
-    """Proper edge coloring; colors are ints (or vertices in list mode)."""
+    """Proper edge coloring; colors are ints (or slots in list mode)."""
 
     colors: dict[int, object]
     palette_size: int
@@ -35,33 +35,40 @@ class EdgeColoring:
 Exclusions = Mapping[int, Collection]
 
 
+def _low(m: int) -> int:
+    """The lowest color of a nonzero color bitmask."""
+    return (m & -m).bit_length() - 1
+
+
 def konig_decompose(H: DemandGraph) -> list[frozenset[int]]:
     """Partition a bipartite multigraph's edges into exactly Δ matchings of edge ids."""
-    for e in H.edges.values():
-        if e.u.side == e.v.side:
-            raise PreconditionError("Kőnig decomposition needs a class-crossing graph")
+    a, links = H.a, H.links
     delta = H.max_degree()
-    palette = frozenset(range(delta))
-    at: dict[V, dict[int, int]] = defaultdict(dict)
+    full = (1 << delta) - 1
+    at: list[dict[int, int]] = [{} for _ in range(a + H.b)]
+    used = [0] * (a + H.b)
     color: dict[int, int] = {}
 
-    for eid in sorted(H.edges):
-        e = H.edges[eid]
-        free_u = palette - at[e.u].keys()
-        free_v = palette - at[e.v].keys()
-        common = free_u & free_v
+    for eid in sorted(links):
+        e = links[eid]
+        u, v = e.u, e.v
+        if (u < a) == (v < a):
+            raise PreconditionError("Kőnig decomposition needs a class-crossing graph")
+        common = full & ~(used[u] | used[v])
         if common:
-            c = min(common)
+            c = _low(common)
         else:
-            alpha = min(free_u)
-            beta = min(free_v)
+            alpha = _low(full & ~used[u])
+            beta = _low(full & ~used[v])
             # The alpha/beta chain from v cannot reach u (parity), so after
             # the swap alpha is free at both endpoints.
-            _swap(H, at, color, _chain(H, at, e.v, alpha, beta)[0], alpha, beta)
+            _swap(links, at, used, color, _chain(links, at, v, alpha, beta)[0], alpha, beta)
             c = alpha
         color[eid] = c
-        at[e.u][c] = eid
-        at[e.v][c] = eid
+        at[u][c] = eid
+        at[v][c] = eid
+        used[u] |= 1 << c
+        used[v] |= 1 << c
 
     matchings = [set() for _ in range(delta)]
     for eid, c in color.items():
@@ -69,35 +76,39 @@ def konig_decompose(H: DemandGraph) -> list[frozenset[int]]:
     return [frozenset(m) for m in matchings]
 
 
-def _chain(H: DemandGraph, at, start: V, c1: int, c2: int) -> tuple[list[int], V]:
+def _chain(links, at, start: int, c1: int, c2: int) -> tuple[list[int], int]:
     """The c1/c2 alternating chain from `start` (first edge colored c1) and its far end.
 
-    `at[w]` maps each color at w to its edge.  The chain is a simple path
-    when c2 is free at `start`.
+    `at[w]` maps each color at slot w to its edge.  The chain is a simple
+    path when c2 is free at `start`.
     """
     chain = []
     w, c = start, c1
     while c in at[w]:
         eid = at[w][c]
         chain.append(eid)
-        w = H.edges[eid].other(w)
+        w = links[eid].other(w)
         c = c2 if c == c1 else c1
     return chain, w
 
 
-def _swap(H: DemandGraph, at, color: dict[int, int], chain: list[int], c1: int, c2: int) -> None:
-    """Exchange colors c1 and c2 on the chain's edges."""
+def _swap(links, at, used, color: dict[int, int], chain: list[int], c1: int, c2: int) -> None:
+    """Exchange colors c1 and c2 on the chain's edges; `used[w]` is the bitmask of at[w]."""
     for eid in chain:
-        e = H.edges[eid]
+        e = links[eid]
         cc = color[eid]
         del at[e.u][cc]
         del at[e.v][cc]
+        used[e.u] ^= 1 << cc
+        used[e.v] ^= 1 << cc
     for eid in chain:
         cc = c2 if color[eid] == c1 else c1
         color[eid] = cc
-        e = H.edges[eid]
+        e = links[eid]
         at[e.u][cc] = eid
         at[e.v][cc] = eid
+        used[e.u] |= 1 << cc
+        used[e.v] |= 1 << cc
 
 
 def vizing_color(H: DemandGraph) -> EdgeColoring:
@@ -111,40 +122,46 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
     the two always applies; a stall would be a bug and raises
     StructuralError.
     """
-    if not H.edges:
+    links = H.links
+    if not links:
         return EdgeColoring({}, 0)
-    palette = frozenset(range(H.max_degree() + H.max_multiplicity()))
+    full = (1 << (H.max_degree() + H.max_multiplicity())) - 1
     degs = H.degree_map()
-    at: dict[V, dict[int, int]] = defaultdict(dict)
+    at: list[dict[int, int]] = [{} for _ in degs]
+    used = [0] * len(degs)
     color: dict[int, int] = {}
 
-    def free(w: V) -> frozenset[int]:
-        return palette - at[w].keys()
+    def free(w: int) -> int:
+        return full & ~used[w]
 
     def assign(eid: int, c: int) -> None:
-        e = H.edges[eid]
+        e = links[eid]
         old = color.get(eid)
         if old is not None:
             del at[e.u][old]
             del at[e.v][old]
+            used[e.u] ^= 1 << old
+            used[e.v] ^= 1 << old
         color[eid] = c
         at[e.u][c] = eid
         at[e.v][c] = eid
+        used[e.u] |= 1 << c
+        used[e.v] |= 1 << c
 
-    def fold(fan: list[int], rim: list[V], x: V) -> None:
+    def fold(fan: list[int], rim: list[int], x: int) -> None:
         while True:
             common = free(x) & free(rim[-1])
             if not common:
                 raise StructuralError("fan stalled: no color free at the anchor and the last rim")
             last = fan[-1]
             old = color.get(last)
-            assign(last, min(common))
+            assign(last, _low(common))
             if len(fan) == 1:
                 return
             # `old` is now free at x and was missing at an earlier rim vertex.
             idx = None
             for i, w in enumerate(rim[:-1]):
-                if old in free(w):
+                if not used[w] >> old & 1:
                     idx = i
                     break
             if idx is None:
@@ -152,42 +169,42 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
             del fan[idx + 1:]
             del rim[idx + 1:]
 
-    def reduce(fan: list[int], rim: list[V], x: V, i: int) -> None:
+    def reduce(fan: list[int], rim: list[int], x: int, i: int) -> None:
         yi, yn = rim[i], rim[-1]
-        a_c = min(free(yi) & free(yn))
-        b_c = min(free(x))
-        if b_c in free(yi):
+        a_c = _low(free(yi) & free(yn))
+        b_c = _low(free(x))
+        if not used[yi] >> b_c & 1:
             del fan[i + 1:]
             del rim[i + 1:]
             fold(fan, rim, x)
             return
-        chain, end = _chain(H, at, yi, b_c, a_c)
+        chain, end = _chain(links, at, yi, b_c, a_c)
         if end != x:
-            _swap(H, at, color, chain, a_c, b_c)
+            _swap(links, at, used, color, chain, a_c, b_c)
             del fan[i + 1:]
             del rim[i + 1:]
             fold(fan, rim, x)
             return
-        chain, end = _chain(H, at, yn, b_c, a_c)
+        chain, end = _chain(links, at, yn, b_c, a_c)
         if end == x:
             raise StructuralError("fan stalled: both alternating chains end at the anchor")
-        _swap(H, at, color, chain, a_c, b_c)
+        _swap(links, at, used, color, chain, a_c, b_c)
         fold(fan, rim, x)
 
     def fan_color(e0: int) -> None:
-        ed = H.edges[e0]
+        ed = links[e0]
         x, y0 = (ed.u, ed.v) if degs[ed.u] <= degs[ed.v] else (ed.v, ed.u)
         fan = [e0]
         rim = [y0]
-        missing = set(free(y0))
+        missing = free(y0)
         cands = sorted(at[x].values())
         while cands:
-            nxt = next((eid for eid in cands if color[eid] in missing), None)
+            nxt = next((eid for eid in cands if missing >> color[eid] & 1), None)
             if nxt is None:
                 raise StructuralError("fan stalled: no anchor edge has a color missing on the rim")
             cands.remove(nxt)
             fan.append(nxt)
-            yn = H.edges[nxt].other(x)
+            yn = links[nxt].other(x)
             rim.append(yn)
             missing |= free(yn)
             if free(x) & free(yn):
@@ -202,11 +219,11 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
                 return
         raise StructuralError("fan stalled: anchor edges ran out before a fold or reduce")
 
-    for eid in sorted(H.edges):
-        e = H.edges[eid]
-        common = free(e.u) & free(e.v)
+    for eid in sorted(links):
+        e = links[eid]
+        common = full & ~(used[e.u] | used[e.v])
         if common:
-            assign(eid, min(common))
+            assign(eid, _low(common))
             continue
         fan_color(eid)
 
@@ -231,22 +248,21 @@ def greedy_list_color(
     colors exceeds the number of edges adjacent to it, since then the
     first pass can never dead-end.
     """
-    inc: dict[V, list[int]] = defaultdict(list)
-    for eid, e in H.edges.items():
+    links = H.links
+    inc: list[list[int]] = [[] for _ in range(H.a + H.b)]
+    for eid, e in links.items():
         if eid not in excluded:
             raise PreconditionError(f"edge {eid} has no exclusion list")
         inc[e.u].append(eid)
         inc[e.v].append(eid)
-    order = sorted(
-        H.edges, key=lambda eid: (-(len(inc[H.edges[eid].u]) + len(inc[H.edges[eid].v])), eid)
-    )
+    order = sorted(links, key=lambda eid: (-(len(inc[links[eid].u]) + len(inc[links[eid].v])), eid))
     chosen: dict[int, object] = {}
     nodes = 0
 
     def choices(i: int):
         nonlocal nodes
         eid = order[i]
-        e = H.edges[eid]
+        e = links[eid]
         # only levels < i hold colors while this generator is live
         taken = {chosen[o] for w in (e.u, e.v) for o in inc[w] if o in chosen}
         taken.update(excluded[eid])
@@ -274,8 +290,8 @@ def greedy_list_color(
 def choose_semiregular_targets(D: DemandGraph) -> tuple[int, int]:
     """Smallest feasible semiregular degree pair (targetA, targetB)."""
     degs = D.degree_map()
-    da = max((degs[A(i)] for i in range(D.a)), default=0)
-    db = max((degs[B(j)] for j in range(D.b)), default=0)
+    da = max(degs[: D.a])
+    db = max(degs[D.a :])
     t = da
     while True:
         if (D.a * t) % D.b == 0 and (D.a * t) // D.b >= db:
@@ -285,25 +301,26 @@ def choose_semiregular_targets(D: DemandGraph) -> tuple[int, int]:
 
 def regularize(D: DemandGraph, target_a: int, target_b: int) -> DemandGraph:
     """Pad D with flagged parallel edges until it is (targetA, targetB)-semiregular."""
+    a = D.a
     degs = D.degree_map()
-    if any(degs[A(i)] > target_a for i in range(D.a)):
+    if max(degs[:a]) > target_a:
         raise PreconditionError("targetA below an existing class-A degree")
-    if any(degs[B(j)] > target_b for j in range(D.b)):
+    if max(degs[a:]) > target_b:
         raise PreconditionError("targetB below an existing class-B degree")
     if D.a * target_a != D.b * target_b:
         raise PreconditionError("a*targetA must equal b*targetB")
-    def_a = {i: target_a - degs[A(i)] for i in range(D.a)}
-    def_b = {j: target_b - degs[B(j)] for j in range(D.b)}
-    return D.with_edges(deficit_pairs(def_a, def_b), padding=True)
+    def_a = {i: target_a - degs[i] for i in range(a)}
+    def_b = {j: target_b - degs[a + j] for j in range(D.b)}
+    return D.with_slots(((i, a + j) for i, j in deficit_pairs(def_a, def_b)), padding=True)
 
 
-def deficit_pairs(def_a: dict[int, int], def_b: dict[int, int]) -> list[tuple[V, V]]:
+def deficit_pairs(def_a: dict[int, int], def_b: dict[int, int]) -> list[tuple[int, int]]:
     """Pair the largest class-A deficit with the largest class-B one until A has none.
 
-    Ties go to the lowest index.  Both deficit maps, keyed by index within
-    the class, are used up in place; an empty def_a gives no pairs.  Each
-    class keeps a heap of (-deficit, index) with one entry per index, so a
-    pair costs O(log n).
+    Returns the (A index, B index) pairs; ties go to the lowest index.
+    Both deficit maps, keyed by index within the class, are used up in
+    place; an empty def_a gives no pairs.  Each class keeps a heap of
+    (-deficit, index) with one entry per index, so a pair costs O(log n).
     """
     heap_a = [(-d, i) for i, d in def_a.items()]
     heap_b = [(-d, j) for j, d in def_b.items()]
@@ -315,7 +332,7 @@ def deficit_pairs(def_a: dict[int, int], def_b: dict[int, int]) -> list[tuple[V,
         heapreplace(heap_a, (nd + 1, i))
         nd, j = heap_b[0]
         heapreplace(heap_b, (nd + 1, j))
-        pairs.append((A(i), B(j)))
+        pairs.append((i, j))
         def_a[i] -= 1
         def_b[j] -= 1
     return pairs

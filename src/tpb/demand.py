@@ -2,21 +2,28 @@
 
 A demand graph lives on the vertex classes of a complete bipartite base
 graph K_{a,b}: every edge is a terminal pair that must be realized as a
-path in the base graph.  Each physical edge carries a stable id plus a
-lineage label.  Lifting an edge to a vertex replaces it by a two-edge
-detour that inherits the label, so the edges sharing a label always form
-a walk between the two original terminals.  `lift` applies a batch of
-moves with one copy of the edge dict; its bipartite twin `edge_lift`
-lives with the edge solver's level state, which it changes in place.
-Once some sequence of liftings produces a simple class-crossing subgraph,
-every label class contains an actual path between its terminals;
-`extract_resolution` reads those paths off, and `verify_resolution` is
-the independent checker for the result.
+path in the base graph.  Inside the package a vertex is an int slot: A_i
+is i and B_j is a + j, so `u < a` tells the class and slots sort like
+`V`s.  `V` (from `A` and `B`) is only the boundary: `from_pairs` and
+`with_edges` take and check it, `DemandGraph.edges` shows it, and
+`Resolution` paths are made of it, from one cache of V objects per call.
+
+Each physical edge carries a stable id plus a lineage label.  Lifting an
+edge to a vertex replaces it by a two-edge detour that inherits the
+label, so the edges sharing a label always form a walk between the two
+original terminals.  `lift` applies a batch of moves with one copy of
+the edge dict; its bipartite twin `edge_lift` lives with the edge
+solver's level state, which it changes in place.  Once some sequence of
+liftings produces a simple class-crossing subgraph, every label class
+contains an actual path between its terminals; `extract_resolution`
+reads those paths off, and `verify_resolution` is the independent
+checker for the result.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, cached_property
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, NotFoundError, PreconditionError, StructuralError
@@ -44,21 +51,21 @@ def B(j: int) -> V:
 
 
 class Edge(NamedTuple):
-    """A physical demand edge.  `label` is the lineage tag liftings preserve."""
+    """A physical demand edge between slots.  `label` is the lineage tag liftings preserve."""
 
     id: int
     label: int
-    u: V
-    v: V
+    u: int
+    v: int
     padding: bool = False
 
-    def pair(self) -> tuple[V, V]:
+    def pair(self) -> tuple[int, int]:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
 
-    def other(self, w: V) -> V:
+    def other(self, w: int) -> int:
         return self.v if w == self.u else self.u
 
-    def touches(self, w: V) -> bool:
+    def touches(self, w: int) -> bool:
         return w == self.u or w == self.v
 
 
@@ -83,15 +90,15 @@ class Resolution:
 class DemandGraph:
     """Immutable multigraph on the vertex classes of K_{a,b}.
 
-    `edges` maps edge id to Edge and is never mutated after construction;
-    all transforming operations return new graphs.  Demand edges cross the
-    classes initially, but liftings may create same-side edges, so none of
-    the accessors assume bipartiteness.
+    `links` maps edge id to Edge on slots and is never mutated after
+    construction; all transforming operations return new graphs.  Demand
+    edges cross the classes initially, but liftings may create same-side
+    edges, so none of the accessors assume bipartiteness.
     """
 
     a: int
     b: int
-    edges: dict[int, Edge]
+    links: dict[int, Edge]
     next_fresh_id: int
 
     @staticmethod
@@ -102,18 +109,20 @@ class DemandGraph:
 
     @staticmethod
     def from_pairs(a: int, b: int, pairs: Iterable[tuple[V, V]]) -> "DemandGraph":
-        g = DemandGraph.empty(a, b)
-        return g.with_edges(pairs)
+        return DemandGraph.empty(a, b).with_edges(pairs)
 
     def with_edges(self, pairs: Iterable[tuple[V, V]], padding: bool = False) -> "DemandGraph":
-        """New graph with extra edges appended; ids and labels are fresh."""
-        edges = dict(self.edges)
+        """New graph with edges between the V pairs appended; ids and labels are fresh."""
+        slot = self.slot
+        return self.with_slots([(slot(u), slot(v)) for u, v in pairs], padding)
+
+    def with_slots(self, pairs: Iterable[tuple[int, int]], padding: bool = False) -> "DemandGraph":
+        """`with_edges` for pairs of slots that the caller has range-checked."""
+        edges = dict(self.links)
         nid = self.next_fresh_id
         for u, v in pairs:
-            self._check_vertex(u)
-            self._check_vertex(v)
             if u == v:
-                raise PreconditionError(f"loop at {u} is not a demand edge")
+                raise PreconditionError(f"loop at {self.vertex(u)} is not a demand edge")
             edges[nid] = Edge(nid, nid, u, v, padding)
             nid += 1
         return DemandGraph(self.a, self.b, edges, nid)
@@ -122,75 +131,82 @@ class DemandGraph:
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.links)
 
-    def _check_vertex(self, v: V) -> None:
-        if v.side == SIDE_A:
-            if not 0 <= v.index < self.a:
-                raise DomainError(f"{v} outside class A of size {self.a}")
-        elif v.side == SIDE_B:
-            if not 0 <= v.index < self.b:
-                raise DomainError(f"{v} outside class B of size {self.b}")
-        else:
-            raise DomainError(f"unknown side {v.side!r}")
+    @cached_property
+    def edges(self) -> dict[int, Edge]:
+        """`links` with V endpoints, for callers outside the package; built on first use."""
+        vertex = cache(self.vertex)
+        return {
+            eid: Edge(eid, e.label, vertex(e.u), vertex(e.v), e.padding) for eid, e in self.links.items()
+        }
 
-    def vertices(self) -> list[V]:
-        return [A(i) for i in range(self.a)] + [B(j) for j in range(self.b)]
+    def slot(self, v: V) -> int:
+        """The slot of vertex v; DomainError if v lies outside the base graph."""
+        side, i = v
+        if side == SIDE_A and 0 <= i < self.a:
+            return i
+        if side == SIDE_B and 0 <= i < self.b:
+            return self.a + i
+        raise DomainError(f"{v} outside K_{{{self.a},{self.b}}}")
 
-    def degree_map(self) -> dict[V, int]:
-        degs = {v: 0 for v in self.vertices()}
-        for e in self.edges.values():
+    def vertex(self, s: int) -> V:
+        return V(SIDE_A, s) if s < self.a else V(SIDE_B, s - self.a)
+
+    def degree_map(self) -> list[int]:
+        """The degree of every slot."""
+        degs = [0] * (self.a + self.b)
+        for e in self.links.values():
             degs[e.u] += 1
             degs[e.v] += 1
         return degs
 
     def max_degree(self) -> int:
-        degs = Counter()
-        for e in self.edges.values():
-            degs[e.u] += 1
-            degs[e.v] += 1
-        return max(degs.values(), default=0)
+        return max(self.degree_map())
 
     def max_multiplicity(self) -> int:
-        pairs = Counter(e.pair() for e in self.edges.values())
+        pairs = Counter(e.pair() for e in self.links.values())
         return max(pairs.values(), default=0)
 
-    def induced(self, keep: Iterable[V]) -> "DemandGraph":
-        """Subgraph on the given vertices; ids, labels and counter survive."""
+    def induced(self, keep: Iterable[int]) -> "DemandGraph":
+        """Subgraph on the given slots; ids, labels and counter survive."""
         kept = set(keep)
-        for v in kept:
-            self._check_vertex(v)
-        edges = {eid: e for eid, e in self.edges.items() if e.u in kept and e.v in kept}
+        if kept and not (0 <= min(kept) and max(kept) < self.a + self.b):
+            raise DomainError(f"a kept slot lies outside K_{{{self.a},{self.b}}}")
+        edges = {eid: e for eid, e in self.links.items() if e.u in kept and e.v in kept}
         return DemandGraph(self.a, self.b, edges, self.next_fresh_id)
 
     def is_bipartite_demand(self) -> bool:
-        return all(e.u.side != e.v.side for e in self.edges.values())
+        a = self.a
+        return all((e.u < a) != (e.v < a) for e in self.links.values())
 
     def transpose(self) -> "DemandGraph":
-        edges = {
-            eid: Edge(e.id, e.label, e.u.flip(), e.v.flip(), e.padding)
-            for eid, e in self.edges.items()
-        }
-        return DemandGraph(self.b, self.a, edges, self.next_fresh_id)
+        """The graph with the classes swapped: A_i becomes B_i and B_j becomes A_j."""
+        a, b = self.a, self.b
+        flip = [*range(b, b + a), *range(b)]
+        edges = {eid: e._replace(u=flip[e.u], v=flip[e.v]) for eid, e in self.links.items()}
+        return DemandGraph(b, a, edges, self.next_fresh_id)
 
 
 # -- lifting operations ---------------------------------------------------
 
 
-def lift(D: DemandGraph, moves: Iterable[tuple[int, V]]) -> DemandGraph:
-    """Apply the liftings (edge_id, z) in order with one copy of the edge dict.
+def lift(D: DemandGraph, moves: Iterable[tuple[int, int]]) -> DemandGraph:
+    """Apply the liftings (edge_id, z) onto slots z in order with one copy of the edge dict.
 
     Each replaces edge xy by the detour xz, zy with fresh ids, exactly as
     one call per move would; a move onto an endpoint is the identity.  D is
     never modified, and is returned as is when no move changes anything.
     """
-    edges = dict(D.edges)
+    edges = dict(D.links)
     i = D.next_fresh_id
+    n = D.a + D.b
     for edge_id, z in moves:
         e = edges.get(edge_id)
         if e is None:
             raise NotFoundError(f"edge id {edge_id} not in graph")
-        D._check_vertex(z)
+        if not 0 <= z < n:
+            raise DomainError(f"slot {z} outside K_{{{D.a},{D.b}}}")
         if z != e.u and z != e.v:
             del edges[edge_id]
             edges[i] = Edge(i, e.label, e.u, z, e.padding)
@@ -202,9 +218,9 @@ def lift(D: DemandGraph, moves: Iterable[tuple[int, V]]) -> DemandGraph:
 # -- reading paths back out ------------------------------------------------
 
 
-def _euler_trail(edges: list[Edge], s: V, t: V) -> list[V]:
+def _euler_trail(edges: list[Edge], s: int, t: int) -> list[int]:
     """Order a label class that meets s into the walk it forms from s to t."""
-    adj: dict[V, list[tuple[int, V]]] = {}
+    adj: dict[int, list[tuple[int, int]]] = {}
     for k, e in enumerate(edges):
         adj.setdefault(e.u, []).append((k, e.v))
         adj.setdefault(e.v, []).append((k, e.u))
@@ -213,7 +229,7 @@ def _euler_trail(edges: list[Edge], s: V, t: V) -> list[V]:
     used = [False] * len(edges)
     ptr = {v: 0 for v in adj}
     stack = [s]
-    out: list[V] = []
+    out: list[int] = []
     while stack:
         w = stack[-1]
         lst = adj[w]
@@ -233,10 +249,10 @@ def _euler_trail(edges: list[Edge], s: V, t: V) -> list[V]:
     return out
 
 
-def _shortcut_walk(walk: list[V]) -> list[V]:
+def _shortcut_walk(walk: list) -> list:
     """Drop cycles from a walk, closing each one as soon as it appears."""
-    out: list[V] = []
-    pos: dict[V, int] = {}
+    out = []
+    pos = {}
     for w in walk:
         if w in pos:
             cut = pos[w]
@@ -249,7 +265,7 @@ def _shortcut_walk(walk: list[V]) -> list[V]:
     return out
 
 
-def _trace(edges: list[Edge], s: V, t: V) -> list[V]:
+def _trace(edges: list[Edge], s: int, t: int) -> list[int]:
     """The path a label class gives from s to t.
 
     While s and every vertex reached from it meet at most two of the
@@ -258,7 +274,7 @@ def _trace(edges: list[Edge], s: V, t: V) -> list[V]:
     class through `_euler_trail` (lowest neighbour, then lowest edge id)
     and `_shortcut_walk`.
     """
-    nbrs: dict[V, list[V]] = {}
+    nbrs: dict[int, list[int]] = {}
     for e in edges:
         nbrs.setdefault(e.u, []).append(e.v)
         nbrs.setdefault(e.v, []).append(e.u)
@@ -288,74 +304,79 @@ def extract_resolution(final: DemandGraph, original: DemandGraph) -> Resolution:
     """
     if final.a != original.a or final.b != original.b:
         raise StructuralError("final and original graphs live on different bases")
+    a, n = final.a, final.a + final.b
     classes: dict[int, list[Edge]] = {}
-    pairs: set[tuple[int, int]] = set()
-    for e in final.edges.values():
+    pairs: set[int] = set()
+    for e in final.links.values():
         u, v = e.u, e.v
-        key = (u.index, v.index) if u.side == SIDE_A else (v.index, u.index)
-        if u.side == v.side or key in pairs:
+        key = u * n + v if u < v else v * n + u
+        if (u < a) == (v < a) or key in pairs:
             raise StructuralError("extraction requires a simple class-crossing graph")
         pairs.add(key)
         classes.setdefault(e.label, []).append(e)
     seen = set()
-    for e in original.edges.values():
+    for e in original.links.values():
         if e.label in seen:
             raise StructuralError("original graph carries duplicate labels")
         seen.add(e.label)
+    vertex = cache(final.vertex)
     routes: dict[int, Path] = {}
-    for eid in sorted(original.edges):
-        e0 = original.edges[eid]
+    for eid in sorted(original.links):
+        e0 = original.links[eid]
         cls = classes.get(e0.label)
         if not cls:
             raise StructuralError(f"label {e0.label} has no edges left to trace")
-        routes[eid] = Path(tuple(_trace(cls, e0.u, e0.v)))
+        routes[eid] = Path(tuple(map(vertex, _trace(cls, e0.u, e0.v))))
     return Resolution(routes)
 
 
 def verify_resolution(D: DemandGraph, res: Resolution) -> list[str]:
     """Check a claimed resolution; returns violations, empty means valid."""
     problems: list[str] = []
-    for eid in sorted(D.edges):
+    for eid in sorted(D.links):
         if eid not in res.routes:
             problems.append(f"edge {eid}: no route")
-    sound: list[int] = []
+    a, n = D.a, D.a + D.b
+    slot = D.slot
+    sound: dict[int, list[int]] = {}
     for eid in sorted(res.routes):
-        if eid not in D.edges:
+        if eid not in D.links:
             problems.append(f"route {eid}: unknown demand edge")
             continue
-        e = D.edges[eid]
+        e = D.links[eid]
         vs = res.routes[eid].vertices
         if len(vs) < 2:
             problems.append(f"route {eid}: needs at least one edge")
             continue
-        ok = True
+        ss = []
         for w in vs:
             try:
-                D._check_vertex(w)
+                ss.append(slot(w))
             except DomainError:
                 problems.append(f"route {eid}: vertex {w} outside base graph")
-                ok = False
                 break
-        if not ok:
+        if len(ss) < len(vs):
             continue
-        if any(x.side == y.side for x, y in zip(vs, vs[1:])):
+        ok = True
+        if any((x < a) == (y < a) for x, y in zip(ss, ss[1:])):
             problems.append(f"route {eid}: consecutive vertices do not alternate classes")
             ok = False
-        if len(set(vs)) != len(vs):
+        if len(set(ss)) != len(ss):
             problems.append(f"route {eid}: repeats a vertex")
             ok = False
-        if {vs[0], vs[-1]} != {e.u, e.v}:
+        if {ss[0], ss[-1]} != {e.u, e.v}:
             problems.append(f"route {eid}: endpoints differ from the demand edge")
             ok = False
         if ok:
-            sound.append(eid)
-    usage: dict[tuple[V, V], int] = {}
-    for eid in sound:
-        for x, y in zip(res.routes[eid].vertices, res.routes[eid].vertices[1:]):
-            key = (x, y) if x <= y else (y, x)
+            sound[eid] = ss
+    usage: dict[int, int] = {}
+    for eid, ss in sound.items():
+        for x, y in zip(ss, ss[1:]):
+            key = x * n + y if x < y else y * n + x
             if key in usage and usage[key] != eid:
+                lo, hi = divmod(key, n)
                 problems.append(
-                    f"base edge {key[0]}-{key[1]} used by routes {usage[key]} and {eid}"
+                    f"base edge {D.vertex(lo)}-{D.vertex(hi)} used by routes {usage[key]} and {eid}"
                 )
             else:
                 usage[key] = eid

@@ -16,7 +16,7 @@ The reduction is legal when
 which `check_conditions` re-verifies at runtime at every level; a
 violation raises StructuralError naming the case, since it can only mean
 a handler bug.  The induction runs as one loop over one `LevelState`:
-the remaining graph on its global vertex ids, with degrees, degree
+the remaining graph on the input's slots, with degrees, degree
 buckets, each vertex pair's edge ids and neighbour sets kept up to date
 by every change.  The stage operations (`pad_to_full`, `check_conditions`,
 `find_cover_F`, `place_F` and the bipartite lifting `edge_lift`) take
@@ -28,7 +28,7 @@ it changes rather than the size of the graph.  The paper states cases
 class playing A and the other class as arguments, so a level with the
 classes swapped runs on the same state like any other.  The handlers' rules
 ("the lowest isolated vertex", index tie-breaks) read the alive
-vertices in global index order, which is the order of the smaller
+vertices in slot order, which is the order of the smaller
 K_{m,m} the induction stands for; the trace records each level's
 vertices in those compact coordinates.  The loop ends at a simple
 graph, an n <= 5 instance (solved by the exact oracle) or a case that
@@ -38,6 +38,7 @@ for auditability.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import combinations, islice, permutations, repeat
@@ -86,57 +87,61 @@ class LevelState:
     """The remaining graph of the induction, changed in place.
 
     Built from the alive edges of a demand graph D, optionally with the
-    class indices already `removed` and the edges already set aside as
-    `frozen`; vertices keep their ids in D.  `sides` holds each class's
-    alive vertices in index order, `deg` their degrees and `bydeg` the
-    alive vertices by degree; `ids` gives each vertex pair's
+    slots already `removed` and the edges already set aside as `frozen`;
+    vertices are D's slots, and class s is 0 for A and 1 for B.
+    `sides[s]` holds class s's alive slots in order, `deg` their degrees
+    and `bydeg` the alive slots by degree; `ids` gives each slot pair's
     edge ids lowest first, `nbrs` the neighbour sets and `parallel` the
-    pairs with two or more edges.  `idle` is a min-heap per class that
-    holds every isolated vertex, pruned lazily of vertices that have
+    pairs with two or more edges.  `idle[s]` is a min-heap that holds
+    every isolated slot of class s, pruned lazily of slots that have
     since gained an edge or been removed.  `edges` holds the alive edges
     in id order (new ids are always the largest) and `frozen` the edges
-    set aside with a removed vertex; `removed` lists each class's
-    removed indices in order.
+    set aside with a removed vertex; `removed[s]` lists class s's removed
+    slots in order.
     """
 
     def __init__(
         self,
         D: DemandGraph,
-        removed: dict[str, list[int]] | None = None,
+        removed: tuple[list[int], list[int]] | None = None,
         frozen: dict[int, Edge] | None = None,
     ):
         self.a, self.b = D.a, D.b
         self.next_fresh_id = D.next_fresh_id
-        self.removed = removed or {SIDE_A: [], SIDE_B: []}
+        self.removed = removed or ([], [])
         self.frozen = frozen if frozen is not None else {}
-        self.sides = {}
-        for side, size in ((SIDE_A, D.a), (SIDE_B, D.b)):
-            gone = set(self.removed[side])
-            self.sides[side] = {V(side, i): None for i in range(size) if i not in gone}
-        self.deg = dict.fromkeys([*self.sides[SIDE_A], *self.sides[SIDE_B]], 0)
-        self.idle = {side: list(vs) for side, vs in self.sides.items()}
-        self.bydeg: dict[int, set[V]] = {0: set(self.deg)} if self.deg else {}
-        self.nbrs: dict[V, set[V]] = {v: set() for v in self.deg}
-        self.ids: dict[tuple[V, V], list[int]] = {}
-        self.parallel: set[tuple[V, V]] = set()
+        self.sides = []
+        for slots, gone in zip((range(D.a), range(D.a, D.a + D.b)), self.removed):
+            gone = set(gone)
+            self.sides.append({v: None for v in slots if v not in gone})
+        self.deg = dict.fromkeys([*self.sides[0], *self.sides[1]], 0)
+        self.idle = [list(vs) for vs in self.sides]
+        self.bydeg = defaultdict(set, {0: set(self.deg)} if self.deg else {})
+        self.nbrs: dict[int, set[int]] = {v: set() for v in self.deg}
+        self.ids: dict[tuple[int, int], list[int]] = {}
+        self.parallel: set[tuple[int, int]] = set()
         self.edges: dict[int, Edge] = {}
-        for e in sorted(D.edges.values()):
+        for e in sorted(D.links.values()):
             self._add(e)
 
     @property
     def m(self) -> int:
         return len(self.edges)
 
-    def pair(self, u: V, v: V) -> list[int]:
+    def side(self, v: int) -> int:
+        return int(v >= self.a)
+
+    def pair(self, u: int, v: int) -> list[int]:
         return self.ids.get((u, v) if u <= v else (v, u), [])
 
-    def of_degree(self, d: int, side: str | None = None) -> list[V]:
-        return sorted(v for v in self.bydeg.get(d, ()) if side in (None, v.side))
+    def of_degree(self, d: int, side: int | None = None) -> list[int]:
+        a = self.a
+        return sorted(v for v in self.bydeg.get(d, ()) if side is None or (v >= a) == side)
 
-    def isolated(self, side: str, k: int) -> list[V]:
-        """The k lowest isolated vertices of a class, or all of them if fewer."""
+    def isolated(self, side: int, k: int) -> list[int]:
+        """The k lowest isolated slots of a class, or all of them if fewer."""
         heap = self.idle[side]
-        out: list[V] = []
+        out: list[int] = []
         while heap and len(out) < k:
             v = heappop(heap)
             if self.deg.get(v) == 0 and v not in out:
@@ -145,24 +150,25 @@ class LevelState:
             heappush(heap, v)
         return out
 
-    def local(self, v: V) -> V:
+    def local(self, v: int) -> V:
         """v's position among the alive vertices of its class."""
-        return V(v.side, v.index - bisect_left(self.removed[v.side], v.index))
+        s = self.side(v)
+        return V((SIDE_A, SIDE_B)[s], v - s * self.a - bisect_left(self.removed[s], v))
 
-    def _check_vertex(self, v: V) -> None:
+    def _check_vertex(self, v: int) -> None:
         if v not in self.deg:
-            raise DomainError(f"{v} is not an alive vertex")
+            raise DomainError(f"slot {v} is not an alive vertex")
 
-    def _bump(self, v: V, k: int) -> None:
+    def _bump(self, v: int, k: int) -> None:
         d = self.deg[v]
         bucket = self.bydeg[d]
         bucket.discard(v)
         if not bucket:
             del self.bydeg[d]
         self.deg[v] = d + k
-        self.bydeg.setdefault(d + k, set()).add(v)
+        self.bydeg[d + k].add(v)
         if not d + k:
-            heappush(self.idle[v.side], v)
+            heappush(self.idle[v >= self.a], v)
 
     def _add(self, e: Edge) -> None:
         self.edges[e.id] = e
@@ -202,7 +208,7 @@ class LevelState:
         self.next_fresh_id = next_fresh_id
         return self
 
-    def remove(self, z: Iterable[V]) -> None:
+    def remove(self, z: Iterable[int]) -> None:
         """Delete the vertices z, moving every edge that touches them to `frozen`."""
         z = tuple(z)
         for v in z:
@@ -210,29 +216,31 @@ class LevelState:
                 for eid in list(self.pair(v, w)):
                     self.frozen[eid] = self._drop(eid)
         for v in z:
+            s = self.side(v)
             self.bydeg[0].discard(v)
             if not self.bydeg[0]:
                 del self.bydeg[0]
-            del self.deg[v], self.nbrs[v], self.sides[v.side][v]
-            insort(self.removed[v.side], v.index)
+            del self.deg[v], self.nbrs[v], self.sides[s][v]
+            insort(self.removed[s], v)
 
 
 # -- public operations --------------------------------------------------------
 
 
-def edge_lift(L: LevelState, moves: Iterable[tuple[int, V, V]]) -> LevelState:
+def edge_lift(L: LevelState, moves: Iterable[tuple[int, int, int]]) -> LevelState:
     """Apply the edge-liftings (edge_id, x, y) to L in order, in place; returns L.
 
     Each replaces class-crossing edge uv by the three edges xy, uy, xv with
     fresh ids, exactly as one call per move would: the same as lifting uv
     to x and the x-side half on to y, but the graph stays bipartite.  Each
-    move needs alive x and y in opposite classes, either way round, and
-    four distinct vertices; u is the endpoint of the lifted edge in x's
+    move needs alive slots x and y in opposite classes, either way round,
+    and four distinct vertices; u is the endpoint of the lifted edge in x's
     class, so a lift with x in class B mirrors the class-A lift of the
     transposed graph.  The whole batch is checked before L changes.
     """
     gone: set[int] = set()
     added: dict[int, Edge] = {}
+    a = L.a
     i = L.next_fresh_id
     for edge_id, x, y in moves:
         if edge_id in added:
@@ -244,11 +252,11 @@ def edge_lift(L: LevelState, moves: Iterable[tuple[int, V, V]]) -> LevelState:
             gone.add(edge_id)
         L._check_vertex(x)
         L._check_vertex(y)
-        if x.side == y.side:
+        if (x < a) == (y < a):
             raise PreconditionError("edge-lift target must pair vertices of opposite classes")
-        if e.u.side == e.v.side:
+        if (e.u < a) == (e.v < a):
             raise PreconditionError("edge-lift applies to class-crossing edges only")
-        u, v = (e.u, e.v) if e.u.side == x.side else (e.v, e.u)
+        u, v = (e.u, e.v) if (e.u < a) == (x < a) else (e.v, e.u)
         if len({u, v, x, y}) != 4:
             raise PreconditionError("edge-lift needs four distinct vertices")
         added[i] = Edge(i, e.label, x, y, e.padding)
@@ -280,7 +288,7 @@ def solve_edge_version(D: DemandGraph) -> tuple[Resolution, CaseTrace]:
     return res, trace
 
 
-def check_conditions(L: LevelState, z: tuple[V, ...], n: int) -> list[str]:
+def check_conditions(L: LevelState, z: tuple[int, ...], n: int) -> list[str]:
     """Check the four induction conditions for removing z; returns failures.
 
     Reads only z, the pairs at z and the vertices whose degree exceeds
@@ -288,7 +296,7 @@ def check_conditions(L: LevelState, z: tuple[V, ...], n: int) -> list[str]:
     """
     problems = []
     zset = set(z)
-    za = sum(1 for v in zset if v.side == SIDE_A)
+    za = sum(1 for v in zset if v < L.a)
     zb = len(zset) - za
     if za != zb:
         problems.append(f"(1) Z meets the classes {za}/{zb}")
@@ -333,11 +341,11 @@ def pad_to_full(L: LevelState, n: int) -> LevelState:
     if not owed:
         return L
 
-    def slots(side: str):
+    def deficient(side: int):
         for v in L.sides[side]:
             yield from repeat(v, n - L.deg[v])
 
-    pairs = list(islice(zip(slots(SIDE_A), slots(SIDE_B)), owed))
+    pairs = list(islice(zip(deficient(0), deficient(1)), owed))
     if len(pairs) < owed:
         raise StructuralError("no deficient vertex pair available for padding")
     nid = L.next_fresh_id
@@ -345,7 +353,7 @@ def pad_to_full(L: LevelState, n: int) -> LevelState:
     return L.replace_edges((), added, nid + owed)
 
 
-def find_cover_F(L: LevelState, X: tuple[V, ...], Y: tuple[V, ...]) -> tuple[int, ...]:
+def find_cover_F(L: LevelState, X: tuple[int, ...], Y: tuple[int, ...]) -> tuple[int, ...]:
     """Four edges covering every vertex at most twice, Y at least once, X exactly twice.
 
     The selection follows the subcases on |Y|; a selection that comes up
@@ -358,7 +366,7 @@ def find_cover_F(L: LevelState, X: tuple[V, ...], Y: tuple[V, ...]) -> tuple[int
     return tuple(sorted(F))
 
 
-def place_F(L: LevelState, F: tuple[int, ...], u1: V, u2: V, v1: V, v2: V) -> LevelState:
+def place_F(L: LevelState, F: tuple[int, ...], u1: int, u2: int, v1: int, v2: int) -> LevelState:
     """Edge-lift the cover edges onto the four isolated corners of Z.
 
     Takes the first of the up-to-24 assignments of F to the slots u1v1,
@@ -370,13 +378,14 @@ def place_F(L: LevelState, F: tuple[int, ...], u1: V, u2: V, v1: V, v2: V) -> Le
     busy = [v for v in (u1, u2, v1, v2) if L.deg.get(v)]
     if busy:
         raise PreconditionError(f"place_F needs isolated corners; {busy[0]} has an edge")
-    slots = [(u1, v1), (u1, v2), (u2, v2), (u2, v1)]
+    corners = [(u1, v1), (u1, v2), (u2, v2), (u2, v1)]
+    a = L.a
     for perm in permutations(sorted(F)):
-        moves = [(eid, x, y) for eid, (x, y) in zip(perm, slots)]
+        moves = [(eid, x, y) for eid, (x, y) in zip(perm, corners)]
         made = set()
         for eid, x, y in moves:
             e = L.edges[eid]
-            u, v = (e.u, e.v) if e.u.side == x.side else (e.v, e.u)
+            u, v = (e.u, e.v) if (e.u < a) == (x < a) else (e.v, e.u)
             made.update(((x, y), (u, y), (x, v)))
         if len(made) == 3 * len(moves):
             return edge_lift(L, moves)
@@ -394,7 +403,7 @@ def _resolve(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
     """
     L = LevelState(D)
     while True:
-        n = len(L.sides[SIDE_A])
+        n = len(L.sides[0])
         if not L.parallel:
             trace.steps.append(CaseContext(n, "simple"))
             break
@@ -423,12 +432,13 @@ def _resolve(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
 
 def _base_case(L: LevelState, trace: CaseTrace) -> None:
     """Route the alive graph with the oracle on the compact K_{n,n}, in place."""
-    alive = {side: list(vs) for side, vs in L.sides.items()}
-    n = len(alive[SIDE_A])
+    alive = [*L.sides[0], *L.sides[1]]  # by compact slot
+    n = len(L.sides[0])
+    compact = {v: k for k, v in enumerate(alive)}
     C = DemandGraph(
         n,
         n,
-        {eid: e._replace(u=L.local(e.u), v=L.local(e.v)) for eid, e in L.edges.items()},
+        {eid: e._replace(u=compact[e.u], v=compact[e.v]) for eid, e in L.edges.items()},
         L.next_fresh_id,
     )
     verdict = decide(C, _BASE_BUDGET)
@@ -441,7 +451,7 @@ def _base_case(L: LevelState, trace: CaseTrace) -> None:
     nid = L.next_fresh_id
     for eid in sorted(C.edges):
         e = C.edges[eid]
-        vs = [alive[w.side][w.index] for w in verdict.resolution.routes[eid].vertices]
+        vs = [alive[C.slot(w)] for w in verdict.resolution.routes[eid].vertices]
         for x, y in zip(vs, vs[1:]):
             edges[nid] = Edge(nid, e.label, x, y, e.padding)
             nid += 1
@@ -453,32 +463,31 @@ def _base_case(L: LevelState, trace: CaseTrace) -> None:
 
 def _dispatch(L: LevelState, n: int):
     """Run the case handler for this level on L in place; returns (ctx, z)."""
-    iso_a = L.isolated(SIDE_A, 2)
-    iso_b = L.isolated(SIDE_B, 2)
+    iso_a = L.isolated(0, 2)
+    iso_b = L.isolated(1, 2)
     X = L.of_degree(n)
-    if len({v.side for v in X}) < len(X):
+    if len({L.side(v) for v in X}) < len(X):
         raise StructuralError("more than one degree-n vertex in a class")
     if len(iso_a) >= 2 and len(iso_b) >= 2:
         return _case1(L, n)
     if not X:
         ones = L.of_degree(1)
         if ones:
-            return _oriented(_case21, L, n, ones[0].side)
+            return _oriented(_case21, L, n, L.side(ones[0]))
         return _case22(L, n)
     if len(X) == 1:
-        return _oriented(_case3, L, n, X[0].side)
-    return _oriented(_case4, L, n, SIDE_B if len(iso_b) >= 2 else SIDE_A)
+        return _oriented(_case3, L, n, L.side(X[0]))
+    return _oriented(_case4, L, n, 1 if len(iso_b) >= 2 else 0)
 
 
-def _oriented(handler, L: LevelState, n: int, s: str):
+def _oriented(handler, L: LevelState, n: int, s: int):
     """Run a handler with class s in the role of the paper's class A.
 
     The handler gets s and the other class t as arguments; the step is
     recorded as swapped when class B plays class A.
     """
-    t = SIDE_A if s == SIDE_B else SIDE_B
-    ctx, z = handler(L, n, s, t)
-    ctx.swapped = s == SIDE_B
+    ctx, z = handler(L, n, s, 1 - s)
+    ctx.swapped = s == 1
     return ctx, z
 
 
@@ -491,8 +500,8 @@ def _first(L: LevelState, keep, k: int = 2) -> list[int]:
 
 
 def _case1(L: LevelState, n: int):
-    u1, u2 = L.isolated(SIDE_A, 2)
-    v1, v2 = L.isolated(SIDE_B, 2)
+    u1, u2 = L.isolated(0, 2)
+    v1, v2 = L.isolated(1, 2)
     X = tuple(L.of_degree(n))
     Y = tuple(sorted(v for d in (n - 1, n) for v in L.bydeg.get(d, ())))
     F = find_cover_F(L, X, Y)
@@ -502,7 +511,7 @@ def _case1(L: LevelState, n: int):
 
 
 def _cover_ok(L: LevelState, F, X, Y) -> bool:
-    cover: dict[V, int] = {}
+    cover: dict[int, int] = {}
     for eid in F:
         e = L.edges[eid]
         cover[e.u] = cover.get(e.u, 0) + 1
@@ -518,8 +527,8 @@ def _cover_ok(L: LevelState, F, X, Y) -> bool:
 
 def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
     yset = set(Y)
-    ya = sorted(v for v in Y if v.side == SIDE_A)
-    yb = sorted(v for v in Y if v.side == SIDE_B)
+    ya = sorted(v for v in Y if v < L.a)
+    yb = sorted(v for v in Y if v >= L.a)
     if len(Y) == 4:
         if len(ya) != 2 or len(yb) != 2:
             return None
@@ -540,7 +549,7 @@ def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
             hub, p = yb[0], ya
         else:
             return None
-        p_star = max(p, key=lambda w: (len(L.pair(hub, w)), -w.index))
+        p_star = max(p, key=lambda w: (len(L.pair(hub, w)), -w))
         other = p[0] if p_star == p[1] else p[1]
         ids = L.pair(hub, p_star)
         if len(ids) < 2:
@@ -551,7 +560,7 @@ def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
         return ids[:2] + out_ids
     if len(Y) == 2:
         y1, y2 = sorted(Y)
-        if y1.side != y2.side:
+        if L.side(y1) != L.side(y2):
             out1 = _first(L, lambda e: e.touches(y1) and not e.touches(y2))
             out2 = _first(L, lambda e: e.touches(y2) and not e.touches(y1))
             if len(out1) >= 2 and len(out2) >= 2:
@@ -563,7 +572,7 @@ def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
             return None
         # both in one class: two lowest edges at each, capping shared endpoints
         out = []
-        cover: dict[V, int] = {}
+        cover: dict[int, int] = {}
         for y in (y1, y2):
             got = 0
             for eid, e in L.edges.items():
@@ -586,7 +595,7 @@ def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
         p = Y[0]
         if not L.nbrs[p]:
             return None
-        q = max(L.nbrs[p], key=lambda w: (len(L.pair(p, w)), -w.index))
+        q = max(L.nbrs[p], key=lambda w: (len(L.pair(p, w)), -w))
     elif L.parallel:
         p, q = min(L.parallel)
     else:
@@ -603,7 +612,7 @@ def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
 # -- Case 2: no degree-n vertex --------------------------------------------------
 
 
-def _case21(L: LevelState, n: int, s: str, t: str):
+def _case21(L: LevelState, n: int, s: int, t: int):
     """A degree-1 vertex x in class s."""
     x = L.of_degree(1, s)[0]
     xp = next(iter(L.nbrs[x]))
@@ -628,21 +637,21 @@ def _case21(L: LevelState, n: int, s: str, t: str):
 
 def _case22(L: LevelState, n: int):
     """No degree-1 vertex and no degree-n vertex."""
-    iso_a = L.isolated(SIDE_A, 2)
-    iso_b = L.isolated(SIDE_B, 2)
+    iso_a = L.isolated(0, 2)
+    iso_b = L.isolated(1, 2)
     for v in L.of_degree(2):
         if len(L.nbrs[v]) == 2:
-            other_iso = iso_b if v.side == SIDE_A else iso_a
+            other_iso = iso_b if v < L.a else iso_a
             if not other_iso:
                 raise StructuralError("case 2.2.1: no isolated vertex opposite")
             z = (v, other_iso[0])
             return CaseContext(n, "2.2.1", z_set=z), z
     if len(iso_a) >= 2 or len(iso_b) >= 2:
-        return _oriented(_case222, L, n, SIDE_B if len(iso_b) >= 2 else SIDE_A)
+        return _oriented(_case222, L, n, 1 if len(iso_b) >= 2 else 0)
     return _case223(L, n)
 
 
-def _case222(L: LevelState, n: int, s: str, t: str):
+def _case222(L: LevelState, n: int, s: int, t: int):
     """Two isolated vertices in class s; class t all doubled pairs."""
     iso_s = L.isolated(s, 2)
     if len(iso_s) < 2:
@@ -654,7 +663,7 @@ def _case222(L: LevelState, n: int, s: str, t: str):
             raise StructuralError("case 2.2.2: opposite class is not all doubled pairs")
     pos = sorted(
         (x for x in L.sides[s] if L.deg[x] > 0),
-        key=lambda x: (-L.deg[x], x.index),
+        key=lambda x: (-L.deg[x], x),
     )
     if len(pos) < 2:
         raise StructuralError("case 2.2.2: fewer than two positive-degree vertices")
@@ -670,8 +679,8 @@ def _case222(L: LevelState, n: int, s: str, t: str):
 
 def _case223(L: LevelState, n: int):
     """Exactly one isolated vertex per class: the doubled-matching chain."""
-    part: dict[V, V] = {}
-    for a in L.sides[SIDE_A]:
+    part: dict[int, int] = {}
+    for a in L.sides[0]:
         if L.deg[a] == 0:
             continue
         nb = L.nbrs[a]
@@ -680,8 +689,8 @@ def _case223(L: LevelState, n: int):
         part[a] = next(iter(nb))
     if len(part) != n - 1 or len(set(part.values())) != n - 1:
         raise StructuralError("case 2.2.3: partners are not a matching")
-    a_seq = list(part) + L.isolated(SIDE_A, 1)
-    b_seq = list(part.values()) + L.isolated(SIDE_B, 1)
+    a_seq = list(part) + L.isolated(0, 1)
+    b_seq = list(part.values()) + L.isolated(1, 1)
     moves = [
         (L.pair(a_seq[i], b_seq[i])[0], a_seq[i + 1], b_seq[(i + 2) % n])
         for i in range(n - 1)
@@ -693,7 +702,7 @@ def _case223(L: LevelState, n: int):
 # -- Case 3: exactly one degree-n vertex -----------------------------------------
 
 
-def _case3(L: LevelState, n: int, s: str, t: str):
+def _case3(L: LevelState, n: int, s: int, t: int):
     """One degree-n vertex z, in class s."""
     z = L.of_degree(n, s)[0]
     iso_s = L.isolated(s, 1)
@@ -721,7 +730,7 @@ def _case3(L: LevelState, n: int, s: str, t: str):
     return _case322(L, n, s, t, z, v, u)
 
 
-def _case321(L: LevelState, n: int, s: str, t: str, z: V, v: V, u: V):
+def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
     """Full vertex z in class s, u isolated in class t, the rest of t degree two."""
     nbrs = L.nbrs
     mult_free = [y for y in L.sides[t] if y != u and len(nbrs[y]) == 2]
@@ -769,7 +778,7 @@ def _case321(L: LevelState, n: int, s: str, t: str, z: V, v: V, u: V):
     return ctx, zz
 
 
-def _case322(L: LevelState, n: int, s: str, t: str, z: V, v: V, u: V):
+def _case322(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
     """Full vertex z in class s, two isolated vertices in class t, the rest of s degree one."""
     ones_s = L.of_degree(1, s)
     for x in sorted(L.nbrs[z]):
@@ -784,7 +793,7 @@ def _case322(L: LevelState, n: int, s: str, t: str, z: V, v: V, u: V):
 # -- Case 4: two degree-n vertices ------------------------------------------------
 
 
-def _case4(L: LevelState, n: int, s: str, t: str):
+def _case4(L: LevelState, n: int, s: int, t: int):
     """Degree-n vertices z1 in class s and z2 in class t."""
     z1 = L.of_degree(n, s)[0]
     z2 = L.of_degree(n, t)[0]

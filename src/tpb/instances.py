@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from itertools import repeat
 
 from .demand import A, B, SIDE_A, DemandGraph, Path, Resolution, V
 from .errors import FormatError, PreconditionError
@@ -39,24 +40,24 @@ def gen_sharp_conjecture(n: int) -> DemandGraph:
     if n < 1:
         raise PreconditionError("n must be at least 1")
     mult = -(-n // 3) + 1
-    pairs = [(A(i), B(i)) for i in range(n) for _ in range(mult)]
-    return DemandGraph.from_pairs(n, n, pairs)
+    pairs = [(i, n + i) for i in range(n) for _ in range(mult)]
+    return DemandGraph.empty(n, n).with_slots(pairs)
 
 
 def gen_sharp_edge(n: int) -> DemandGraph:
     """One pair joined n times, another n-1 times: 2n-1 edges, unresolvable."""
     if n < 4:
         raise PreconditionError("n must be at least 4")
-    pairs = [(A(0), B(0))] * n + [(A(1), B(1))] * (n - 1)
-    return DemandGraph.from_pairs(n, n, pairs)
+    pairs = [(0, n)] * n + [(1, n + 1)] * (n - 1)
+    return DemandGraph.empty(n, n).with_slots(pairs)
 
 
 def gen_chain(n: int) -> DemandGraph:
     """n-1 doubled pairs plus one isolated pair: 2n-2 edges with Δ = 2."""
     if n < 4:
         raise PreconditionError("n must be at least 4")
-    pairs = [(A(i), B(i)) for i in range(n - 1) for _ in range(2)]
-    return DemandGraph.from_pairs(n, n, pairs)
+    pairs = [(i, n + i) for i in range(n - 1) for _ in range(2)]
+    return DemandGraph.empty(n, n).with_slots(pairs)
 
 
 # -- seeded random families ---------------------------------------------------
@@ -70,17 +71,17 @@ def gen_random_edge(n: int, seed: int) -> DemandGraph:
     target = rng.randint(0, 2 * n - 2)
     deg_a = [0] * n
     deg_b = [0] * n
-    pairs: list[tuple[V, V]] = []
+    pairs: list[tuple[int, int]] = []
     attempts = 0
     while len(pairs) < target and attempts < 200 * (n + target):
         attempts += 1
         i = rng.randrange(n)
         j = rng.randrange(n)
         if deg_a[i] < n and deg_b[j] < n:
-            pairs.append((A(i), B(j)))
+            pairs.append((i, n + j))
             deg_a[i] += 1
             deg_b[j] += 1
-    D = DemandGraph.from_pairs(n, n, pairs)
+    D = DemandGraph.empty(n, n).with_slots(pairs)
     assert D.m <= 2 * n - 2 and D.max_degree() <= n
     return D
 
@@ -98,7 +99,7 @@ def gen_random_blocked(n: int, sizes: tuple[int, int, int], seed: int) -> Demand
     starts = [0, sizes[0], sizes[0] + sizes[1]]
     deg_a = [0] * n
     deg_b = [0] * n
-    pairs: list[tuple[V, V]] = []
+    pairs: list[tuple[int, int]] = []
     for blk in range(3):
         lo, s = starts[blk], sizes[blk]
         target = rng.randint(0, t * s)
@@ -108,11 +109,11 @@ def gen_random_blocked(n: int, sizes: tuple[int, int, int], seed: int) -> Demand
             i = lo + rng.randrange(s)
             j = lo + rng.randrange(s)
             if deg_a[i] < t and deg_b[j] < t:
-                pairs.append((A(i), B(j)))
+                pairs.append((i, n + j))
                 deg_a[i] += 1
                 deg_b[j] += 1
                 target -= 1
-    D = DemandGraph.from_pairs(n, n, pairs)
+    D = DemandGraph.empty(n, n).with_slots(pairs)
     assert D.max_degree() <= t
     return D
 
@@ -134,12 +135,12 @@ def gen_random_semiregular(a: int, b: int, delta_a: int, seed: int) -> DemandGra
     k = 0
     for i in range(a):
         for _ in range(delta_a):
-            pairs.append((A(i), B(stubs[k])))
+            pairs.append((i, a + stubs[k]))
             k += 1
-    D = DemandGraph.from_pairs(a, b, pairs)
+    D = DemandGraph.empty(a, b).with_slots(pairs)
     degs = D.degree_map()
-    assert all(degs[A(i)] == delta_a for i in range(a))
-    assert all(degs[B(j)] == delta_b for j in range(b))
+    assert all(d == delta_a for d in degs[:a])
+    assert all(d == delta_b for d in degs[a:])
     return D
 
 
@@ -154,11 +155,8 @@ def serialize_instance(D: DemandGraph) -> str:
         raise FormatError(f"{D.m} demand edges exceed the {D.a * D.b} edges of K_{{{D.a},{D.b}}}")
     if D.m > MAX_DEMANDS:
         raise FormatError(f"{D.m} demand edges exceed the limit of {MAX_DEMANDS}")
-    mult = Counter()
-    for e in D.edges.values():
-        i = e.u.index if e.u.side == SIDE_A else e.v.index
-        j = e.v.index if e.u.side == SIDE_A else e.u.index
-        mult[(i, j)] += 1
+    a = D.a
+    mult = Counter((e.u, e.v - a) if e.u < a else (e.v, e.u - a) for e in D.links.values())
     lines = [f"p tpb {D.a} {D.b} {D.m}"]
     for (i, j) in sorted(mult):
         lines.append(f"e {i + 1} {j + 1} {mult[(i, j)]}")
@@ -177,7 +175,7 @@ def _decimal(tok: str, ln: int, what: str) -> int:
 
 def parse_instance(text: str) -> DemandGraph:
     a = b = m = None
-    pairs: list[tuple[V, V]] = []
+    pairs: list[tuple[int, int]] = []
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -211,7 +209,7 @@ def parse_instance(text: str) -> DemandGraph:
                 raise FormatError(f"line {ln}: multiplicity must be positive")
             if len(pairs) + mult > m:
                 raise FormatError(f"line {ln}: edge lines supply more than the {m} declared edges")
-            pairs.extend((A(i - 1), B(j - 1)) for _ in range(mult))
+            pairs.extend(repeat((i - 1, a + j - 1), mult))
         else:
             raise FormatError(f"line {ln}: unrecognized record {toks[0]!r}")
     if a is None:
@@ -220,7 +218,7 @@ def parse_instance(text: str) -> DemandGraph:
         raise FormatError(
             f"header declares {m} edges but the edge lines supply {len(pairs)}"
         )
-    return DemandGraph.from_pairs(a, b, pairs)
+    return DemandGraph.empty(a, b).with_slots(pairs)
 
 
 # -- resolution files ----------------------------------------------------------

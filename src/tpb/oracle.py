@@ -65,10 +65,11 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, permutations
 from typing import Callable, Iterator
 
-from .demand import A, B, SIDE_A, DemandGraph, Path, Resolution
+from .demand import DemandGraph, Path, Resolution
 from .errors import PreconditionError
 
 RESOLVABLE = "resolvable"
@@ -187,23 +188,23 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
     if not D.is_bipartite_demand():
         raise PreconditionError("the oracle decides class-crossing demand graphs")
     a, b = D.a, D.b
+    links = D.links
     degs = D.degree_map()
-    mult = Counter(e.pair() for e in D.edges.values())
+    mult = Counter(e.pair() for e in links.values())
 
     def key(eid):
-        e = D.edges[eid]
+        e = links[eid]
         return (-mult[e.pair()], -(degs[e.u] + degs[e.v]), e.pair(), eid)
 
     # Sides are 0 (class A) and 1 (class B).  cnt[s][v] counts the
     # unrouted demands at v on side s.
     demands = []
     cnt_a, cnt_b = cnt = ([0] * a, [0] * b)
-    for eid in sorted(D.edges, key=key):
-        e = D.edges[eid]
-        u, v = (e.u, e.v) if e.u.side == SIDE_A else (e.v, e.u)
-        demands.append((eid, u.index, v.index))
-        cnt_a[u.index] += 1
-        cnt_b[v.index] += 1
+    for eid in sorted(links, key=key):
+        i, j = links[eid].pair()
+        demands.append((eid, i, j - a))
+        cnt_a[i] += 1
+        cnt_b[j - a] += 1
     depth = len(demands)
 
     # Bitmasks over the other side: fm_s[v] holds the w whose base edge to
@@ -363,14 +364,11 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
         return OracleVerdict(UNKNOWN, None, nodes)
     if not found:
         return OracleVerdict(UNRESOLVABLE, None, nodes)
-    # The paths reuse the input's vertex objects where it has them, so a
-    # verdict holds little more than its paths.
-    verts = ([A(i) for i in range(a)], [B(j) for j in range(b)])
-    for e in D.edges.values():
-        for w in (e.u, e.v):
-            verts[w.side != SIDE_A][w.index] = w
+    # The paths share one V per vertex, so a verdict holds little more
+    # than its paths.
+    vertex = cache(D.vertex)
     routes = {
-        eid: Path(tuple(verts[t % 2][x] for t, x in enumerate(seq)))
+        eid: Path(tuple(vertex(x + a * (t % 2)) for t, x in enumerate(seq)))
         for (eid, _, _), seq in zip(demands, seqs)
     }
     return OracleVerdict(RESOLVABLE, Resolution(routes), nodes)
@@ -408,8 +406,8 @@ def enumerate_demands(
         pairs = []
         for i in range(n):
             for j in range(n):
-                pairs.extend([(A(i), B(j))] * M[i][j])
-        return DemandGraph.from_pairs(n, n, pairs)
+                pairs.extend([(i, n + j)] * M[i][j])
+        return DemandGraph.empty(n, n).with_slots(pairs)
 
     def rec(idx: int, total: int):
         if idx == len(cells):

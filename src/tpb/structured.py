@@ -21,6 +21,8 @@ Each lifting stage is one batched `lift` call: one edge-dict copy.
 """
 from __future__ import annotations
 
+from collections import Counter
+
 from .coloring import (
     choose_semiregular_targets,
     deficit_pairs,
@@ -29,17 +31,7 @@ from .coloring import (
     regularize,
     vizing_color,
 )
-from .demand import (
-    A,
-    B,
-    SIDE_A,
-    DemandGraph,
-    Resolution,
-    V,
-    extract_resolution,
-    lift,
-    transpose_resolution,
-)
+from .demand import DemandGraph, Resolution, extract_resolution, lift, transpose_resolution
 from .errors import PreconditionError, StructuralError
 
 
@@ -73,14 +65,14 @@ def repartition_matchings(
         if carry:
             blocked = set()
             for eid in carry:
-                blocked.add(H.edges[eid].u)
-                blocked.add(H.edges[eid].v)
+                blocked.add(H.links[eid].u)
+                blocked.add(H.links[eid].v)
             picked: list[int] = []
             need = delta_a - len(carry)
             for eid in avail:
                 if len(picked) == need:
                     break
-                e = H.edges[eid]
+                e = H.links[eid]
                 if e.u in blocked or e.v in blocked:
                     continue
                 picked.append(eid)
@@ -123,8 +115,8 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
         raise PreconditionError(f"max degree {D.max_degree()} exceeds floor(n/3) = {t}")
     starts = (0, sizes[0], sizes[0] + sizes[1], n)
     blocks = [range(starts[k], starts[k + 1]) for k in range(3)]
-    for e in D.edges.values():
-        i, j = (e.u.index, e.v.index) if e.u.side == SIDE_A else (e.v.index, e.u.index)
+    for e in D.links.values():
+        i, j = (e.u, e.v - n) if e.u < n else (e.v, e.u - n)
         bi = (i >= starts[1]) + (i >= starts[2])
         bj = (j >= starts[1]) + (j >= starts[2])
         if bi != bj:
@@ -134,29 +126,29 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
     degs = D.degree_map()
     pairs = []
     for blk in blocks:
-        pairs += deficit_pairs({i: t - degs[A(i)] for i in blk}, {j: t - degs[B(j)] for j in blk})
-    padded = D.with_edges(pairs, padding=True)
+        pairs += deficit_pairs({i: t - degs[i] for i in blk}, {j: t - degs[n + j] for j in blk})
+    padded = D.with_slots(((i, n + j) for i, j in pairs), padding=True)
 
     # Lift the j-th perfect matching of every block onto the block's j-th A-vertex.
     moves = []
     for k, blk in enumerate(blocks):
-        matchings = konig_decompose(padded.induced([A(i) for i in blk] + [B(j) for j in blk]))
+        matchings = konig_decompose(padded.induced([*blk, *range(n + blk.start, n + blk.stop)]))
         if len(matchings) != t:
             raise StructuralError(f"block {k + 1}: expected {t} matchings, got {len(matchings)}")
         for j, matching in enumerate(matchings):
             if len(matching) != len(blk):
                 raise StructuralError(f"block {k + 1}: matching {j} is not perfect")
-            moves += ((eid, A(blk[j])) for eid in sorted(matching))
+            moves += ((eid, blk[j]) for eid in sorted(matching))
     G = lift(padded, moves)
 
     # Lift each block's within-class edges of color c onto the c-th B-vertex of the others.
     moves = []
     for k, blk in enumerate(blocks):
-        within = G.induced(A(i) for i in blk)
+        within = G.induced(blk)
         if within.max_multiplicity() > 2:
             raise StructuralError(f"block {k + 1}: within-class multiplicity exceeds 2")
         col = vizing_color(within)
-        targets = [B(j) for j in blocks[(k + 1) % 3]] + [B(j) for j in blocks[(k + 2) % 3]]
+        targets = [n + j for j in blocks[(k + 1) % 3]] + [n + j for j in blocks[(k + 2) % 3]]
         if col.palette_size > len(targets):
             raise PreconditionError(
                 f"block {k + 1}: {col.palette_size} colors but only {len(targets)} lift targets"
@@ -168,42 +160,40 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
     G = lift(G, moves)
 
     res = extract_resolution(G, padded)
-    return Resolution({eid: res.routes[eid] for eid in D.edges})
+    return Resolution({eid: res.routes[eid] for eid in D.links})
 
 
 # -- degree-bounded instances ----------------------------------------------------
 
 
-def check_quarter_claims(G: DemandGraph, delta_a: int) -> dict[int, set[V]]:
+def check_quarter_claims(G: DemandGraph, delta_a: int) -> dict[int, set[int]]:
     """Assert the facts the lifting stage must establish; return the exclusion lists.
 
     A within-class edge may not be lifted onto a B-vertex next to either
     end.  Every class-A vertex keeps delta_a distinct cross edges, so an
-    edge excludes at most 2*delta_a B-vertices.
+    edge excludes at most 2*delta_a B-slots.
     """
-    nb: dict[V, set[V]] = {A(i): set() for i in range(G.a)}
+    a = G.a
+    nb: list[set[int]] = [set() for _ in range(a)]
     within = []
-    within_mult: dict[tuple[V, V], int] = {}
-    within_deg: dict[V, int] = {}
-    for e in G.edges.values():
-        if e.u.side == e.v.side:
-            if e.u.side != SIDE_A:
+    within_deg = [0] * a
+    for e in G.links.values():
+        if (e.u < a) == (e.v < a):
+            if e.u >= a:
                 raise StructuralError("lifting created a class-B within edge")
             within.append(e)
-            key = e.pair()
-            within_mult[key] = within_mult.get(key, 0) + 1
-            within_deg[e.u] = within_deg.get(e.u, 0) + 1
-            within_deg[e.v] = within_deg.get(e.v, 0) + 1
+            within_deg[e.u] += 1
+            within_deg[e.v] += 1
         else:
-            x, y = (e.u, e.v) if e.u.side == SIDE_A else (e.v, e.u)
+            x, y = (e.u, e.v) if e.u < a else (e.v, e.u)
             if y in nb[x]:
                 raise StructuralError("lifting created a parallel cross edge")
             nb[x].add(y)
-    if any(c > 2 for c in within_mult.values()):
+    if any(c > 2 for c in Counter(e.pair() for e in within).values()):
         raise StructuralError("within-class multiplicity exceeds 2")
-    if any(len(ys) != delta_a for ys in nb.values()):
+    if any(len(ys) != delta_a for ys in nb):
         raise StructuralError("some class-A vertex does not keep delta_a cross edges")
-    if any(d > 2 * delta_a for d in within_deg.values()):
+    if max(within_deg) > 2 * delta_a:
         raise StructuralError("within-class degree exceeds 2*delta_a")
     return {e.id: nb[e.u] | nb[e.v] for e in within}
 
@@ -220,7 +210,7 @@ def solve_quarter(D: DemandGraph) -> Resolution | None:
     if D.a < D.b:
         res = solve_quarter(D.transpose())
         return None if res is None else transpose_resolution(res)
-    if not D.edges:
+    if not D.links:
         return Resolution({})
     ta, tb = choose_semiregular_targets(D)
     if 4 * ta > D.b:
@@ -232,13 +222,13 @@ def solve_quarter(D: DemandGraph) -> Resolution | None:
     groups = repartition_matchings(reg, matchings, ta)
     if len(groups) != reg.a:
         raise StructuralError("repartition did not produce one matching per A-vertex")
-    G = lift(reg, ((eid, A(i)) for i, group in enumerate(groups) for eid in sorted(group)))
+    G = lift(reg, ((eid, i) for i, group in enumerate(groups) for eid in sorted(group)))
     excluded = check_quarter_claims(G, ta)
-    within = G.induced(A(i) for i in range(G.a))
-    palette = [B(j) for j in range(G.b)]
+    within = G.induced(range(G.a))
+    palette = range(G.a, G.a + G.b)
     col = greedy_list_color(within, palette, excluded, max_nodes=max(1000, within.m + 1))
     if col is None:
         return None
     G = lift(G, ((eid, col.colors[eid]) for eid in sorted(col.colors)))
     res = extract_resolution(G, reg)
-    return Resolution({eid: res.routes[eid] for eid in D.edges})
+    return Resolution({eid: res.routes[eid] for eid in D.links})

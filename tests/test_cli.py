@@ -297,3 +297,40 @@ def test_non_ascii_digit_in_route_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert run("verify", "--in", str(inst), "--resolution", str(sol)) == 2
     assert capsys.readouterr().err.startswith("parse error: ")
+
+
+@pytest.fixture
+def blocked6(tmp_path):
+    # default blocks 2,2,2; floor(n/3) = 2
+    inst = tmp_path / "b6.tpb"
+    assert run("gen", "--family", "random-blocked", "--n", "6", "--seed", "1", "--out", str(inst)) == 0
+    return inst
+
+
+@pytest.mark.parametrize("algo", ["auto", "edge", "blocked", "quarter", "oracle"])
+@pytest.mark.parametrize("blocks", ["1,1,1", "0,3,3", "3,-1,4", "2,2"])
+def test_blocks_that_do_not_fit_are_usage_errors(blocked6, algo, blocks, capsys):
+    assert run("solve", "--in", str(blocked6), "--algo", algo, "--blocks", blocks) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --blocks")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("blocks,code", [("4,1,1", 1), ("2,2,2", 0)])
+def test_blocks_that_fit_reach_the_solver(blocked6, blocks, code, capsys):
+    # 4,1,1 sums to n but has blocks below floor(n/3): a solver precondition
+    assert run("solve", "--in", str(blocked6), "--algo", "blocked", "--blocks", blocks) == code
+    captured = capsys.readouterr()
+    assert ("outcome: solved" if code == 0 else "outcome: unsolved") in captured.out
+    assert captured.err == ""
+
+
+def test_parser_built_once_keeps_help_and_usage(capsys):
+    assert run("--help") == 0
+    first = capsys.readouterr().out
+    assert first.startswith("usage: tpb")
+    assert run("solve") == 2  # --in is required
+    assert "usage: tpb solve" in capsys.readouterr().err
+    assert run("--help") == 0
+    assert capsys.readouterr().out == first
+    assert tpb.cli.build_parser() is tpb.cli.build_parser()

@@ -17,6 +17,7 @@ from tpb import (
     PreconditionError,
     Resolution,
     StructuralError,
+    V,
     edge_lift,
     extract_resolution,
     lift,
@@ -38,8 +39,8 @@ def state_of(L):
     """Everything a level state holds, for comparing two states."""
     return (
         list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.ids, L.nbrs,
-        L.parallel, {s: list(vs) for s, vs in L.sides.items()}, L.removed, L.frozen,
-        {s: L.isolated(s, L.a + L.b) for s in L.sides},
+        L.parallel, [list(vs) for vs in L.sides], L.removed, L.frozen,
+        [L.isolated(s, L.a + L.b) for s in (0, 1)],
     )
 
 
@@ -48,13 +49,13 @@ def state_of(L):
 
 def test_lift_to_endpoint_is_identity():
     D = g(2, 2, [(A(0), B(0))])
-    assert lift(D, [(0, A(0))]) is D
-    assert lift(D, [(0, B(0))]) is D
+    assert lift(D, [(0, D.slot(A(0)))]) is D
+    assert lift(D, [(0, D.slot(B(0)))]) is D
 
 
 def test_lift_splits_edge_and_keeps_label():
     D = g(2, 2, [(A(0), B(0))])
-    D2 = lift(D, [(0, A(1))])
+    D2 = lift(D, [(0, D.slot(A(1)))])
     assert D2.m == D.m + 1
     assert sorted(e.pair() for e in D2.edges.values()) == [
         (A(0), A(1)),
@@ -67,42 +68,43 @@ def test_lift_splits_edge_and_keeps_label():
 def test_lift_composition_equals_edge_lift():
     # lifting uv to x and then the ux half on to y equals edge_lift to xy
     D = g(3, 3, [(A(0), B(0))])
-    one = lift(D, [(0, A(1))])
+    one = lift(D, [(0, D.slot(A(1)))])
     half = next(eid for eid, e in one.edges.items() if e.pair() == (A(0), A(1)))
-    two = lift(one, [(half, B(1))])
-    direct = edge_lift(LevelState(D), [(0, A(1), B(1))])
+    two = lift(one, [(half, D.slot(B(1)))])
+    direct = edge_lift(LevelState(D), [(0, D.slot(A(1)), D.slot(B(1)))])
     assert Counter(e.pair() for e in two.edges.values()) == Counter(
-        e.pair() for e in direct.edges.values()
+        e.pair() for e in graph_of(direct).edges.values()
     )
 
 
 def test_lift_unknown_edge_and_bad_vertex():
     D = g(2, 2, [(A(0), B(0))])
     with pytest.raises(NotFoundError):
-        lift(D, [(99, A(1))])
-    with pytest.raises(DomainError):
-        lift(D, [(0, A(5))])
+        lift(D, [(99, D.slot(A(1)))])
+    for z in (-1, 4, 5):  # slots of K_{2,2} are 0..3
+        with pytest.raises(DomainError):
+            lift(D, [(0, z)])
 
 
 def test_lift_batch_without_effective_move_is_identity():
     D = g(2, 2, [(A(0), B(0)), (A(1), B(1))])
     assert lift(D, []) is D
-    assert lift(D, [(0, A(0)), (1, B(1)), (0, B(0))]) is D
+    assert lift(D, [(0, 0), (1, D.slot(B(1))), (0, D.slot(B(0)))]) is D
 
 
 def test_lift_batch_rejects_repeated_id_and_bad_vertex_without_change():
     D = g(3, 3, [(A(0), B(0)), (A(1), B(1))])
-    before = list(D.edges.items()), D.next_fresh_id
+    before = list(D.links.items()), D.next_fresh_id
     with pytest.raises(NotFoundError):
-        lift(D, [(0, A(1)), (0, A(2))])
+        lift(D, [(0, D.slot(A(1))), (0, D.slot(A(2)))])
     with pytest.raises(DomainError):
-        lift(D, [(0, A(1)), (1, B(7))])
-    assert (list(D.edges.items()), D.next_fresh_id) == before
+        lift(D, [(0, D.slot(A(1))), (1, 9)])
+    assert (list(D.links.items()), D.next_fresh_id) == before
 
 
 def test_lift_batch_may_move_edges_it_creates():
     D = g(3, 3, [(A(0), B(0))])
-    G = lift(D, [(0, A(1)), (2, B(2))])  # id 2 is the A(1)-B(0) half
+    G = lift(D, [(0, D.slot(A(1))), (2, D.slot(B(2)))])  # id 2 is the A(1)-B(0) half
     assert [(e.id, e.u, e.v) for e in G.edges.values()] == [
         (1, A(0), A(1)),
         (3, A(1), B(2)),
@@ -115,9 +117,10 @@ def test_lift_batch_may_move_edges_it_creates():
 
 
 def test_edge_lift_example():
-    L = LevelState(g(2, 2, [(A(0), B(0))]))
-    assert edge_lift(L, [(0, A(1), B(1))]) is L
-    assert sorted(e.pair() for e in L.edges.values()) == [
+    D = g(2, 2, [(A(0), B(0))])
+    L = LevelState(D)
+    assert edge_lift(L, [(0, D.slot(A(1)), D.slot(B(1)))]) is L
+    assert sorted(e.pair() for e in graph_of(L).edges.values()) == [
         (A(0), B(1)),
         (A(1), B(0)),
         (A(1), B(1)),
@@ -126,43 +129,49 @@ def test_edge_lift_example():
 
 
 def test_edge_lift_degrees():
-    L = edge_lift(LevelState(g(2, 2, [(A(0), B(0))])), [(0, A(1), B(1))])
+    D = g(2, 2, [(A(0), B(0))])
+    L = edge_lift(LevelState(D), [(0, D.slot(A(1)), D.slot(B(1)))])
     degs = L.deg
-    assert degs[A(0)] == 1 and degs[B(0)] == 1
-    assert degs[A(1)] == 2 and degs[B(1)] == 2
+    assert degs[D.slot(A(0))] == 1 and degs[D.slot(B(0))] == 1
+    assert degs[D.slot(A(1))] == 2 and degs[D.slot(B(1))] == 2
 
 
 def test_edge_lift_rejects_shared_vertex():
-    L = LevelState(g(2, 2, [(A(0), B(0))]))
+    D = g(2, 2, [(A(0), B(0))])
+    L = LevelState(D)
     with pytest.raises(PreconditionError):
-        edge_lift(L, [(0, A(0), B(1))])
+        edge_lift(L, [(0, D.slot(A(0)), D.slot(B(1)))])
     with pytest.raises(PreconditionError):
-        edge_lift(L, [(0, B(1), A(0))])
+        edge_lift(L, [(0, D.slot(B(1)), D.slot(A(0)))])
 
 
 def test_edge_lift_rejects_within_class_edge():
     D = g(2, 2, [(A(0), B(0))])
-    D2 = lift(D, [(0, A(1))])  # creates the within-class edge (A0, A1)
+    D2 = lift(D, [(0, D.slot(A(1)))])  # creates the within-class edge (A0, A1)
     aa = next(eid for eid, e in D2.edges.items() if e.pair() == (A(0), A(1)))
     with pytest.raises(PreconditionError):
-        edge_lift(LevelState(D2), [(aa, A(0), B(1))])
+        edge_lift(LevelState(D2), [(aa, D.slot(A(0)), D.slot(B(1)))])
 
 
 def test_edge_lift_batch_failure_leaves_input_unchanged():
+    D = g(4, 4, [(A(0), B(0)), (A(1), B(1))])
+    s = D.slot
+
     def fresh():
-        L = LevelState(g(4, 4, [(A(0), B(0)), (A(1), B(1))]))
-        L.remove([A(3), B(3)])
+        L = LevelState(D)
+        L.remove([s(A(3)), s(B(3))])
         return L
 
     L = fresh()
     assert edge_lift(L, []) is L
     for error, moves in (
-        (NotFoundError, [(0, A(1), B(1)), (0, A(2), B(2))]),
-        (DomainError, [(0, A(2), B(2)), (1, A(0), B(7))]),
-        (DomainError, [(0, A(2), B(2)), (1, A(3), B(0))]),  # A3 is removed
-        (PreconditionError, [(0, A(2), B(2)), (1, A(2), B(1))]),
-        (PreconditionError, [(0, A(2), B(2)), (1, B(0), B(2))]),  # target in class B only
-        (PreconditionError, [(0, A(2), B(2)), (1, A(0), A(2))]),
+        (NotFoundError, [(0, s(A(1)), s(B(1))), (0, s(A(2)), s(B(2)))]),
+        (DomainError, [(0, s(A(2)), s(B(2))), (1, s(A(0)), 8)]),  # slots of K_{4,4} are 0..7
+        (DomainError, [(0, s(A(2)), s(B(2))), (1, -1, s(B(0)))]),
+        (DomainError, [(0, s(A(2)), s(B(2))), (1, s(A(3)), s(B(0)))]),  # A3 is removed
+        (PreconditionError, [(0, s(A(2)), s(B(2))), (1, s(A(2)), s(B(1)))]),
+        (PreconditionError, [(0, s(A(2)), s(B(2))), (1, s(B(0)), s(B(2)))]),  # target in class B only
+        (PreconditionError, [(0, s(A(2)), s(B(2))), (1, s(A(0)), s(A(2)))]),
     ):
         with pytest.raises(error):
             edge_lift(L, moves)
@@ -176,7 +185,7 @@ def test_extract_length_one_and_simple_walk():
     D = g(3, 3, [(A(0), B(0)), (A(1), B(1))])
     r = extract_resolution(D, D)
     assert r.routes[0] == Path((A(0), B(0)))
-    final = graph_of(edge_lift(LevelState(D), [(0, A(2), B(2))]))
+    final = graph_of(edge_lift(LevelState(D), [(0, D.slot(A(2)), D.slot(B(2)))]))
     r = extract_resolution(final, D)
     assert r.routes[0].vertices[0] == A(0)
     assert r.routes[0].vertices[-1] == B(0)
@@ -196,13 +205,14 @@ def revisiting_final():
     its last edge, so A0 carries three class edges; demand 1 (A2-B3)
     meets A2 three times and A3 four times.
     """
-    orig = DemandGraph(4, 6, {0: Edge(0, 0, A(0), B(0)), 1: Edge(1, 1, A(2), B(3))}, 2)
+    s = DemandGraph.empty(4, 6).slot
+    orig = DemandGraph(4, 6, {0: Edge(0, 0, s(A(0)), s(B(0))), 1: Edge(1, 1, s(A(2)), s(B(3)))}, 2)
     steps = [
         (0, A(1), B(2)), (0, A(0), B(1)), (0, B(0), A(0)), (0, B(2), A(0)), (0, B(1), A(1)),
         (1, A(2), B(4)), (1, B(4), A(3)), (1, A(3), B(5)), (1, B(5), A(2)),
         (1, A(2), B(1)), (1, B(1), A(3)), (1, A(3), B(3)),
     ]
-    edges = {10 + k: Edge(10 + k, lab, u, v) for k, (lab, u, v) in enumerate(steps)}
+    edges = {10 + k: Edge(10 + k, lab, s(u), s(v)) for k, (lab, u, v) in enumerate(steps)}
     return DemandGraph(4, 6, edges, 10 + len(steps)), orig
 
 
@@ -285,6 +295,7 @@ def random_walk_final(seed):
     """
     rng = random.Random(seed)
     a, b = rng.randint(2, 4), rng.randint(2, 4)
+    s = DemandGraph.empty(a, b).slot
     free = {(i, j) for i in range(a) for j in range(b)}
     orig, steps = {}, []
     for label in range(rng.randint(1, 4)):
@@ -305,12 +316,12 @@ def random_walk_final(seed):
         if len(walk) < 2:
             continue
         if rng.random() < 0.8:
-            orig[label] = Edge(label, label, walk[0], walk[-1])
+            orig[label] = Edge(label, label, s(walk[0]), s(walk[-1]))
         steps += [(label, x, y) if rng.random() < 0.5 else (label, y, x) for x, y in zip(walk, walk[1:])]
     if steps and rng.random() < 0.15:
         steps.pop(rng.randrange(len(steps)))
     ids = rng.sample(range(100, 100 + 3 * len(steps)), len(steps))
-    final = DemandGraph(a, b, {i: Edge(i, lab, x, y) for i, (lab, x, y) in zip(ids, steps)}, 200)
+    final = DemandGraph(a, b, {i: Edge(i, lab, s(x), s(y)) for i, (lab, x, y) in zip(ids, steps)}, 200)
     return final, DemandGraph(a, b, orig, 10)
 
 
@@ -336,10 +347,10 @@ def test_extract_requires_simple_graph():
 def test_extract_flags_lost_label():
     D = g(2, 2, [(A(0), B(0))])
     other = g(2, 2, [(A(1), B(1))])
-    full = DemandGraph(2, 2, dict(other.edges), other.next_fresh_id)
+    full = DemandGraph(2, 2, dict(other.links), other.next_fresh_id)
     # label 0 of D is nowhere in `full` even though ids align
     relabeled = DemandGraph(
-        2, 2, {0: full.edges[0]._replace(label=7)}, full.next_fresh_id
+        2, 2, {0: full.links[0]._replace(label=7)}, full.next_fresh_id
     )
     with pytest.raises(StructuralError):
         extract_resolution(relabeled, D)
@@ -388,28 +399,38 @@ def test_verify_bad_paths():
     assert any("repeats" in p for p in verify_resolution(D, walk))
 
 
+@pytest.mark.parametrize("w", [B(3), A(-1), B(-1), A(3), V("C", 0)])
+def test_verify_flags_vertex_outside_base_graph(w):
+    # a route through a vertex that K_{3,3} lacks fails, whatever its slot would be
+    D = g(3, 3, [(A(0), B(0))])
+    vs = (A(0), w, A(1), B(0)) if w.side != "A" else (A(0), B(1), w, B(0))
+    assert verify_resolution(D, Resolution({0: Path(vs)})) == [
+        f"route 0: vertex {w} outside base graph"
+    ]
+
+
 # -- multigraph accessors ---------------------------------------------------------
 
 
 def test_multiplicity_and_degree_count_parallels():
     D = g(2, 2, [(A(0), B(0))] * 3)
     assert Counter(e.pair() for e in D.edges.values()) == {(A(0), B(0)): 3}
-    assert D.degree_map()[A(0)] == 3
+    assert D.degree_map()[D.slot(A(0))] == 3
     assert D.max_degree() == 3
     assert D.max_multiplicity() == 3
 
 
 def test_induced_identity_and_filter():
     D = g(2, 2, [(A(0), B(0)), (A(1), B(1))])
-    assert D.induced(D.vertices()).edges == D.edges
-    sub = D.induced([A(0), B(0)])
+    assert D.induced(range(D.a + D.b)).links == D.links
+    sub = D.induced([D.slot(A(0)), D.slot(B(0))])
     assert list(sub.edges) == [0]
     assert sub.next_fresh_id == D.next_fresh_id
 
 
 def test_degree_sum_is_twice_edges():
     D = g(4, 3, [(A(0), B(0)), (A(0), B(1)), (A(2), B(1))])
-    assert sum(D.degree_map().values()) == 2 * D.m
+    assert sum(D.degree_map()) == 2 * D.m
 
 
 # -- property tests ----------------------------------------------------------------
@@ -437,10 +458,10 @@ def test_lifting_preserves_label_walks(D, data):
         eid = data.draw(st.sampled_from(sorted(G.edges)))
         side = data.draw(st.booleans())
         idx = data.draw(st.integers(0, (G.a if side else G.b) - 1))
-        G = lift(G, [(eid, A(idx) if side else B(idx))])
+        G = lift(G, [(eid, G.slot(A(idx) if side else B(idx)))])
     # label count and terminals survive any lifting sequence
     assert {e.label for e in G.edges.values()} == {e.label for e in D.edges.values()}
-    assert sum(G.degree_map().values()) == 2 * G.m
+    assert sum(G.degree_map()) == 2 * G.m
     for eid, e0 in D.edges.items():
         cls = [e for e in G.edges.values() if e.label == e0.label]
         degs = Counter()
@@ -462,7 +483,7 @@ def test_batched_lift_equals_one_move_per_call(D, data):
             break
         eid = data.draw(st.sampled_from(sorted(G.edges)))
         side = data.draw(st.booleans())
-        z = A(data.draw(st.integers(0, G.a - 1))) if side else B(data.draw(st.integers(0, G.b - 1)))
+        z = data.draw(st.integers(0, G.a - 1)) if side else G.a + data.draw(st.integers(0, G.b - 1))
         moves.append((eid, z))
         G = lift(G, [(eid, z)])
     batched = lift(D, iter(moves))
@@ -479,11 +500,11 @@ def test_batched_edge_lift_equals_one_move_per_call(D, data):
     moves = []
     for _ in range(data.draw(st.integers(0, 8))):
         legal = [
-            (eid, A(i), B(j))
+            (eid, i, j)
             for eid, e in sorted(G.edges.items())
             for i in range(G.a)
-            for j in range(G.b)
-            if not e.touches(A(i)) and not e.touches(B(j))
+            for j in range(G.a, G.a + G.b)
+            if not e.touches(i) and not e.touches(j)
         ]
         if not legal:
             break
@@ -508,11 +529,11 @@ def test_edge_lift_from_class_b_mirrors_class_a(D, data):
     moves = []
     for _ in range(data.draw(st.integers(1, 6))):
         legal = [
-            (eid, A(i), B(j))
+            (eid, i, j)
             for eid, e in sorted(G.edges.items())
             for i in range(G.a)
-            for j in range(G.b)
-            if not e.touches(A(i)) and not e.touches(B(j))
+            for j in range(G.a, G.a + G.b)
+            if not e.touches(i) and not e.touches(j)
         ]
         if not legal:
             break
@@ -520,6 +541,24 @@ def test_edge_lift_from_class_b_mirrors_class_a(D, data):
         moves.append(move)
         edge_lift(G, [move])
     want = graph_of(edge_lift(LevelState(D.transpose()), moves)).transpose()
-    got = edge_lift(LevelState(D), [(eid, x.flip(), y.flip()) for eid, x, y in moves])
-    assert list(got.edges.items()) == list(want.edges.items())
+    T = D.transpose()
+    flip = {x: D.slot(T.vertex(x).flip()) for x in range(D.a + D.b)}
+    got = edge_lift(LevelState(D), [(eid, flip[x], flip[y]) for eid, x, y in moves])
+    assert list(got.edges.items()) == list(want.links.items())
     assert got.next_fresh_id == want.next_fresh_id
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs(max_n=5), st.data())
+def test_transpose_is_an_involution_that_flips_every_vertex(D, data):
+    # lifts first, so that within-class edges of both classes occur too
+    for _ in range(data.draw(st.integers(0, 4))):
+        if D.links:
+            eid = data.draw(st.sampled_from(sorted(D.links)))
+            D = lift(D, [(eid, data.draw(st.integers(0, D.a + D.b - 1)))])
+    T = D.transpose()
+    assert (T.a, T.b, T.next_fresh_id) == (D.b, D.a, D.next_fresh_id)
+    assert T.transpose() == D
+    assert list(T.edges.items()) == [
+        (eid, e._replace(u=e.u.flip(), v=e.v.flip())) for eid, e in D.edges.items()
+    ]

@@ -26,7 +26,6 @@ from tpb import (
     solve_edge_version,
     verify_resolution,
 )
-from tpb.demand import SIDE_A, SIDE_B
 from tpb.edge_solver import LevelState
 from tpb.instances import serialize_resolution
 
@@ -37,6 +36,11 @@ def g(n, pairs):
 
 def state(n, pairs):
     return LevelState(g(n, pairs))
+
+
+def slots(n, *vs):
+    """The slots of vertices of K_{n,n}."""
+    return tuple(map(DemandGraph.empty(n, n).slot, vs))
 
 
 def solved_with(D, tag):
@@ -53,7 +57,7 @@ def test_pad_noop_when_full():
     D = gen_chain(5)  # already 2n-2 edges
     L = LevelState(D)
     assert pad_to_full(L, 5) is L
-    assert L.edges == D.edges
+    assert L.edges == D.links
 
 
 def test_pad_empty():
@@ -70,7 +74,7 @@ def test_pad_avoids_full_vertices():
     assert pad_to_full(L, 4) is L
     assert L.m == 6
     assert max(L.deg.values()) <= 4
-    assert L.deg[A(0)] == 4
+    assert L.deg[0] == 4  # A0
 
 
 # -- induction conditions -----------------------------------------------------------
@@ -82,26 +86,26 @@ def test_conditions_empty_z():
 
 def test_conditions_flag_parallels_at_z():
     L = state(6, [(A(0), B(0))] * 2)
-    problems = check_conditions(L, (A(0), B(1)), 6)
+    problems = check_conditions(L, slots(6, A(0), B(1)), 6)
     assert any(p.startswith("(4)") for p in problems)
 
 
 def test_conditions_flag_unbalanced_and_degree():
     L = state(6, [(A(0), B(j)) for j in range(6)])
-    problems = check_conditions(L, (A(1), A(2)), 6)
+    problems = check_conditions(L, slots(6, A(1), A(2)), 6)
     assert any(p.startswith("(1)") for p in problems)
     L = state(6, [(A(0), B(0))] * 6)
-    problems = check_conditions(L, (A(1), B(1)), 6)
+    problems = check_conditions(L, slots(6, A(1), B(1)), 6)
     assert any(p.startswith("(3)") for p in problems)  # A0 keeps degree 6 > 5
 
 
 # -- cover set (Case 1) ---------------------------------------------------------------
 
 
-def cover_counts(D, F):
+def cover_counts(edges, F):
     cover = {}
     for eid in F:
-        e = D.edges[eid]
+        e = edges[eid]
         cover[e.u] = cover.get(e.u, 0) + 1
         cover[e.v] = cover.get(e.v, 0) + 1
     return cover
@@ -116,11 +120,11 @@ def test_cover_c4_subcase():
     )
     D = g(6, pairs)
     degs = D.degree_map()
-    Y = tuple(v for v in D.vertices() if degs[v] >= 5)
-    X = tuple(v for v in D.vertices() if degs[v] == 6)
+    Y = tuple(v for v, d in enumerate(degs) if d >= 5)
+    X = tuple(v for v, d in enumerate(degs) if d == 6)
     assert len(Y) == 4
     F = find_cover_F(LevelState(D), X, Y)
-    cover = cover_counts(D, F)
+    cover = cover_counts(D.links, F)
     assert all(cover.get(y, 0) >= 1 for y in Y)
     assert all(c <= 2 for c in cover.values())
 
@@ -138,7 +142,7 @@ def test_cover_parallel_plus_disjoint():
     ]
     D = g(6, pairs)
     F = find_cover_F(LevelState(D), (), ())
-    assert all(c <= 2 for c in cover_counts(D, F).values())
+    assert all(c <= 2 for c in cover_counts(D.links, F).values())
 
 
 def test_cover_without_structured_selection_raises():
@@ -154,14 +158,14 @@ def test_cover_matches_exhaustive_properties():
     Y = tuple(v for v in sorted(degs) if degs[v] >= 7)
     X = tuple(v for v in sorted(degs) if degs[v] == 8)
     F = find_cover_F(full, X, Y)
-    cover = cover_counts(full, F)
+    cover = cover_counts(full.edges, F)
     assert all(c <= 2 for c in cover.values())
     assert all(cover.get(y, 0) >= 1 for y in Y)
     assert all(cover.get(x, 0) == 2 for x in X)
     # brute force agrees some valid cover exists
     found = False
     for combo in combinations(sorted(full.edges), 4):
-        cc = cover_counts(full, combo)
+        cc = cover_counts(full.edges, combo)
         if (
             all(c <= 2 for c in cc.values())
             and all(cc.get(y, 0) >= 1 for y in Y)
@@ -176,18 +180,20 @@ def test_place_f_disjoint_edges():
     pairs = [(A(0), B(0)), (A(1), B(1)), (A(2), B(2)), (A(3), B(3))]
     L = state(8, pairs + [(A(0), B(1))] * 2)  # extra bulk, irrelevant
     F = (0, 1, 2, 3)
-    assert place_F(L, F, A(6), A(7), B(6), B(7)) is L
-    zset = {A(6), A(7), B(6), B(7)}
+    z = slots(8, A(6), A(7), B(6), B(7))
+    assert place_F(L, F, *z) is L
+    zset = set(z)
     assert all(L.deg[v] == 4 for v in zset)
 
 
 def test_place_f_with_parallel_pair():
     pairs = [(A(0), B(0))] * 2 + [(A(1), B(1)), (A(2), B(2))]
     L = state(8, pairs)
-    place_F(L, (0, 1, 2, 3), A(6), A(7), B(6), B(7))
+    z = slots(8, A(6), A(7), B(6), B(7))
+    place_F(L, (0, 1, 2, 3), *z)
     mult = {}
     for e in L.edges.values():
-        if e.u in {A(6), A(7), B(6), B(7)} or e.v in {A(6), A(7), B(6), B(7)}:
+        if e.u in z or e.v in z:
             key = e.pair()
             mult[key] = mult.get(key, 0) + 1
     assert all(c == 1 for c in mult.values())
@@ -196,7 +202,7 @@ def test_place_f_with_parallel_pair():
 def test_place_f_c4_cover():
     pairs = [(A(0), B(0)), (A(1), B(0)), (A(1), B(1)), (A(0), B(1))]
     L = state(8, pairs)
-    place_F(L, (0, 1, 2, 3), A(6), A(7), B(6), B(7))
+    place_F(L, (0, 1, 2, 3), *slots(8, A(6), A(7), B(6), B(7)))
     assert L.m == len(pairs) + 8
 
 
@@ -205,9 +211,9 @@ def test_place_f_rejects_a_corner_with_an_edge():
     L = state(8, pairs)
     before = list(L.edges.items())
     with pytest.raises(PreconditionError):
-        place_F(L, (0, 1, 2, 3), A(6), A(7), B(6), B(7))
+        place_F(L, (0, 1, 2, 3), *slots(8, A(6), A(7), B(6), B(7)))
     with pytest.raises(PreconditionError):
-        place_F(L, (0, 1, 2, 3), A(7), A(6), B(6), B(7))
+        place_F(L, (0, 1, 2, 3), *slots(8, A(7), A(6), B(6), B(7)))
     assert list(L.edges.items()) == before
 
 
@@ -604,21 +610,21 @@ def full_check_conditions(dp, z, n):
     """The four induction conditions checked over the whole graph: the test oracle."""
     problems = []
     zset = set(z)
-    za = sum(1 for v in zset if v.side == SIDE_A)
+    za = sum(1 for v in zset if v < dp.a)
     zb = len(zset) - za
     if za != zb:
         problems.append(f"(1) Z meets the classes {za}/{zb}")
-    incident = sum(1 for e in dp.edges.values() if e.u in zset or e.v in zset)
+    incident = sum(1 for e in dp.links.values() if e.u in zset or e.v in zset)
     if incident < len(zset):
         problems.append(f"(2) only {incident} edges incident to Z, need {len(zset)}")
-    rest = [v for v in dp.vertices() if v not in zset]
+    rest = [v for v in range(dp.a + dp.b) if v not in zset]
     off = dp.induced(rest)
     if off.max_degree() > n - len(zset) // 2:
         problems.append(
             f"(3) degree {off.max_degree()} off Z exceeds {n - len(zset) // 2}"
         )
     pair_mult = {}
-    for e in dp.edges.values():
+    for e in dp.links.values():
         pair_mult[e.pair()] = pair_mult.get(e.pair(), 0) + 1
     for (u, v), c in pair_mult.items():
         if c > 1 and (u in zset or v in zset):
@@ -643,8 +649,8 @@ def test_incremental_conditions_agree_with_full_check(monkeypatch):
     def both(L, z, n):
         G = DemandGraph(L.a, L.b, dict(L.edges), L.next_fresh_id)
         top = max(L.deg, key=lambda v: (L.deg[v], v))
-        other = max((v for v in L.deg if v.side != z[0].side), key=lambda v: (L.deg[v], v))
-        idle = tuple(L.isolated(SIDE_A, 2) + L.isolated(SIDE_B, 2))
+        other = max((v for v in L.deg if L.side(v) != L.side(z[0])), key=lambda v: (L.deg[v], v))
+        idle = tuple(L.isolated(0, 2) + L.isolated(1, 2))
         for zz in (z, z[:-1], (z[0], other), (top,) + z[1:], (top, other), idle, idle[::2]):
             got = real(L, zz, n)
             assert sorted(got) == sorted(full_check_conditions(G, zz, n)), (zz, got)
@@ -662,15 +668,15 @@ def test_incremental_conditions_agree_with_full_check(monkeypatch):
 def rebuilt(L):
     return LevelState(
         DemandGraph(L.a, L.b, dict(L.edges), L.next_fresh_id),
-        {side: list(ix) for side, ix in L.removed.items()}, dict(L.frozen),
+        tuple(list(ix) for ix in L.removed), dict(L.frozen),
     )
 
 
 def state_of(L):
     return (
         list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.ids, L.nbrs,
-        L.parallel, {s: list(vs) for s, vs in L.sides.items()}, L.removed, L.frozen,
-        {s: L.isolated(s, L.a + L.b) for s in L.sides},
+        L.parallel, [list(vs) for vs in L.sides], L.removed, L.frozen,
+        [L.isolated(s, L.a + L.b) for s in (0, 1)],
     )
 
 
@@ -683,7 +689,7 @@ def test_level_state_matches_rebuild(data):
     L = LevelState(DemandGraph.from_pairs(n, n, [(A(i), B(j)) for i, j in pairs]))
     for _ in range(data.draw(st.integers(1, 8), label="ops")):
         op = data.draw(st.sampled_from(["lift", "pad", "remove"]), label="op")
-        alive_a, alive_b = list(L.sides[SIDE_A]), list(L.sides[SIDE_B])
+        alive_a, alive_b = list(L.sides[0]), list(L.sides[1])
         before = rebuilt(L)
         try:
             if op == "lift" and L.edges:
@@ -710,7 +716,7 @@ def test_level_state_matches_rebuild(data):
                 zb = data.draw(st.permutations(alive_b), label="zb")[:k]
                 L.remove(za + zb)
                 assert not set(za + zb) & set(L.deg)
-                removed = {(side, i) for side, ix in L.removed.items() for i in ix}
+                removed = {v for ix in L.removed for v in ix}
                 assert all({e.u, e.v} & removed for e in L.frozen.values())
         except (PreconditionError, StructuralError, tpb.NotFoundError, tpb.DomainError):
             assert state_of(L) == state_of(before)  # a failed batch changes nothing
@@ -730,7 +736,7 @@ def test_levels_touch_no_whole_graph(monkeypatch):
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    for name in ("vertices", "induced", "transpose", "degree_map"):
+    for name in ("induced", "transpose", "degree_map"):
         counted(DemandGraph, name)
     counted(LevelState, "__init__")
     D = clustered_instance(96, 0)
@@ -739,8 +745,9 @@ def test_levels_touch_no_whole_graph(monkeypatch):
     base = trace.tags()[-1] == "base"
     assert len(trace.steps) > 30
     assert calls["__init__"] == 1  # one state for the whole induction
-    # only the oracle, at the n <= 5 base case, reads the vertex list
-    assert calls["vertices"] == calls["degree_map"] == int(base)
+    # the degree list is read once by the hypothesis check (max_degree) and
+    # once by the oracle at an n <= 5 base case, never by a level
+    assert calls["degree_map"] == 1 + int(base)
     assert calls["induced"] == calls["transpose"] == 0
 
 

@@ -87,7 +87,7 @@ def reference_decide(D):
     tried.
     """
     a, b = D.a, D.b
-    degs = D.degree_map()
+    degs = Counter(w for e in D.edges.values() for w in (e.u, e.v))
     mult = Counter(e.pair() for e in D.edges.values())
     demands = []
     for eid in sorted(D.edges):

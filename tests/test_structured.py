@@ -202,7 +202,7 @@ def test_quarter_intermediate_claims():
     assert (ta, tb) == (4, 4)
     reg = regularize(D, ta, tb)
     groups = repartition_matchings(reg, konig_decompose(reg), ta)
-    G = lift(reg, ((eid, A(i)) for i, group in enumerate(groups) for eid in sorted(group)))
+    G = lift(reg, ((eid, i) for i, group in enumerate(groups) for eid in sorted(group)))  # onto A_i
     excluded = check_quarter_claims(G, ta)  # raises on any violated claim
     cross_pairs = set()
     to_b = [0] * G.a
