@@ -8,7 +8,6 @@ unresolvable families, and text formats for instances and resolutions.
 """
 
 from .coloring import (
-    EdgeColoring,
     choose_semiregular_targets,
     greedy_list_color,
     konig_decompose,
@@ -25,7 +24,6 @@ from .demand import (
     V,
     extract_resolution,
     lift,
-    transpose_resolution,
     verify_resolution,
 )
 from .edge_solver import (

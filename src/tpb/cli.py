@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from .demand import DemandGraph, Resolution, verify_resolution
+from .demand import Resolution, verify_resolution
 from .edge_solver import solve_edge_version
 from .errors import FormatError, PreconditionError, TpbError
 from .instances import (
@@ -80,12 +80,6 @@ def _parse_blocks(text: str, n: int) -> tuple[int, int, int]:
     return parts
 
 
-def _try_edge(D: DemandGraph, report: RunReport) -> Resolution:
-    res, trace = solve_edge_version(D)
-    report.trace = [f"{s.n}:{s.case_tag}" for s in trace.steps]
-    return res
-
-
 def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -114,7 +108,8 @@ def cmd_solve(args) -> int:
         report.algorithm = algo
         try:
             if algo == "edge":
-                res = _try_edge(D, report)
+                res, trace = solve_edge_version(D)
+                report.trace = [f"{s.n}:{s.case_tag}" for s in trace.steps]
             elif algo == "blocked":
                 if blocks is None:
                     raise PreconditionError("blocked solving needs --blocks")
@@ -129,17 +124,12 @@ def cmd_solve(args) -> int:
                 if verdict.status == RESOLVABLE:
                     res = verdict.resolution
                 elif verdict.status == UNRESOLVABLE:
-                    outcome = "unsolved"
                     detail = "oracle proved the instance unresolvable"
                 else:
                     outcome = "unknown"
                     detail = "oracle budget exhausted"
         except PreconditionError as exc:
             detail = str(exc)
-            res = None
-            if args.algo != "auto":
-                outcome = "unsolved"
-            continue
         if res is not None or algo == "oracle" or args.algo != "auto":
             break
 
@@ -205,13 +195,10 @@ def cmd_gen(args) -> int:
             blocks = _parse_blocks(args.blocks, args.n) if args.blocks else (
                 args.n - 2 * (args.n // 3), args.n // 3, args.n // 3)
             D = gen_random_blocked(args.n, blocks, args.seed)
-        elif fam == "random-semiregular":
+        else:  # random-semiregular
             a = args.n if args.a is None else args.a
             b = args.n if args.b is None else args.b
             D = gen_random_semiregular(a, b, args.delta_a, args.seed)
-        else:
-            print(f"unknown family {fam}", file=sys.stderr)
-            return EXIT_USAGE
         text = serialize_instance(D)
     except (PreconditionError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,21 +14,12 @@ edge's adjacency count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heapreplace
 from typing import Collection, Mapping, Sequence
 
 from .demand import DemandGraph
 from .errors import PreconditionError, StructuralError
 from .oracle import _BudgetExceeded, search
-
-
-@dataclass
-class EdgeColoring:
-    """Proper edge coloring; colors are ints (or slots in list mode)."""
-
-    colors: dict[int, object]
-    palette_size: int
 
 
 #: Colors each edge id may not take, for `greedy_list_color`.
@@ -111,8 +102,10 @@ def _swap(links, at, used, color: dict[int, int], chain: list[int], c1: int, c2:
         used[e.v] |= 1 << cc
 
 
-def vizing_color(H: DemandGraph) -> EdgeColoring:
+def vizing_color(H: DemandGraph) -> dict[int, int]:
     """Properly color a loopless multigraph with at most Δ+μ colors.
+
+    Returns each edge id's color; the colors used are 0, 1, ... in order.
 
     Edges that cannot take a color free at both endpoints are handled by
     building a fan of colored edges around one endpoint and recoloring it:
@@ -124,7 +117,7 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
     """
     links = H.links
     if not links:
-        return EdgeColoring({}, 0)
+        return {}
     full = (1 << (H.max_degree() + H.max_multiplicity())) - 1
     degs = H.degree_map()
     at: list[dict[int, int]] = [{} for _ in degs]
@@ -227,18 +220,13 @@ def vizing_color(H: DemandGraph) -> EdgeColoring:
             continue
         fan_color(eid)
 
-    return _compact(color)
-
-
-def _compact(color: dict[int, int]) -> EdgeColoring:
-    seen = sorted(set(color.values()))
-    remap = {c: i for i, c in enumerate(seen)}
-    return EdgeColoring({eid: remap[c] for eid, c in color.items()}, len(seen))
+    remap = {c: i for i, c in enumerate(sorted(set(color.values())))}
+    return {eid: remap[c] for eid, c in color.items()}
 
 
 def greedy_list_color(
     H: DemandGraph, palette: Sequence, excluded: Exclusions, max_nodes: int = 1000
-) -> EdgeColoring | None:
+) -> dict[int, object] | None:
     """Proper coloring with colors(e) drawn from `palette` minus excluded[e], or None.
 
     Edges are processed in decreasing adjacency order with backtracking
@@ -281,7 +269,7 @@ def greedy_list_color(
             return None
     except _BudgetExceeded:
         return None
-    return EdgeColoring(dict(chosen), len(set(chosen.values())))
+    return dict(chosen)
 
 
 # -- degree padding ---------------------------------------------------------
@@ -300,7 +288,7 @@ def choose_semiregular_targets(D: DemandGraph) -> tuple[int, int]:
 
 
 def regularize(D: DemandGraph, target_a: int, target_b: int) -> DemandGraph:
-    """Pad D with flagged parallel edges until it is (targetA, targetB)-semiregular."""
+    """Pad D with parallel edges of fresh labels until it is (targetA, targetB)-semiregular."""
     a = D.a
     degs = D.degree_map()
     if max(degs[:a]) > target_a:
@@ -311,7 +299,7 @@ def regularize(D: DemandGraph, target_a: int, target_b: int) -> DemandGraph:
         raise PreconditionError("a*targetA must equal b*targetB")
     def_a = {i: target_a - degs[i] for i in range(a)}
     def_b = {j: target_b - degs[a + j] for j in range(D.b)}
-    return D.with_slots(((i, a + j) for i, j in deficit_pairs(def_a, def_b)), padding=True)
+    return D.with_slots((i, a + j) for i, j in deficit_pairs(def_a, def_b))
 
 
 def deficit_pairs(def_a: dict[int, int], def_b: dict[int, int]) -> list[tuple[int, int]]:

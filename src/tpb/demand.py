@@ -38,9 +38,6 @@ class V(NamedTuple):
     side: str
     index: int
 
-    def flip(self) -> "V":
-        return V(SIDE_B if self.side == SIDE_A else SIDE_A, self.index)
-
 
 def A(i: int) -> V:
     return V(SIDE_A, i)
@@ -57,7 +54,6 @@ class Edge(NamedTuple):
     label: int
     u: int
     v: int
-    padding: bool = False
 
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v) if self.u <= self.v else (self.v, self.u)
@@ -111,19 +107,19 @@ class DemandGraph:
     def from_pairs(a: int, b: int, pairs: Iterable[tuple[V, V]]) -> "DemandGraph":
         return DemandGraph.empty(a, b).with_edges(pairs)
 
-    def with_edges(self, pairs: Iterable[tuple[V, V]], padding: bool = False) -> "DemandGraph":
+    def with_edges(self, pairs: Iterable[tuple[V, V]]) -> "DemandGraph":
         """New graph with edges between the V pairs appended; ids and labels are fresh."""
         slot = self.slot
-        return self.with_slots([(slot(u), slot(v)) for u, v in pairs], padding)
+        return self.with_slots([(slot(u), slot(v)) for u, v in pairs])
 
-    def with_slots(self, pairs: Iterable[tuple[int, int]], padding: bool = False) -> "DemandGraph":
+    def with_slots(self, pairs: Iterable[tuple[int, int]]) -> "DemandGraph":
         """`with_edges` for pairs of slots that the caller has range-checked."""
         edges = dict(self.links)
         nid = self.next_fresh_id
         for u, v in pairs:
             if u == v:
                 raise PreconditionError(f"loop at {self.vertex(u)} is not a demand edge")
-            edges[nid] = Edge(nid, nid, u, v, padding)
+            edges[nid] = Edge(nid, nid, u, v)
             nid += 1
         return DemandGraph(self.a, self.b, edges, nid)
 
@@ -137,9 +133,7 @@ class DemandGraph:
     def edges(self) -> dict[int, Edge]:
         """`links` with V endpoints, for callers outside the package; built on first use."""
         vertex = cache(self.vertex)
-        return {
-            eid: Edge(eid, e.label, vertex(e.u), vertex(e.v), e.padding) for eid, e in self.links.items()
-        }
+        return {eid: Edge(eid, e.label, vertex(e.u), vertex(e.v)) for eid, e in self.links.items()}
 
     def slot(self, v: V) -> int:
         """The slot of vertex v; DomainError if v lies outside the base graph."""
@@ -209,8 +203,8 @@ def lift(D: DemandGraph, moves: Iterable[tuple[int, int]]) -> DemandGraph:
             raise DomainError(f"slot {z} outside K_{{{D.a},{D.b}}}")
         if z != e.u and z != e.v:
             del edges[edge_id]
-            edges[i] = Edge(i, e.label, e.u, z, e.padding)
-            edges[i + 1] = Edge(i + 1, e.label, z, e.v, e.padding)
+            edges[i] = Edge(i, e.label, e.u, z)
+            edges[i + 1] = Edge(i + 1, e.label, z, e.v)
             i += 2
     return D if i == D.next_fresh_id else DemandGraph(D.a, D.b, edges, i)
 
@@ -381,13 +375,3 @@ def verify_resolution(D: DemandGraph, res: Resolution) -> list[str]:
             else:
                 usage[key] = eid
     return problems
-
-
-def transpose_resolution(res: Resolution) -> Resolution:
-    """Mirror a resolution through the class swap."""
-    return Resolution(
-        {
-            eid: Path(tuple(w.flip() for w in p.vertices))
-            for eid, p in res.routes.items()
-        }
-    )

@@ -17,8 +17,8 @@ which `check_conditions` re-verifies at runtime at every level; a
 violation raises StructuralError naming the case, since it can only mean
 a handler bug.  The induction runs as one loop over one `LevelState`:
 the remaining graph on the input's slots, with degrees, degree
-buckets, each vertex pair's edge ids and neighbour sets kept up to date
-by every change.  The stage operations (`pad_to_full`, `check_conditions`,
+buckets and one adjacency map of each vertex pair's edge ids kept up to
+date by every change.  The stage operations (`pad_to_full`, `check_conditions`,
 `find_cover_F`, `place_F` and the bipartite lifting `edge_lift`) take
 that state: padding adds only the edges a level owes, each case applies
 its liftings in one `edge_lift` batch on the state in place, and
@@ -90,14 +90,15 @@ class LevelState:
     slots already `removed` and the edges already set aside as `frozen`;
     vertices are D's slots, and class s is 0 for A and 1 for B.
     `sides[s]` holds class s's alive slots in order, `deg` their degrees
-    and `bydeg` the alive slots by degree; `ids` gives each slot pair's
-    edge ids lowest first, `nbrs` the neighbour sets and `parallel` the
-    pairs with two or more edges.  `idle[s]` is a min-heap that holds
-    every isolated slot of class s, pruned lazily of slots that have
-    since gained an edge or been removed.  `edges` holds the alive edges
-    in id order (new ids are always the largest) and `frozen` the edges
-    set aside with a removed vertex; `removed[s]` lists class s's removed
-    slots in order.
+    and `bydeg` the alive slots of positive degree by degree.
+    `adj[v][w]` lists the ids of the edges between v and w lowest first,
+    one list shared by both ends, so the keys of `adj[v]` are v's
+    neighbours; `parallel` holds the pairs with two or more edges.
+    `idle[s]` is a min-heap that holds every isolated slot of class s,
+    pruned lazily of slots that have since gained an edge or been
+    removed.  `edges` holds the alive edges in id order (new ids are
+    always the largest) and `frozen` the edges set aside with a removed
+    vertex; `removed[s]` lists class s's removed slots in order.
     """
 
     def __init__(
@@ -116,9 +117,8 @@ class LevelState:
             self.sides.append({v: None for v in slots if v not in gone})
         self.deg = dict.fromkeys([*self.sides[0], *self.sides[1]], 0)
         self.idle = [list(vs) for vs in self.sides]
-        self.bydeg = defaultdict(set, {0: set(self.deg)} if self.deg else {})
-        self.nbrs: dict[int, set[int]] = {v: set() for v in self.deg}
-        self.ids: dict[tuple[int, int], list[int]] = {}
+        self.bydeg = defaultdict(set)
+        self.adj: dict[int, dict[int, list[int]]] = {v: {} for v in self.deg}
         self.parallel: set[tuple[int, int]] = set()
         self.edges: dict[int, Edge] = {}
         for e in sorted(D.links.values()):
@@ -132,7 +132,7 @@ class LevelState:
         return int(v >= self.a)
 
     def pair(self, u: int, v: int) -> list[int]:
-        return self.ids.get((u, v) if u <= v else (v, u), [])
+        return self.adj[u].get(v, [])
 
     def of_degree(self, d: int, side: int | None = None) -> list[int]:
         a = self.a
@@ -161,38 +161,37 @@ class LevelState:
 
     def _bump(self, v: int, k: int) -> None:
         d = self.deg[v]
-        bucket = self.bydeg[d]
-        bucket.discard(v)
-        if not bucket:
-            del self.bydeg[d]
-        self.deg[v] = d + k
-        self.bydeg[d + k].add(v)
-        if not d + k:
+        if d:
+            bucket = self.bydeg[d]
+            bucket.discard(v)
+            if not bucket:
+                del self.bydeg[d]
+        d += k
+        self.deg[v] = d
+        if d:
+            self.bydeg[d].add(v)
+        else:
             heappush(self.idle[v >= self.a], v)
 
     def _add(self, e: Edge) -> None:
         self.edges[e.id] = e
-        key = e.pair()
-        ids = self.ids.setdefault(key, [])
+        ids = self.adj[e.u].get(e.v)
+        if ids is None:
+            ids = self.adj[e.u][e.v] = self.adj[e.v][e.u] = []
         ids.append(e.id)
         if len(ids) == 2:
-            self.parallel.add(key)
-        self.nbrs[e.u].add(e.v)
-        self.nbrs[e.v].add(e.u)
+            self.parallel.add(e.pair())
         self._bump(e.u, 1)
         self._bump(e.v, 1)
 
     def _drop(self, eid: int) -> Edge:
         e = self.edges.pop(eid)
-        key = e.pair()
-        ids = self.ids[key]
+        ids = self.adj[e.u][e.v]
         ids.remove(eid)
         if not ids:
-            del self.ids[key]
-            self.nbrs[e.u].discard(e.v)
-            self.nbrs[e.v].discard(e.u)
+            del self.adj[e.u][e.v], self.adj[e.v][e.u]
         elif len(ids) == 1:
-            self.parallel.discard(key)
+            self.parallel.discard(e.pair())
         self._bump(e.u, -1)
         self._bump(e.v, -1)
         return e
@@ -212,15 +211,12 @@ class LevelState:
         """Delete the vertices z, moving every edge that touches them to `frozen`."""
         z = tuple(z)
         for v in z:
-            for w in list(self.nbrs[v]):
-                for eid in list(self.pair(v, w)):
+            for ids in list(self.adj[v].values()):
+                for eid in list(ids):
                     self.frozen[eid] = self._drop(eid)
         for v in z:
             s = self.side(v)
-            self.bydeg[0].discard(v)
-            if not self.bydeg[0]:
-                del self.bydeg[0]
-            del self.deg[v], self.nbrs[v], self.sides[s][v]
+            del self.deg[v], self.adj[v], self.sides[s][v]
             insort(self.removed[s], v)
 
 
@@ -259,9 +255,9 @@ def edge_lift(L: LevelState, moves: Iterable[tuple[int, int, int]]) -> LevelStat
         u, v = (e.u, e.v) if (e.u < a) == (x < a) else (e.v, e.u)
         if len({u, v, x, y}) != 4:
             raise PreconditionError("edge-lift needs four distinct vertices")
-        added[i] = Edge(i, e.label, x, y, e.padding)
-        added[i + 1] = Edge(i + 1, e.label, u, y, e.padding)
-        added[i + 2] = Edge(i + 2, e.label, x, v, e.padding)
+        added[i] = Edge(i, e.label, x, y)
+        added[i + 1] = Edge(i + 1, e.label, u, y)
+        added[i + 2] = Edge(i + 2, e.label, x, v)
         i += 3
     return L.replace_edges(gone, added, i)
 
@@ -320,7 +316,7 @@ def check_conditions(L: LevelState, z: tuple[int, ...], n: int) -> list[str]:
     bad = {
         (min(v, w), max(v, w))
         for v in zset
-        for w in L.nbrs.get(v, ())
+        for w in L.adj.get(v, ())
         if len(L.pair(v, w)) > 1
     }
     problems.extend(f"(4) parallel edges {u}-{v} touch Z" for u, v in sorted(bad))
@@ -328,7 +324,7 @@ def check_conditions(L: LevelState, z: tuple[int, ...], n: int) -> list[str]:
 
 
 def pad_to_full(L: LevelState, n: int) -> LevelState:
-    """Add flagged demands between deficient vertices until |E| = 2n-2.
+    """Add demands of fresh labels between deficient vertices until |E| = 2n-2.
 
     Each demand joins the lowest-index vertices of degree below n.  L is
     padded in place and returned.
@@ -349,7 +345,7 @@ def pad_to_full(L: LevelState, n: int) -> LevelState:
     if len(pairs) < owed:
         raise StructuralError("no deficient vertex pair available for padding")
     nid = L.next_fresh_id
-    added = {i: Edge(i, i, u, v, True) for i, (u, v) in enumerate(pairs, nid)}
+    added = {i: Edge(i, i, u, v) for i, (u, v) in enumerate(pairs, nid)}
     return L.replace_edges((), added, nid + owed)
 
 
@@ -453,7 +449,7 @@ def _base_case(L: LevelState, trace: CaseTrace) -> None:
         e = C.edges[eid]
         vs = [alive[C.slot(w)] for w in verdict.resolution.routes[eid].vertices]
         for x, y in zip(vs, vs[1:]):
-            edges[nid] = Edge(nid, e.label, x, y, e.padding)
+            edges[nid] = Edge(nid, e.label, x, y)
             nid += 1
     L.replace_edges(list(L.edges), edges, nid)
 
@@ -593,9 +589,9 @@ def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
     # lowest parallel pair otherwise, plus two edges avoiding both ends
     if len(Y) == 1:
         p = Y[0]
-        if not L.nbrs[p]:
+        if not L.adj[p]:
             return None
-        q = max(L.nbrs[p], key=lambda w: (len(L.pair(p, w)), -w))
+        q = max(L.adj[p], key=lambda w: (len(L.pair(p, w)), -w))
     elif L.parallel:
         p, q = min(L.parallel)
     else:
@@ -615,7 +611,7 @@ def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
 def _case21(L: LevelState, n: int, s: int, t: int):
     """A degree-1 vertex x in class s."""
     x = L.of_degree(1, s)[0]
-    xp = next(iter(L.nbrs[x]))
+    xp = next(iter(L.adj[x]))
     iso_t = L.isolated(t, 1)
     if iso_t:
         y = iso_t[0]
@@ -628,7 +624,7 @@ def _case21(L: LevelState, n: int, s: int, t: int):
     ones = L.of_degree(1, t)
     if len(ones) < 2:
         raise StructuralError("case 2.1: expected two degree-1 vertices opposite x")
-    y = next((y for y in ones if y not in L.nbrs[x]), None)
+    y = next((y for y in ones if y not in L.adj[x]), None)
     if y is None:
         raise StructuralError("case 2.1: every degree-1 vertex is joined to x")
     z = (x, y)
@@ -640,7 +636,7 @@ def _case22(L: LevelState, n: int):
     iso_a = L.isolated(0, 2)
     iso_b = L.isolated(1, 2)
     for v in L.of_degree(2):
-        if len(L.nbrs[v]) == 2:
+        if len(L.adj[v]) == 2:
             other_iso = iso_b if v < L.a else iso_a
             if not other_iso:
                 raise StructuralError("case 2.2.1: no isolated vertex opposite")
@@ -659,7 +655,7 @@ def _case222(L: LevelState, n: int, s: int, t: int):
     a1, a2 = iso_s
     for y in L.sides[t]:
         d = L.deg[y]
-        if d not in (0, 2) or (d == 2 and len(L.nbrs[y]) != 1):
+        if d not in (0, 2) or (d == 2 and len(L.adj[y]) != 1):
             raise StructuralError("case 2.2.2: opposite class is not all doubled pairs")
     pos = sorted(
         (x for x in L.sides[s] if L.deg[x] > 0),
@@ -668,8 +664,8 @@ def _case222(L: LevelState, n: int, s: int, t: int):
     if len(pos) < 2:
         raise StructuralError("case 2.2.2: fewer than two positive-degree vertices")
     u, v = pos[:2]
-    zz = min(L.nbrs[u])
-    w = min(L.nbrs[v])
+    zz = min(L.adj[u])
+    w = min(L.adj[v])
     if zz == w:
         raise StructuralError("case 2.2.2: chosen neighbors coincide")
     edge_lift(L, [(L.pair(u, zz)[0], a1, w), (L.pair(v, w)[0], a2, zz)])
@@ -683,7 +679,7 @@ def _case223(L: LevelState, n: int):
     for a in L.sides[0]:
         if L.deg[a] == 0:
             continue
-        nb = L.nbrs[a]
+        nb = L.adj[a]
         if L.deg[a] != 2 or len(nb) != 1:
             raise StructuralError("case 2.2.3: not a doubled matching")
         part[a] = next(iter(nb))
@@ -712,7 +708,7 @@ def _case3(L: LevelState, n: int, s: int, t: int):
     ones_t = L.of_degree(1, t)
     if ones_t:
         u = ones_t[0]
-        if u in L.nbrs[z]:
+        if u in L.adj[z]:
             away = _first(L, lambda e: not e.touches(u) and not e.touches(z), 1)
             if not away:
                 raise StructuralError("case 3.1: no edge disjoint from u and z")
@@ -732,9 +728,9 @@ def _case3(L: LevelState, n: int, s: int, t: int):
 
 def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
     """Full vertex z in class s, u isolated in class t, the rest of t degree two."""
-    nbrs = L.nbrs
-    mult_free = [y for y in L.sides[t] if y != u and len(nbrs[y]) == 2]
-    adj_free = [x for x in mult_free if x in nbrs[z]]
+    adj = L.adj
+    mult_free = [y for y in L.sides[t] if y != u and len(adj[y]) == 2]
+    adj_free = [x for x in mult_free if x in adj[z]]
     if adj_free:
         x = adj_free[0]
         eid = _first(L, lambda e: e.touches(z) and not e.touches(x), 1)[0]
@@ -748,12 +744,12 @@ def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
         if len(iso_s) < 2:
             raise StructuralError("case 3.2.1: second isolated vertex missing")
         v2 = iso_s[1]
-        a_nb = min(nbrs[z])
-        b_cands = [y for y in L.of_degree(2, t) if y not in nbrs[z]]
+        a_nb = min(adj[z])
+        b_cands = [y for y in L.of_degree(2, t) if y not in adj[z]]
         if not b_cands:
             raise StructuralError("case 3.2.1: no doubled pair away from the full vertex")
         b = b_cands[0]
-        zp = next(iter(nbrs[b]))
+        zp = next(iter(adj[b]))
         edge_lift(L, [(L.pair(z, a_nb)[0], v, b), (L.pair(zp, b)[0], v2, a_nb)])
         zz = (v, v2, a_nb, b)
         ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=2, note="parallel pairs")
@@ -762,12 +758,12 @@ def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
     # degree-2 vertices live elsewhere.  Lift one copy of every doubled
     # pair at z onto v and the non-neighbors of z; afterwards z is simple
     # and Z = {z, v, first neighbor, u} satisfies the four conditions.
-    star = sorted(nbrs[z])
+    star = sorted(adj[z])
     if n % 2 != 0 or len(star) != n // 2:
         raise StructuralError("case 3.2.1: unexpected neighborhood shape at the full vertex")
     if any(len(L.pair(z, x)) != 2 for x in star):
         raise StructuralError("case 3.2.1: neighbor of the full vertex not doubled")
-    targets = [y for y in L.sides[t] if y not in nbrs[z]]
+    targets = [y for y in L.sides[t] if y not in adj[z]]
     if len(targets) != len(star):
         raise StructuralError("case 3.2.1: target count mismatch")
     edge_lift(L, [(L.pair(z, x)[0], v, y) for x, y in zip(star, targets)])
@@ -781,9 +777,9 @@ def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
 def _case322(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
     """Full vertex z in class s, two isolated vertices in class t, the rest of s degree one."""
     ones_s = L.of_degree(1, s)
-    for x in sorted(L.nbrs[z]):
+    for x in sorted(L.adj[z]):
         for y in ones_s:
-            if x not in L.nbrs[y]:
+            if x not in L.adj[y]:
                 edge_lift(L, [(L.pair(z, x)[0], y, u)])
                 zz = (y, u)
                 return CaseContext(n, "3.2.2", x_set=(z,), z_set=zz, lifts=1), zz
@@ -805,7 +801,7 @@ def _case4(L: LevelState, n: int, s: int, t: int):
     if not iso_s or not iso_t:
         raise StructuralError("case 4: missing isolated vertices")
     v1, v2 = iso_s[0], iso_t[0]
-    loose = [y for y in L.of_degree(1, t) if y not in L.nbrs[z1]]
+    loose = [y for y in L.of_degree(1, t) if y not in L.adj[z1]]
     if loose:
         y, zz = loose[0], (v1, loose[0])
     elif len(joint) != 2:

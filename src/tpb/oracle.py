@@ -389,13 +389,10 @@ def _is_canonical(M: list[list[int]], n: int) -> bool:
     return True
 
 
-def enumerate_demands(
-    n: int, max_edges: int, max_degree: int, canonical: bool = True
-):
-    """Yield all demand multigraphs on K_{n,n} within the caps.
+def enumerate_demands(n: int, max_edges: int, max_degree: int):
+    """Yield one demand multigraph on K_{n,n} within the caps per orbit.
 
-    With `canonical` set, exactly one representative per orbit of the
-    class-preserving vertex permutations is produced.
+    The orbits are those of the class-preserving vertex permutations.
     """
     M = [[0] * n for _ in range(n)]
     row = [0] * n
@@ -411,7 +408,7 @@ def enumerate_demands(
 
     def rec(idx: int, total: int):
         if idx == len(cells):
-            if not canonical or _is_canonical(M, n):
+            if _is_canonical(M, n):
                 yield build()
             return
         i, j = cells[idx]

@@ -31,7 +31,7 @@ from .coloring import (
     regularize,
     vizing_color,
 )
-from .demand import DemandGraph, Resolution, extract_resolution, lift, transpose_resolution
+from .demand import DemandGraph, Resolution, extract_resolution, lift
 from .errors import PreconditionError, StructuralError
 
 
@@ -122,12 +122,12 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
         if bi != bj:
             raise PreconditionError(f"edge {e.id} joins block {bi + 1} to block {bj + 1}")
 
-    # Pad every block to t-regularity with flagged parallel demands.
+    # Pad every block to t-regularity with parallel demands of fresh labels.
     degs = D.degree_map()
     pairs = []
     for blk in blocks:
         pairs += deficit_pairs({i: t - degs[i] for i in blk}, {j: t - degs[n + j] for j in blk})
-    padded = D.with_slots(((i, n + j) for i, j in pairs), padding=True)
+    padded = D.with_slots((i, n + j) for i, j in pairs)
 
     # Lift the j-th perfect matching of every block onto the block's j-th A-vertex.
     moves = []
@@ -149,18 +149,14 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
             raise StructuralError(f"block {k + 1}: within-class multiplicity exceeds 2")
         col = vizing_color(within)
         targets = [n + j for j in blocks[(k + 1) % 3]] + [n + j for j in blocks[(k + 2) % 3]]
-        if col.palette_size > len(targets):
-            raise PreconditionError(
-                f"block {k + 1}: {col.palette_size} colors but only {len(targets)} lift targets"
-            )
+        used = len(set(col.values()))
+        if used > len(targets):
+            raise PreconditionError(f"block {k + 1}: {used} colors but only {len(targets)} lift targets")
         by_color: dict[int, list[int]] = {}
-        for eid, c in col.colors.items():
+        for eid, c in col.items():
             by_color.setdefault(c, []).append(eid)
         moves += ((eid, targets[c]) for c in sorted(by_color) for eid in sorted(by_color[c]))
-    G = lift(G, moves)
-
-    res = extract_resolution(G, padded)
-    return Resolution({eid: res.routes[eid] for eid in D.links})
+    return extract_resolution(lift(G, moves), D)
 
 
 # -- degree-bounded instances ----------------------------------------------------
@@ -203,19 +199,19 @@ def solve_quarter(D: DemandGraph) -> Resolution | None:
 
     Success is guaranteed when the semiregularized class-A degree is at
     most floor((b+1)/6); anything up to b/4 is attempted, with the list
-    coloring allowed bounded backtracking before giving up.
+    coloring allowed bounded backtracking before giving up.  When a < b
+    the construction runs on the transposed instance, whose lifted graph
+    is transposed back before the paths are read off against D.
     """
     if not D.is_bipartite_demand():
         raise PreconditionError("solve_quarter needs a class-crossing demand graph")
-    if D.a < D.b:
-        res = solve_quarter(D.transpose())
-        return None if res is None else transpose_resolution(res)
     if not D.links:
         return Resolution({})
-    ta, tb = choose_semiregular_targets(D)
-    if 4 * ta > D.b:
+    T = D.transpose() if D.a < D.b else D
+    ta, tb = choose_semiregular_targets(T)
+    if 4 * ta > T.b:
         return None
-    reg = regularize(D, ta, tb)
+    reg = regularize(T, ta, tb)
     matchings = konig_decompose(reg)
     if len(matchings) != tb:
         raise StructuralError("semiregular graph did not split into Δ_B matchings")
@@ -229,6 +225,5 @@ def solve_quarter(D: DemandGraph) -> Resolution | None:
     col = greedy_list_color(within, palette, excluded, max_nodes=max(1000, within.m + 1))
     if col is None:
         return None
-    G = lift(G, ((eid, col.colors[eid]) for eid in sorted(col.colors)))
-    res = extract_resolution(G, reg)
-    return Resolution({eid: res.routes[eid] for eid in D.links})
+    G = lift(G, ((eid, col[eid]) for eid in sorted(col)))
+    return extract_resolution(G if T is D else G.transpose(), D)

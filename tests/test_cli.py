@@ -271,6 +271,17 @@ def test_oversized_multiplicity_is_usage_error(tmp_path, capsys):
         assert capsys.readouterr().err.startswith(f"parse error: line {line}:")
 
 
+def test_edge_on_a_wide_header_with_one_demand(tmp_path, capsys):
+    # the solvers allocate for every vertex of the header, not only for
+    # the two that carry the demand
+    inst = tmp_path / "wide.tpb"
+    sol = tmp_path / "wide.sol"
+    inst.write_text("p tpb 200000 200000 1\ne 1 1\n")
+    assert run("solve", "--in", str(inst), "--algo", "edge", "--out", str(sol)) == 0
+    status, res = parse_resolution(sol.read_text())
+    assert status == "SOLVED" and len(res.routes) == 1
+
+
 def test_non_utf8_input_is_usage_error(tmp_path, capsys):
     inst = tmp_path / "c6.tpb"
     sol = tmp_path / "c6.sol"

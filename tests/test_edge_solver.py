@@ -65,7 +65,7 @@ def test_pad_empty():
     assert pad_to_full(L, 4) is L
     assert L.m == 6
     assert max(L.deg.values()) <= 4
-    assert all(e.padding for e in L.edges.values())
+    assert all(e.label == e.id for e in L.edges.values())
 
 
 def test_pad_avoids_full_vertices():
@@ -674,7 +674,7 @@ def rebuilt(L):
 
 def state_of(L):
     return (
-        list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.ids, L.nbrs,
+        list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.adj,
         L.parallel, [list(vs) for vs in L.sides], L.removed, L.frozen,
         [L.isolated(s, L.a + L.b) for s in (0, 1)],
     )

@@ -297,7 +297,7 @@ def test_rejects_within_class_demands():
 
 def test_agreement_with_naive_reference():
     # every canonical instance on K_{2,2} with few edges, both ways
-    for D in enumerate_demands(2, 4, 3, canonical=True):
+    for D in enumerate_demands(2, 4, 3):
         verdict = decide(D, BUDGET)
         assert verdict.status in (RESOLVABLE, UNRESOLVABLE)
         assert (verdict.status == RESOLVABLE) == naive_decide(D)
@@ -327,7 +327,7 @@ def test_symmetry_cuts_keep_the_first_routing():
 
 
 def test_enumerate_tiny():
-    got = list(enumerate_demands(1, 1, 1, canonical=True))
+    got = list(enumerate_demands(1, 1, 1))
     assert len(got) == 2
     assert sorted(g.m for g in got) == [0, 1]
 
@@ -353,11 +353,11 @@ def test_enumerate_counts_match_direct_orbits():
             for sc in permutations(range(2))
         )
         orbits.add(best)
-    mine = list(enumerate_demands(2, 2, 2, canonical=True))
+    mine = list(enumerate_demands(2, 2, 2))
     assert len(mine) == len(orbits)
 
 
 def test_enumerate_respects_caps():
-    for D in enumerate_demands(2, 3, 2, canonical=False):
+    for D in enumerate_demands(2, 3, 2):
         assert D.m <= 3
         assert D.max_degree() <= 2
