@@ -1,5 +1,7 @@
 """Coloring toolkit: Kőnig, Vizing, greedy list coloring, padding."""
+import hashlib
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -190,6 +192,54 @@ def test_vizing_complete_multigraphs():
         col = vizing_color(H)
         assert proper(H, col)
         assert len(set(col.values())) <= H.max_degree() + 2
+
+
+# -- pinned colorings ----------------------------------------------------------------
+
+
+def capped_multigraph(seed, bipartite):
+    """Up to 40 edges, each pair at most twice (bipartite, 2-8 slots a class) or three times (any loopless, 2-12 slots)."""
+    rng = random.Random(seed)
+    if bipartite:
+        a, b = rng.randint(2, 8), rng.randint(2, 8)
+    else:
+        nv = rng.randint(2, 12)
+        a = rng.randint(1, nv - 1)
+        b = nv - a
+    cap = rng.randint(1, 2 if bipartite else 3)
+    mult = Counter()
+    pairs = []
+    for _ in range(rng.randint(0, 40)):
+        if bipartite:
+            u, v = rng.randrange(a), a + rng.randrange(b)
+        else:
+            u, v = sorted(rng.sample(range(a + b), 2))
+        if mult[u, v] < cap:
+            mult[u, v] += 1
+            pairs.append((u, v))
+    return DemandGraph.empty(a, b).with_slots(pairs)
+
+
+def test_vizing_colorings_pinned():
+    # 3000 multigraphs, 16 of which need a reduce (both chain tails run)
+    h = hashlib.sha256()
+    for seed in range(3000):
+        h.update(repr(sorted(vizing_color(capped_multigraph(seed, False)).items())).encode())
+    assert h.hexdigest() == "7889faae056bcf340aaba898c9574e7d6256b4ee790c516e76954df4690f889d"
+
+
+def test_konig_decompositions_pinned():
+    # 3000 bipartite multigraphs, 334 edges of which need an alternating-chain swap
+    h = hashlib.sha256()
+    for seed in range(3000):
+        h.update(repr([sorted(m) for m in konig_decompose(capped_multigraph(seed, True))]).encode())
+    assert h.hexdigest() == "8a5e9bec4a0bae6efb7856a351c80e2f39cceea58f6528750c1fc1fb7535b950"
+
+
+def test_colorings_of_the_empty_graph():
+    H = DemandGraph.empty(3, 3)
+    assert vizing_color(H) == {}
+    assert konig_decompose(H) == []
 
 
 # -- greedy list coloring ---------------------------------------------------------
