@@ -5,12 +5,15 @@ matchings via two-color alternating-path swaps.  `vizing_color` properly
 colors any loopless multigraph from a palette of Δ+μ colors using the
 fan/fold/reduce recoloring argument, which always succeeds within Δ+μ
 colors (Berge and Fournier's proof of Vizing's theorem for multigraphs),
-so a stalled fan raises StructuralError.  Both keep each slot's colors
-as an int bitmask; a choice takes the lowest free bit, the least color.
-`greedy_list_color` assigns each edge a color from one ordered palette,
-minus the colors excluded for that edge, and is guaranteed to succeed
-whenever the palette size minus an edge's excluded colors exceeds the
-edge's adjacency count.
+so a stalled fan raises StructuralError.  `greedy_list_color` assigns
+each edge a color from one ordered palette, minus the colors excluded
+for that edge, and is guaranteed to succeed whenever the palette size
+minus an edge's excluded colors exceeds the edge's adjacency count.
+
+All three keep each slot's colors as an int bitmask `used[w]`, and a
+choice takes the lowest free bit, the least color.  Kőnig and Vizing
+also keep `color[eid]` and `at[w]` (color to edge at slot w), and change
+that state only through `_paint` and the alternating-chain `_swap`.
 """
 from __future__ import annotations
 
@@ -31,6 +34,15 @@ def _low(m: int) -> int:
     return (m & -m).bit_length() - 1
 
 
+def _paint(at, used, color: dict[int, int], eid: int, u: int, v: int, c: int) -> None:
+    """Color the uncolored edge eid, between slots u and v, with c, free at both."""
+    color[eid] = c
+    at[u][c] = eid
+    at[v][c] = eid
+    used[u] |= 1 << c
+    used[v] |= 1 << c
+
+
 def konig_decompose(H: DemandGraph) -> list[frozenset[int]]:
     """Partition a bipartite multigraph's edges into exactly Δ matchings of edge ids."""
     a, links = H.a, H.links
@@ -46,20 +58,14 @@ def konig_decompose(H: DemandGraph) -> list[frozenset[int]]:
         if (u < a) == (v < a):
             raise PreconditionError("Kőnig decomposition needs a class-crossing graph")
         common = full & ~(used[u] | used[v])
-        if common:
-            c = _low(common)
-        else:
+        if not common:
             alpha = _low(full & ~used[u])
             beta = _low(full & ~used[v])
             # The alpha/beta chain from v cannot reach u (parity), so after
             # the swap alpha is free at both endpoints.
             _swap(links, at, used, color, _chain(links, at, v, alpha, beta)[0], alpha, beta)
-            c = alpha
-        color[eid] = c
-        at[u][c] = eid
-        at[v][c] = eid
-        used[u] |= 1 << c
-        used[v] |= 1 << c
+            common = 1 << alpha
+        _paint(at, used, color, eid, u, v, _low(common))
 
     matchings = [set() for _ in range(delta)]
     for eid, c in color.items():
@@ -93,13 +99,8 @@ def _swap(links, at, used, color: dict[int, int], chain: list[int], c1: int, c2:
         used[e.u] ^= 1 << cc
         used[e.v] ^= 1 << cc
     for eid in chain:
-        cc = c2 if color[eid] == c1 else c1
-        color[eid] = cc
         e = links[eid]
-        at[e.u][cc] = eid
-        at[e.v][cc] = eid
-        used[e.u] |= 1 << cc
-        used[e.v] |= 1 << cc
+        _paint(at, used, color, eid, e.u, e.v, c2 if color[eid] == c1 else c1)
 
 
 def vizing_color(H: DemandGraph) -> dict[int, int]:
@@ -116,8 +117,6 @@ def vizing_color(H: DemandGraph) -> dict[int, int]:
     StructuralError.
     """
     links = H.links
-    if not links:
-        return {}
     full = (1 << (H.max_degree() + H.max_multiplicity())) - 1
     degs = H.degree_map()
     at: list[dict[int, int]] = [{} for _ in degs]
@@ -127,36 +126,18 @@ def vizing_color(H: DemandGraph) -> dict[int, int]:
     def free(w: int) -> int:
         return full & ~used[w]
 
-    def assign(eid: int, c: int) -> None:
-        e = links[eid]
-        old = color.get(eid)
-        if old is not None:
-            del at[e.u][old]
-            del at[e.v][old]
-            used[e.u] ^= 1 << old
-            used[e.v] ^= 1 << old
-        color[eid] = c
-        at[e.u][c] = eid
-        at[e.v][c] = eid
-        used[e.u] |= 1 << c
-        used[e.v] |= 1 << c
-
     def fold(fan: list[int], rim: list[int], x: int) -> None:
         while True:
             common = free(x) & free(rim[-1])
             if not common:
                 raise StructuralError("fan stalled: no color free at the anchor and the last rim")
-            last = fan[-1]
-            old = color.get(last)
-            assign(last, _low(common))
             if len(fan) == 1:
+                _paint(at, used, color, fan[0], x, rim[0], _low(common))
                 return
+            old = color[fan[-1]]
+            _swap(links, at, used, color, fan[-1:], old, _low(common))
             # `old` is now free at x and was missing at an earlier rim vertex.
-            idx = None
-            for i, w in enumerate(rim[:-1]):
-                if not used[w] >> old & 1:
-                    idx = i
-                    break
+            idx = next((i for i, w in enumerate(rim[:-1]) if not used[w] >> old & 1), None)
             if idx is None:
                 raise StructuralError("fan stalled: the freed color is free at no earlier rim")
             del fan[idx + 1:]
@@ -166,21 +147,17 @@ def vizing_color(H: DemandGraph) -> dict[int, int]:
         yi, yn = rim[i], rim[-1]
         a_c = _low(free(yi) & free(yn))
         b_c = _low(free(x))
-        if not used[yi] >> b_c & 1:
-            del fan[i + 1:]
-            del rim[i + 1:]
-            fold(fan, rim, x)
-            return
+        # b_c is taken at yi: each rim vertex joined the fan with no color
+        # free at it and at x (y0 by e0's own first-fit test), and no color
+        # changes while the fan grows.  So the b_c/a_c chain from yi has an edge.
         chain, end = _chain(links, at, yi, b_c, a_c)
         if end != x:
-            _swap(links, at, used, color, chain, a_c, b_c)
             del fan[i + 1:]
             del rim[i + 1:]
-            fold(fan, rim, x)
-            return
-        chain, end = _chain(links, at, yn, b_c, a_c)
-        if end == x:
-            raise StructuralError("fan stalled: both alternating chains end at the anchor")
+        else:
+            chain, end = _chain(links, at, yn, b_c, a_c)
+            if end == x:
+                raise StructuralError("fan stalled: both alternating chains end at the anchor")
         _swap(links, at, used, color, chain, a_c, b_c)
         fold(fan, rim, x)
 
@@ -216,9 +193,9 @@ def vizing_color(H: DemandGraph) -> dict[int, int]:
         e = links[eid]
         common = full & ~(used[e.u] | used[e.v])
         if common:
-            assign(eid, _low(common))
-            continue
-        fan_color(eid)
+            _paint(at, used, color, eid, e.u, e.v, _low(common))
+        else:
+            fan_color(eid)
 
     remap = {c: i for i, c in enumerate(sorted(set(color.values())))}
     return {eid: remap[c] for eid, c in color.items()}
@@ -234,17 +211,25 @@ def greedy_list_color(
     palette order, skipping the taken and the excluded ones.  Success is
     guaranteed when, for every edge, the palette size minus its excluded
     colors exceeds the number of edges adjacent to it, since then the
-    first pass can never dead-end.
+    first pass can never dead-end.  Colors are bits of palette positions,
+    so a palette that repeats a color raises PreconditionError.
     """
     links = H.links
-    inc: list[list[int]] = [[] for _ in range(H.a + H.b)]
-    for eid, e in links.items():
+    bits = {c: 1 << k for k, c in enumerate(palette)}
+    if len(bits) != len(palette):
+        raise PreconditionError("the palette repeats a color")
+    full = (1 << len(bits)) - 1
+    ex: dict[int, int] = {}
+    for eid in links:
         if eid not in excluded:
             raise PreconditionError(f"edge {eid} has no exclusion list")
-        inc[e.u].append(eid)
-        inc[e.v].append(eid)
-    order = sorted(links, key=lambda eid: (-(len(inc[links[eid].u]) + len(inc[links[eid].v])), eid))
-    chosen: dict[int, object] = {}
+        ex[eid] = 0
+        for c in excluded[eid]:
+            ex[eid] |= bits.get(c, 0)
+    degs = H.degree_map()
+    order = sorted(links, key=lambda eid: (-(degs[links[eid].u] + degs[links[eid].v]), eid))
+    used = [0] * len(degs)
+    chosen: dict[int, int] = {}
     nodes = 0
 
     def choices(i: int):
@@ -252,16 +237,19 @@ def greedy_list_color(
         eid = order[i]
         e = links[eid]
         # only levels < i hold colors while this generator is live
-        taken = {chosen[o] for w in (e.u, e.v) for o in inc[w] if o in chosen}
-        taken.update(excluded[eid])
-        for c in palette:
-            if c in taken:
-                continue
+        free = full & ~(used[e.u] | used[e.v] | ex[eid])
+        while free:
+            bit = free & -free
+            free ^= bit
             nodes += 1
             if nodes > max_nodes:
                 raise _BudgetExceeded
-            chosen[eid] = c
+            chosen[eid] = bit
+            used[e.u] |= bit
+            used[e.v] |= bit
             yield
+            used[e.u] ^= bit
+            used[e.v] ^= bit
             del chosen[eid]
 
     try:
@@ -269,7 +257,7 @@ def greedy_list_color(
             return None
     except _BudgetExceeded:
         return None
-    return dict(chosen)
+    return {eid: palette[bit.bit_length() - 1] for eid, bit in chosen.items()}
 
 
 # -- degree padding ---------------------------------------------------------

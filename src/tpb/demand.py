@@ -266,7 +266,9 @@ def _trace(edges: list[Edge], s: int, t: int) -> list[int]:
     class's edges, the trail from s is unique and repeats no vertex, so it
     is followed as it stands.  A vertex meeting three or more sends the
     class through `_euler_trail` (lowest neighbour, then lowest edge id)
-    and `_shortcut_walk`.
+    and `_shortcut_walk`.  The edge solver gets there when the base case
+    routes a label's one alive edge through a vertex its frozen edges
+    reach, such as its own terminal after case 3.2.1's plain-neighbour lift.
     """
     nbrs: dict[int, list[int]] = {}
     for e in edges:

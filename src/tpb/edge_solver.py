@@ -445,8 +445,8 @@ def _base_case(L: LevelState, trace: CaseTrace) -> None:
     trace.steps.append(CaseContext(n, "base", note=f"nodes={verdict.nodes_explored}"))
     edges = {}
     nid = L.next_fresh_id
-    for eid in sorted(C.edges):
-        e = C.edges[eid]
+    for eid in sorted(C.links):
+        e = C.links[eid]
         vs = [alive[C.slot(w)] for w in verdict.resolution.routes[eid].vertices]
         for x, y in zip(vs, vs[1:]):
             edges[nid] = Edge(nid, e.label, x, y)

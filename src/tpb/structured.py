@@ -152,10 +152,7 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
         used = len(set(col.values()))
         if used > len(targets):
             raise PreconditionError(f"block {k + 1}: {used} colors but only {len(targets)} lift targets")
-        by_color: dict[int, list[int]] = {}
-        for eid, c in col.items():
-            by_color.setdefault(c, []).append(eid)
-        moves += ((eid, targets[c]) for c in sorted(by_color) for eid in sorted(by_color[c]))
+        moves += ((eid, targets[c]) for eid, c in sorted(col.items(), key=lambda ec: (ec[1], ec[0])))
     return extract_resolution(lift(G, moves), D)
 
 

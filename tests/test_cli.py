@@ -2,6 +2,7 @@
 import pytest
 
 import tpb.cli
+import tpb.demand
 import tpb.edge_solver
 import tpb.instances
 from tpb.cli import main
@@ -280,6 +281,31 @@ def test_edge_on_a_wide_header_with_one_demand(tmp_path, capsys):
     assert run("solve", "--in", str(inst), "--algo", "edge", "--out", str(sol)) == 0
     status, res = parse_resolution(sol.read_text())
     assert status == "SOLVED" and len(res.routes) == 1
+
+
+def test_edge_solve_that_needs_the_euler_trail_fallback(tmp_path, monkeypatch, capsys):
+    # Case 3.2.1's plain-neighbour lift leaves demand 2 (A2-B3, 0-based)
+    # with the alive edge A1-B3 and the frozen edges A2-B2-A1; the base
+    # case routes A1-B3 as A1-B1-A2-B3, so the class revisits its own
+    # terminal A2 and only the Euler trail and its shortcut read it back.
+    calls = []
+    real = tpb.demand._euler_trail
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(tpb.demand, "_euler_trail", counting)
+    inst = tmp_path / "revisit.tpb"
+    sol = tmp_path / "revisit.sol"
+    pairs = ("1 1 1", "1 4 1", "3 4 1", "3 5 1", "4 4 2", "5 2 1", "5 4 1", "6 1 1", "6 4 1")
+    inst.write_text("p tpb 6 6 10\n" + "".join(f"e {p}\n" for p in pairs))
+    assert run("solve", "--in", str(inst), "--algo", "edge", "--out", str(sol)) == 0
+    assert "case-trace: 6:3.2.1 5:base\n" in capsys.readouterr().out
+    assert "r 2 1 a3 b4\n" in sol.read_text()
+    assert run("verify", "--in", str(inst), "--resolution", str(sol)) == 0
+    assert capsys.readouterr().out == "valid\n"
+    assert len(calls) == 1
 
 
 def test_non_utf8_input_is_usage_error(tmp_path, capsys):

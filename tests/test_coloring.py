@@ -277,6 +277,12 @@ def test_list_color_needs_every_exclusion_list():
         greedy_list_color(D, [0, 1], {0: ()})
 
 
+def test_list_color_refuses_a_palette_that_repeats_a_color():
+    D = DemandGraph.from_pairs(1, 2, [(A(0), B(0)), (A(0), B(1))])
+    with pytest.raises(PreconditionError):
+        greedy_list_color(D, [0, 1, 0], {eid: () for eid in D.edges})
+
+
 def parallel_within_class_graph():
     # A0-A1 three times and A2-A3 twice, on the class-A vertices (slots 0..4) of K_{5,12}
     pairs = [(0, 1), (0, 1), (0, 1), (1, 2), (2, 3), (2, 3), (0, 3), (0, 2), (3, 4)]

@@ -2,7 +2,8 @@
 
 The traced run rebinds functions by name, so each name must exist, the
 program must still reach each edge-solver stage through its rebindable
-module global, and the harness's own self-checks must pass.
+module global, and the harness's own self-checks must pass.  A change to
+the oracle may not make more of the benchmark's oracle ops fail.
 """
 import importlib
 import importlib.util
@@ -11,9 +12,12 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import tpb
 import tpb.edge_solver
 from tpb.edge_solver import LevelState
+from tpb.oracle import UNKNOWN, SearchBudget
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -90,3 +94,24 @@ def test_benchmark_selftest_passes():
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
+#: The oracle-search ops that use up the benchmark's node budget, by seed.
+BUDGET_BOUND_OPS = {
+    1: {"uniform(6,145118792)"},
+    2: {"uniform(5,1472053993)", "uniform(6,1202264108)"},
+    4: {"uniform(6,143097835)"},
+    5: {"uniform(5,1341344619)"},
+    9: {"uniform(6,983938750)", "uniform(6,2082644784)"},
+}
+
+
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_oracle_workload_fails_no_more_ops(seed, tmp_path):
+    # the benchmark refuses a change under which a larger share of ops
+    # fails; switching off both symmetry cuts adds a failure at seeds 3 and 4
+    workloads = load("workloads")
+    budget = SearchBudget(max_nodes=workloads.ORACLE_MAX_NODES, max_millis=10**9)
+    ops = workloads.build_ops(tpb, "oracle-search", seed, str(tmp_path))
+    unknown = {op.label for op in ops if tpb.decide(op.graph, budget).status == UNKNOWN}
+    assert unknown <= BUDGET_BOUND_OPS.get(seed, set())
