@@ -108,8 +108,8 @@ BUDGET_BOUND_OPS = {
 
 @pytest.mark.parametrize("seed", range(1, 11))
 def test_oracle_workload_fails_no_more_ops(seed, tmp_path):
-    # the benchmark refuses a change under which a larger share of ops
-    # fails; switching off both symmetry cuts adds a failure at seeds 3 and 4
+    # each UNKNOWN is a failed op in the benchmark's failure share;
+    # switching off both symmetry cuts adds one at seeds 3 and 4
     workloads = load("workloads")
     budget = SearchBudget(max_nodes=workloads.ORACLE_MAX_NODES, max_millis=10**9)
     ops = workloads.build_ops(tpb, "oracle-search", seed, str(tmp_path))
