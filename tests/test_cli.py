@@ -1,4 +1,6 @@
 """Command-line interface: exit codes, files, reproducibility."""
+import hashlib
+
 import pytest
 
 import tpb.cli
@@ -308,6 +310,92 @@ def test_edge_solve_that_needs_the_euler_trail_fallback(tmp_path, monkeypatch, c
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize(
+    "pairs,trace,digest",
+    [
+        # |Y| = 4 without all four corners: the doubled pairing a1-b1, a2-b2
+        (("1 1 5", "2 2 5"), "6:1.1 4:base", "5bc74606136daf405a1fc704e02378f70d23e69f8b9c941e4bb2150a7bc07c12"),
+        # the other pairing, a1-b2, a2-b1
+        (("1 2 5", "2 1 5"), "6:1.1 4:base", "7a0c6e3746b1ba1c19e9d67fc8104bb29c90e88fe9f091ba666baae3a58c4091"),
+        # |Y| = 2 in class A: a2's edge to b1 is skipped once a1 has capped b1
+        (
+            ("1 1 2", "1 2 1", "1 3 1", "1 4 1", "2 1 1", "2 2 2", "2 3 1", "2 4 1"),
+            "6:1.3 4:simple",
+            "856505c6f7dc35c84cd112dd74dcff765baf63b9896c5e3984ea682bacb3d154",
+        ),
+    ],
+)
+def test_case1_covers_pinned(pairs, trace, digest, tmp_path, capsys):
+    inst = tmp_path / "case1.tpb"
+    sol = tmp_path / "case1.sol"
+    inst.write_text("p tpb 6 6 10\n" + "".join(f"e {p}\n" for p in pairs))
+    assert run("solve", "--in", str(inst), "--algo", "edge", "--out", str(sol)) == 0
+    assert f"case-trace: {trace}\n" in capsys.readouterr().out
+    assert hashlib.sha256(sol.read_bytes()).hexdigest() == digest
+
+
+def test_quarter_gives_up_on_the_list_coloring(tmp_path, capsys):
+    inst = tmp_path / "q24.tpb"
+    gen = ("--family", "random-semiregular", "--n", "24", "--delta-a", "6", "--seed", "22")
+    assert run("gen", *gen, "--out", str(inst)) == 0
+    assert run("solve", "--in", str(inst), "--algo", "quarter") == 1
+    out = capsys.readouterr().out
+    assert "outcome: unsolved\n" in out
+    assert out.endswith("detail: degree-bounded solver could not resolve the instance\n")
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("p tpb 2 2 1\np tpb 2 2 1\ne 1 1\n", "line 2: duplicate header"),
+        ("p tpb 2 2\n", "line 1: header must read 'p tpb <a> <b> <m>'"),
+        ("p tpb 0 2 0\n", "line 1: header values out of range"),
+        ("p tpb 2 2 1\ne 1\n", "line 2: edge record must read 'e <i> <j> [mult]'"),
+        ("p tpb 2 2 1\ne 1 3\n", "line 2: class-B index 3 out of range 1..2"),
+        ("p tpb 2 2 1\ne 1 1 0\n", "line 2: multiplicity must be positive"),
+        ("p tpb 2 2 1\nx 1 1\n", "line 2: unrecognized record 'x'"),
+    ],
+)
+def test_instance_parse_errors(text, message, tmp_path, capsys):
+    inst = tmp_path / "bad.tpb"
+    inst.write_text(text)
+    assert run("solve", "--in", str(inst)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"parse error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("s SOLVED\ns SOLVED\n", "line 2: duplicate status line"),
+        ("s SOLVED\nr 0 1\n", "line 2: truncated route record"),
+        ("s SOLVED\nr 0 1 x1 b1\n", "line 2: bad vertex token 'x1'"),
+        ("s SOLVED\nr 0 1 a1 b1\nr 0 1 a1 b1\n", "line 3: duplicate route for edge 0"),
+        ("s SOLVED\nq 1\n", "line 2: unrecognized record 'q'"),
+        ("c no status\n", "missing 's' status line"),
+    ],
+)
+def test_resolution_parse_errors(text, message, tmp_path, capsys):
+    inst = tmp_path / "one.tpb"
+    sol = tmp_path / "bad.sol"
+    inst.write_text("p tpb 2 2 1\ne 1 1\n")
+    sol.write_text(text)
+    assert run("verify", "--in", str(inst), "--resolution", str(sol)) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"parse error: {message}\n"
+    assert captured.out == ""
+
+
+def test_verify_of_an_unsolved_file_has_nothing_to_check(tmp_path, capsys):
+    inst = tmp_path / "one.tpb"
+    sol = tmp_path / "unsolved.sol"
+    inst.write_text("p tpb 2 2 1\ne 1 1\n")
+    sol.write_text("s UNSOLVED\n")
+    assert run("verify", "--in", str(inst), "--resolution", str(sol)) == 1
+    assert capsys.readouterr().out == "resolution file carries status UNSOLVED; nothing to verify\n"
+
+
 def test_non_utf8_input_is_usage_error(tmp_path, capsys):
     inst = tmp_path / "c6.tpb"
     sol = tmp_path / "c6.sol"
@@ -345,7 +433,7 @@ def blocked6(tmp_path):
 
 
 @pytest.mark.parametrize("algo", ["auto", "edge", "blocked", "quarter", "oracle"])
-@pytest.mark.parametrize("blocks", ["1,1,1", "0,3,3", "3,-1,4", "2,2"])
+@pytest.mark.parametrize("blocks", ["1,1,1", "0,3,3", "3,-1,4", "2,2", "2,x,2"])
 def test_blocks_that_do_not_fit_are_usage_errors(blocked6, algo, blocks, capsys):
     assert run("solve", "--in", str(blocked6), "--algo", algo, "--blocks", blocks) == 2
     captured = capsys.readouterr()

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import tpb
+import tpb.cli
 import tpb.edge_solver
 from tpb.edge_solver import LevelState
 from tpb.oracle import UNKNOWN, SearchBudget
@@ -115,3 +116,29 @@ def test_oracle_workload_fails_no_more_ops(seed, tmp_path):
     ops = workloads.build_ops(tpb, "oracle-search", seed, str(tmp_path))
     unknown = {op.label for op in ops if tpb.decide(op.graph, budget).status == UNKNOWN}
     assert unknown <= BUDGET_BOUND_OPS.get(seed, set())
+
+
+@pytest.fixture
+def bench_run(monkeypatch):
+    # run.py imports its sibling modules by their bare names
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    return load("run")
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+@pytest.mark.parametrize("workload", ["edge-induction", "structured-lift", "oracle-search"])
+def test_tiny_traced_run_fails_no_op(bench_run, workload, seed):
+    # `failed` counts the traced pass too, so a hook that chokes on a
+    # changed call shape or result shows here
+    s = bench_run.run_workload(workload, seed, 0, trace=True, scale="tiny")
+    assert s["failed"] == 0
+    assert s["problems"] == []
+
+
+@pytest.mark.parametrize("workload", ["edge-induction", "structured-lift"])
+def test_every_solve_op_of_the_full_workload_exits_zero(workload, tmp_path, capsys):
+    ops = load("workloads").build_ops(tpb, workload, 1, str(tmp_path))
+    assert len(ops) == {"edge-induction": 338, "structured-lift": 280}[workload]
+    failed = [op.label for op in ops if tpb.cli.main(list(op.argv)) != 0]
+    capsys.readouterr()
+    assert failed == []

@@ -195,6 +195,12 @@ def test_quarter_declines_above_quarter_degree():
     assert solve_quarter(D) is None
 
 
+def test_quarter_gives_up_when_the_list_coloring_fails():
+    # within the b/4 attempt regime, but the bounded list coloring gives up
+    D = gen_random_semiregular(24, 24, 6, 10)
+    assert solve_quarter(D) is None
+
+
 def test_quarter_intermediate_claims():
     # stage the pipeline by hand and re-derive the lifted-graph facts
     D = gen_random_semiregular(24, 24, 4, 17)
