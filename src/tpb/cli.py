@@ -12,7 +12,6 @@ import argparse
 import functools
 import sys
 import time
-from dataclasses import dataclass, field
 
 from .demand import Resolution, verify_resolution
 from .edge_solver import solve_edge_version
@@ -39,32 +38,6 @@ EXIT_SOLVED = 0
 EXIT_UNSOLVED = 1
 EXIT_USAGE = 2
 EXIT_UNKNOWN = 3
-
-
-@dataclass
-class RunReport:
-    a: int
-    b: int
-    edges: int
-    max_degree: int
-    algorithm: str = ""
-    outcome: str = ""
-    millis: int = 0
-    nodes: int | None = None
-    trace: list[str] = field(default_factory=list)
-    detail: str = ""
-
-    def emit(self) -> None:
-        print(f"instance: a={self.a} b={self.b} edges={self.edges} max-degree={self.max_degree}")
-        print(f"algorithm: {self.algorithm}")
-        print(f"outcome: {self.outcome}")
-        print(f"time-ms: {self.millis}")
-        if self.nodes is not None:
-            print(f"oracle-nodes: {self.nodes}")
-        if self.trace:
-            print("case-trace: " + " ".join(self.trace))
-        if self.detail:
-            print(f"detail: {self.detail}")
 
 
 def _parse_blocks(text: str, n: int) -> tuple[int, int, int]:
@@ -95,37 +68,34 @@ def cmd_solve(args) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    report = RunReport(D.a, D.b, D.m, D.max_degree())
     started = time.monotonic()
     budget = SearchBudget(max_nodes=10_000_000, max_millis=args.timeout_ms)
     blocks = _parse_blocks(args.blocks, D.a) if args.blocks else None
     res: Resolution | None = None
     outcome = "unsolved"
     detail = ""
+    nodes: int | None = None
+    trace: list[str] = []
 
     algos = [args.algo] if args.algo != "auto" else ["edge", "blocked", "quarter", "oracle"]
     for algo in algos:
-        report.algorithm = algo
         try:
             if algo == "edge":
-                res, trace = solve_edge_version(D)
-                report.trace = [f"{s.n}:{s.case_tag}" for s in trace.steps]
+                res, induction = solve_edge_version(D)
+                trace = [f"{s.n}:{s.case_tag}" for s in induction.steps]
             elif algo == "blocked":
                 if blocks is None:
                     raise PreconditionError("blocked solving needs --blocks")
                 res = solve_blocked(D, blocks)
             elif algo == "quarter":
                 res = solve_quarter(D)
-                if res is None:
-                    detail = "degree-bounded solver could not resolve the instance"
             else:
                 verdict = decide(D, budget)
-                report.nodes = verdict.nodes_explored
-                if verdict.status == RESOLVABLE:
-                    res = verdict.resolution
-                elif verdict.status == UNRESOLVABLE:
+                nodes = verdict.nodes_explored
+                res = verdict.resolution
+                if verdict.status == UNRESOLVABLE:
                     detail = "oracle proved the instance unresolvable"
-                else:
+                elif verdict.status != RESOLVABLE:
                     outcome = "unknown"
                     detail = "oracle budget exhausted"
         except PreconditionError as exc:
@@ -133,7 +103,7 @@ def cmd_solve(args) -> int:
         if res is not None or algo == "oracle" or args.algo != "auto":
             break
 
-    report.millis = int((time.monotonic() - started) * 1000)
+    millis = int((time.monotonic() - started) * 1000)
     if res is not None:
         # solve_edge_version verifies its resolution itself
         if algo != "edge" and verify_resolution(D, res):
@@ -141,9 +111,16 @@ def cmd_solve(args) -> int:
             return EXIT_UNSOLVED
         outcome = "solved"
         detail = ""
-    report.outcome = outcome
-    report.detail = detail
-    report.emit()
+    print(f"instance: a={D.a} b={D.b} edges={D.m} max-degree={D.max_degree()}")
+    print(f"algorithm: {algo}")
+    print(f"outcome: {outcome}")
+    print(f"time-ms: {millis}")
+    if nodes is not None:
+        print(f"oracle-nodes: {nodes}")
+    if trace:
+        print("case-trace: " + " ".join(trace))
+    if detail:
+        print(f"detail: {detail}")
     if args.out:
         if res is not None:
             text = serialize_resolution(res, SOLVED)

@@ -350,14 +350,18 @@ def pad_to_full(L: LevelState, n: int) -> LevelState:
 
 
 def find_cover_F(L: LevelState, X: tuple[int, ...], Y: tuple[int, ...]) -> tuple[int, ...]:
-    """Four edges covering every vertex at most twice, Y at least once, X exactly twice.
+    """Four distinct edges covering every vertex at most twice, Y at least once, X exactly twice.
 
-    The selection follows the subcases on |Y|; a selection that comes up
-    empty or fails validation raises StructuralError, since the case
-    analysis guarantees one exists.
+    The selection follows the subcases on |Y| and is judged here once: a
+    selection that is not such four edges raises StructuralError, since
+    the case analysis guarantees one at a Case-1 level.
     """
     F = _structured_cover(L, X, Y)
-    if F is None or not _cover_ok(L, F, X, Y):
+    ends = [w for eid in F for w in (L.edges[eid].u, L.edges[eid].v)]
+    if (
+        len(F) != 4 or len(set(F)) != 4 or any(ends.count(w) > 2 for w in ends)
+        or any(y not in ends for y in Y) or any(ends.count(x) != 2 for x in X)
+    ):
         raise StructuralError(f"no structured 4-edge cover for |Y|={len(Y)}")
     return tuple(sorted(F))
 
@@ -506,54 +510,33 @@ def _case1(L: LevelState, n: int):
     return CaseContext(n, f"1.{5 - len(Y)}", X, Y, z, f_set=F, lifts=4), z
 
 
-def _cover_ok(L: LevelState, F, X, Y) -> bool:
-    cover: dict[int, int] = {}
-    for eid in F:
-        e = L.edges[eid]
-        cover[e.u] = cover.get(e.u, 0) + 1
-        cover[e.v] = cover.get(e.v, 0) + 1
-    if any(c > 2 for c in cover.values()):
-        return False
-    if any(cover.get(y, 0) < 1 for y in Y):
-        return False
-    if any(cover.get(x, 0) != 2 for x in X):
-        return False
-    return True
-
-
-def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
+def _structured_cover(L: LevelState, X, Y) -> list[int]:
+    # Case 1 has m = 2n - 2, Δ <= n, n >= 6: at most two Y vertices per class, so each branch finds 4 edges
     yset = set(Y)
     ya = sorted(v for v in Y if v < L.a)
     yb = sorted(v for v in Y if v >= L.a)
     if len(Y) == 4:
         if len(ya) != 2 or len(yb) != 2:
-            return None
+            return []
         corners = [(ya[0], yb[0]), (ya[1], yb[0]), (ya[1], yb[1]), (ya[0], yb[1])]
         if all(L.pair(u, v) for u, v in corners):
             return [L.pair(u, v)[0] for u, v in corners]
-        for pairing in (
-            ((ya[0], yb[0]), (ya[1], yb[1])),
-            ((ya[0], yb[1]), (ya[1], yb[0])),
-        ):
-            if all(len(L.pair(u, v)) >= 2 for u, v in pairing):
-                return [eid for u, v in pairing for eid in L.pair(u, v)[:2]]
-        return None
+        # every edge joins ya to yb, so a missing corner doubles the other pairing
+        pairing = ((ya[0], yb[0]), (ya[1], yb[1]))
+        if not all(len(L.pair(u, v)) >= 2 for u, v in pairing):
+            pairing = ((ya[0], yb[1]), (ya[1], yb[0]))
+        return [eid for u, v in pairing for eid in L.pair(u, v)[:2]]
     if len(Y) == 3:
         if len(ya) == 1:
             hub, p = ya[0], yb
         elif len(yb) == 1:
             hub, p = yb[0], ya
         else:
-            return None
+            return []
         p_star = max(p, key=lambda w: (len(L.pair(hub, w)), -w))
         other = p[0] if p_star == p[1] else p[1]
-        ids = L.pair(hub, p_star)
-        if len(ids) < 2:
-            return None
         out_ids = _first(L, lambda e: e.touches(other) and e.other(other) not in yset)
-        if len(out_ids) < 2:
-            return None
-        return ids[:2] + out_ids
+        return L.pair(hub, p_star)[:2] + out_ids
     if len(Y) == 2:
         y1, y2 = sorted(Y)
         if L.side(y1) != L.side(y2):
@@ -561,11 +544,8 @@ def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
             out2 = _first(L, lambda e: e.touches(y2) and not e.touches(y1))
             if len(out1) >= 2 and len(out2) >= 2:
                 return out1 + out2
-            inner = L.pair(y1, y2)
             outer = _first(L, lambda e: not e.touches(y1) and not e.touches(y2))
-            if len(inner) >= 2 and len(outer) >= 2:
-                return inner[:2] + outer
-            return None
+            return L.pair(y1, y2)[:2] + outer
         # both in one class: two lowest edges at each, capping shared endpoints
         out = []
         cover: dict[int, int] = {}
@@ -582,27 +562,20 @@ def _structured_cover(L: LevelState, X, Y) -> list[int] | None:
                 got += 1
                 if got == 2:
                     break
-            if got < 2:
-                return None
         return out
     # two edges of one pair, the most repeated one at y for Y = {y} and the
     # lowest parallel pair otherwise, plus two edges avoiding both ends
     if len(Y) == 1:
         p = Y[0]
         if not L.adj[p]:
-            return None
+            return []
         q = max(L.adj[p], key=lambda w: (len(L.pair(p, w)), -w))
     elif L.parallel:
         p, q = min(L.parallel)
     else:
-        return None
-    ids = L.pair(p, q)
-    if len(ids) < 2:
-        return None
+        return []
     rest = _first(L, lambda e: not e.touches(p) and not e.touches(q))
-    if len(rest) < 2:
-        return None
-    return ids[:2] + rest
+    return L.pair(p, q)[:2] + rest
 
 
 # -- Case 2: no degree-n vertex --------------------------------------------------

@@ -103,7 +103,10 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
     classes.  The construction is guaranteed for equal blocks: there every
     block's Vizing coloring needs at most Δ + μ = 2*floor(n/3) colors, the
     number of class-B vertices in the other two blocks.  A larger block may
-    need more colors than that, which raises PreconditionError.
+    need more colors than that, which raises PreconditionError.  A
+    within-class edge of block k is lifted onto a class-B vertex of another
+    block, while the B end of its label class lies in block k, so no path
+    passes through its own class-B terminal.
     """
     if D.a != D.b:
         raise PreconditionError("blocked solving needs a square base graph")
@@ -191,14 +194,19 @@ def check_quarter_claims(G: DemandGraph, delta_a: int) -> dict[int, set[int]]:
     return {e.id: nb[e.u] | nb[e.v] for e in within}
 
 
-def solve_quarter(D: DemandGraph) -> Resolution | None:
-    """Resolve a degree-bounded bipartite instance, or report failure.
+def solve_quarter(D: DemandGraph) -> Resolution:
+    """Resolve a degree-bounded bipartite instance, or decline with PreconditionError.
 
     Success is guaranteed when the semiregularized class-A degree is at
     most floor((b+1)/6); anything up to b/4 is attempted, with the list
-    coloring allowed bounded backtracking before giving up.  When a < b
-    the construction runs on the transposed instance, whose lifted graph
-    is transposed back before the paths are read off against D.
+    coloring allowed bounded backtracking before giving up.  A class-A
+    degree above b/4, or a list coloring that gives up, raises
+    PreconditionError.  The class-B target of a within-class edge is
+    excluded from the cross neighbours of both its ends, and those include
+    the B end of its label class, so no path passes through its own
+    class-B terminal.  When a < b the construction runs on the transposed
+    instance, whose lifted graph is transposed back before the paths are
+    read off against D.
     """
     if not D.is_bipartite_demand():
         raise PreconditionError("solve_quarter needs a class-crossing demand graph")
@@ -207,7 +215,7 @@ def solve_quarter(D: DemandGraph) -> Resolution | None:
     T = D.transpose() if D.a < D.b else D
     ta, tb = choose_semiregular_targets(T)
     if 4 * ta > T.b:
-        return None
+        raise PreconditionError("degree-bounded solver could not resolve the instance")
     reg = regularize(T, ta, tb)
     matchings = konig_decompose(reg)
     if len(matchings) != tb:
@@ -221,6 +229,6 @@ def solve_quarter(D: DemandGraph) -> Resolution | None:
     palette = range(G.a, G.a + G.b)
     col = greedy_list_color(within, palette, excluded, max_nodes=max(1000, within.m + 1))
     if col is None:
-        return None
+        raise PreconditionError("degree-bounded solver could not resolve the instance")
     G = lift(G, ((eid, col[eid]) for eid in sorted(col)))
     return extract_resolution(G if T is D else G.transpose(), D)

@@ -14,6 +14,7 @@ from tpb import (
     A,
     B,
     DemandGraph,
+    PreconditionError,
     RESOLVABLE,
     SearchBudget,
     UNRESOLVABLE,
@@ -123,10 +124,11 @@ def test_c5_quarter_pipeline():
         hi = b // 4
         for seed in range(5):
             D = gen_random_semiregular(a, b, hi, seed)
-            r = solve_quarter(D)
             attempts += 1
-            if r is not None and verify_resolution(D, r) == []:
-                succ += 1
+            try:
+                succ += verify_resolution(D, solve_quarter(D)) == []
+            except PreconditionError:  # the solver declined
+                pass
     report(
         f"C5 PASS: quarter solver 100% on {total} instances within the "
         f"constructive degree threshold; best-effort at delta_A = b/4: "

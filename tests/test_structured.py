@@ -192,13 +192,15 @@ def test_quarter_swaps_classes_when_b_exceeds_a():
 def test_quarter_declines_above_quarter_degree():
     # a=b=8 with delta 3: 4*3 > 8, outside even the attempt regime
     D = gen_random_semiregular(8, 8, 3, 0)
-    assert solve_quarter(D) is None
+    with pytest.raises(PreconditionError, match="degree-bounded solver could not resolve"):
+        solve_quarter(D)
 
 
 def test_quarter_gives_up_when_the_list_coloring_fails():
     # within the b/4 attempt regime, but the bounded list coloring gives up
     D = gen_random_semiregular(24, 24, 6, 10)
-    assert solve_quarter(D) is None
+    with pytest.raises(PreconditionError, match="degree-bounded solver could not resolve"):
+        solve_quarter(D)
 
 
 def test_quarter_intermediate_claims():
