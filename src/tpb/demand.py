@@ -16,15 +16,15 @@ the edge dict; its bipartite twin `edge_lift` lives with the edge
 solver's level state, which it changes in place.  Once some sequence of
 liftings produces a simple class-crossing subgraph, every label class
 contains an actual path between its terminals; `extract_resolution`
-reads those paths off, and `verify_resolution` is the independent
-checker for the result.
+reads those paths off for the edge solver, and `verify_resolution`
+(`verify_routes` for slot routes) is the independent checker.
 """
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import DomainError, NotFoundError, PreconditionError, StructuralError
 
@@ -328,31 +328,33 @@ def extract_resolution(final: DemandGraph, original: DemandGraph) -> Resolution:
 
 def verify_resolution(D: DemandGraph, res: Resolution) -> list[str]:
     """Check a claimed resolution; returns violations, empty means valid."""
-    problems: list[str] = []
-    for eid in sorted(D.links):
-        if eid not in res.routes:
-            problems.append(f"edge {eid}: no route")
+    return verify_routes(D, {eid: path.vertices for eid, path in res.routes.items()}, D.slot)
+
+
+def verify_routes(D: DemandGraph, routes: dict[int, tuple], slot: Callable | None = None) -> list[str]:
+    """`verify_resolution` for slot routes, or for `V` routes whose vertices `slot` maps to slots."""
+    problems = [f"edge {eid}: no route" for eid in sorted(D.links) if eid not in routes]
     a, n = D.a, D.a + D.b
-    slot = D.slot
-    sound: dict[int, list[int]] = {}
-    for eid in sorted(res.routes):
+    sound: dict[int, tuple[int, ...] | list[int]] = {}
+    for eid in sorted(routes):
         if eid not in D.links:
             problems.append(f"route {eid}: unknown demand edge")
             continue
         e = D.links[eid]
-        vs = res.routes[eid].vertices
+        vs = ss = routes[eid]
         if len(vs) < 2:
             problems.append(f"route {eid}: needs at least one edge")
             continue
-        ss = []
-        for w in vs:
-            try:
-                ss.append(slot(w))
-            except DomainError:
-                problems.append(f"route {eid}: vertex {w} outside base graph")
-                break
-        if len(ss) < len(vs):
-            continue
+        if slot is not None:
+            ss = []
+            for w in vs:
+                try:
+                    ss.append(slot(w))
+                except DomainError:
+                    problems.append(f"route {eid}: vertex {w} outside base graph")
+                    break
+            if len(ss) < len(vs):
+                continue
         ok = True
         if any((x < a) == (y < a) for x, y in zip(ss, ss[1:])):
             problems.append(f"route {eid}: consecutive vertices do not alternate classes")

@@ -5,8 +5,8 @@ aligned, contiguous blocks of the given sizes with no cross-block
 demands and Δ <= floor(n/3): each block is padded to regularity and
 decomposed into perfect matchings, all of which are lifted onto their
 blocks' own class-A vertices in one batch; each block's within-class
-edges are then edge-colored and all of them lifted onto the other
-blocks' class-B vertices in a second batch.
+edges are then edge-colored, the color of each naming a class-B vertex
+of the other blocks to lift it onto.
 
 `solve_quarter` handles general bipartite instances with small class-A
 degrees: after semiregular padding, a Kőnig decomposition is re-cut into
@@ -17,11 +17,12 @@ each edge excludes the at most 2Δ_A B-vertices adjacent to an endpoint,
 so the palette size minus the excluded colors exceeds the adjacency
 count whenever b > 6Δ_A - 2.  The list coloring is greedy, so success
 is guaranteed for Δ_A <= floor((b+1)/6) and attempted up to b/4.
-Each lifting stage is one batched `lift` call: one edge-dict copy.
+Only the first stage builds a lifted graph (one `lift`); colors complete the routes.
 """
 from __future__ import annotations
 
 from collections import Counter
+from functools import cache
 
 from .coloring import (
     choose_semiregular_targets,
@@ -31,8 +32,11 @@ from .coloring import (
     regularize,
     vizing_color,
 )
-from .demand import DemandGraph, Resolution, extract_resolution, lift
+from .demand import DemandGraph, Path, Resolution, lift, verify_routes
+from .demand import extract_resolution  # noqa: F401 -- perfbench/spans.py HOOKS rebinds it here
 from .errors import PreconditionError, StructuralError
+
+_DECLINE = "degree-bounded solver could not resolve the instance"
 
 
 def repartition_matchings(
@@ -143,9 +147,10 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
                 raise StructuralError(f"block {k + 1}: matching {j} is not perfect")
             moves += ((eid, blk[j]) for eid in sorted(matching))
     G = lift(padded, moves)
+    first = {padded.links[eid].label: z for eid, z in moves}
 
-    # Lift each block's within-class edges of color c onto the c-th B-vertex of the others.
-    moves = []
+    # Route each block's within-class edges of color c via the c-th B-vertex of the others.
+    second: dict[int, int] = {}
     for k, blk in enumerate(blocks):
         within = G.induced(blk)
         if within.max_multiplicity() > 2:
@@ -155,8 +160,8 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
         used = len(set(col.values()))
         if used > len(targets):
             raise PreconditionError(f"block {k + 1}: {used} colors but only {len(targets)} lift targets")
-        moves += ((eid, targets[c]) for eid, c in sorted(col.items(), key=lambda ec: (ec[1], ec[0])))
-    return extract_resolution(lift(G, moves), D)
+        second.update((G.links[eid].label, targets[c]) for eid, c in col.items())
+    return _routes(D, D, first, second)
 
 
 # -- degree-bounded instances ----------------------------------------------------
@@ -205,8 +210,7 @@ def solve_quarter(D: DemandGraph) -> Resolution:
     excluded from the cross neighbours of both its ends, and those include
     the B end of its label class, so no path passes through its own
     class-B terminal.  When a < b the construction runs on the transposed
-    instance, whose lifted graph is transposed back before the paths are
-    read off against D.
+    instance, whose routes are mapped back to D's slots.
     """
     if not D.is_bipartite_demand():
         raise PreconditionError("solve_quarter needs a class-crossing demand graph")
@@ -215,7 +219,7 @@ def solve_quarter(D: DemandGraph) -> Resolution:
     T = D.transpose() if D.a < D.b else D
     ta, tb = choose_semiregular_targets(T)
     if 4 * ta > T.b:
-        raise PreconditionError("degree-bounded solver could not resolve the instance")
+        raise PreconditionError(f"{_DECLINE}: class-A degree {ta} exceeds b/4 = {T.b / 4:g}")
     reg = regularize(T, ta, tb)
     matchings = konig_decompose(reg)
     if len(matchings) != tb:
@@ -223,12 +227,35 @@ def solve_quarter(D: DemandGraph) -> Resolution:
     groups = repartition_matchings(reg, matchings, ta)
     if len(groups) != reg.a:
         raise StructuralError("repartition did not produce one matching per A-vertex")
-    G = lift(reg, ((eid, i) for i, group in enumerate(groups) for eid in sorted(group)))
+    moves = [(eid, i) for i, group in enumerate(groups) for eid in sorted(group)]
+    G = lift(reg, moves)
     excluded = check_quarter_claims(G, ta)
     within = G.induced(range(G.a))
-    palette = range(G.a, G.a + G.b)
-    col = greedy_list_color(within, palette, excluded, max_nodes=max(1000, within.m + 1))
+    budget = max(1000, within.m + 1)
+    col = greedy_list_color(within, range(G.a, G.a + G.b), excluded, max_nodes=budget)
     if col is None:
-        raise PreconditionError("degree-bounded solver could not resolve the instance")
-    G = lift(G, ((eid, col[eid]) for eid in sorted(col)))
-    return extract_resolution(G if T is D else G.transpose(), D)
+        raise PreconditionError(f"{_DECLINE}: the list coloring gave up within {budget} nodes")
+    first = {reg.links[eid].label: z for eid, z in moves}
+    return _routes(D, T, first, {G.links[eid].label: c for eid, c in col.items()})
+
+
+def _routes(D: DemandGraph, T: DemandGraph, first: dict[int, int], second: dict[int, int]) -> Resolution:
+    """Each demand's route x, c, z, y, checked once; x, y where stage 1 left it in place.
+
+    z and c are its label's targets in `first` and `second`.  Routes are on D's slots
+    (T is D or its transpose) and start at the end D lists first.
+    """
+    back = None if T is D else [*range(T.b, T.b + T.a), *range(T.b)]
+    routes: dict[int, tuple[int, ...]] = {}
+    for eid in sorted(T.links):
+        e = T.links[eid]
+        x, y = e.pair()  # class A sorts first
+        z = first[e.label]
+        route = (x, y) if z == x else (x, second[e.label], z, y)
+        route = route if e.u == x else route[::-1]
+        routes[eid] = route if back is None else tuple(back[s] for s in route)
+    problems = verify_routes(D, routes)
+    if problems:
+        raise StructuralError("solver produced an invalid resolution: " + "; ".join(problems))
+    vertex = cache(D.vertex)
+    return Resolution({eid: Path(tuple(map(vertex, route))) for eid, route in routes.items()})

@@ -7,6 +7,7 @@ import tpb.cli
 import tpb.demand
 import tpb.edge_solver
 import tpb.instances
+import tpb.structured
 from tpb.cli import main
 from tpb.instances import parse_instance, parse_resolution
 
@@ -45,6 +46,22 @@ def test_solve_verifies_each_resolution_once(tmp_path, monkeypatch, capsys):
     for algo in ("edge", "oracle"):
         calls.clear()
         assert run("solve", "--in", str(inst), "--algo", algo) == 0
+        assert len(calls) == 1, algo
+    # the structured solvers check their slot routes once, and the command not again
+    real_routes = tpb.structured.verify_routes
+
+    def counting_routes(D, routes):
+        calls.append(D)
+        return real_routes(D, routes)
+
+    monkeypatch.setattr(tpb.structured, "verify_routes", counting_routes)
+    for gen, algo in (
+        (("--family", "random-blocked", "--n", "12"), ("blocked", "--blocks", "4,4,4")),
+        (("--family", "random-semiregular", "--n", "16", "--delta-a", "2"), ("quarter",)),
+    ):
+        assert run("gen", *gen, "--out", str(inst)) == 0
+        calls.clear()
+        assert run("solve", "--in", str(inst), "--algo", *algo) == 0
         assert len(calls) == 1, algo
 
 
@@ -341,7 +358,10 @@ def test_quarter_gives_up_on_the_list_coloring(tmp_path, capsys):
     assert run("solve", "--in", str(inst), "--algo", "quarter") == 1
     out = capsys.readouterr().out
     assert "outcome: unsolved\n" in out
-    assert out.endswith("detail: degree-bounded solver could not resolve the instance\n")
+    assert out.endswith(
+        "detail: degree-bounded solver could not resolve the instance: "
+        "the list coloring gave up within 1000 nodes\n"
+    )
 
 
 @pytest.mark.parametrize(

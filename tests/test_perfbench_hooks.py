@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 import tpb
-import tpb.cli
 import tpb.edge_solver
 from tpb.edge_solver import LevelState
 from tpb.oracle import UNKNOWN, SearchBudget
@@ -135,10 +134,23 @@ def test_tiny_traced_run_fails_no_op(bench_run, workload, seed):
     assert s["problems"] == []
 
 
+#: Seed-1 `output_digest` of one untraced pass: every op's outcome and resolution bytes.
+SOLVE_DIGESTS = {
+    "edge-induction": "b774155f41602acf48bce535817838302c0172755c8434137f298ce90ae9b36a",
+    "structured-lift": "ac52fd4739e8c103f20bd96a0b981f1c85a0e9b61717fad681acfe5286e4228f",
+}
+
+
 @pytest.mark.parametrize("workload", ["edge-induction", "structured-lift"])
-def test_every_solve_op_of_the_full_workload_exits_zero(workload, tmp_path, capsys):
-    ops = load("workloads").build_ops(tpb, workload, 1, str(tmp_path))
+def test_every_solve_op_of_the_full_workload_exits_zero(bench_run, workload, tmp_path):
+    # the benchmark's own pass and checks, so a failure share or an output
+    # that moves shows here as it would in a benchmark run
+    env = bench_run.load_tpb()
+    ops = bench_run.build_ops(env.tpb, workload, 1, str(tmp_path))
     assert len(ops) == {"edge-induction": 338, "structured-lift": 280}[workload]
-    failed = [op.label for op in ops if tpb.cli.main(list(op.argv)) != 0]
-    capsys.readouterr()
+    phase = bench_run.run_phase(env, ops, str(tmp_path), "u", 0, passes=1)
+    digest, problems = bench_run.verify_results(env, phase.results)
+    failed = [f"{r.op.label}: {r.outcome} {r.detail}" for r in phase.results if r.outcome in bench_run.FAIL_KINDS]
     assert failed == []
+    assert problems == []
+    assert digest == SOLVE_DIGESTS[workload]

@@ -10,8 +10,10 @@ from tpb import (
     PreconditionError,
     RESOLVABLE,
     SearchBudget,
+    StructuralError,
     TpbError,
     decide,
+    extract_resolution,
     gen_random_blocked,
     gen_random_semiregular,
     konig_decompose,
@@ -20,10 +22,11 @@ from tpb import (
     solve_quarter,
     verify_resolution,
 )
+import tpb.cli
 import tpb.structured
 from tpb.structured import check_quarter_claims, lift
 from tpb.coloring import choose_semiregular_targets, regularize
-from tpb.instances import serialize_resolution
+from tpb.instances import serialize_instance, serialize_resolution
 
 
 # -- repartition -----------------------------------------------------------------
@@ -192,15 +195,17 @@ def test_quarter_swaps_classes_when_b_exceeds_a():
 def test_quarter_declines_above_quarter_degree():
     # a=b=8 with delta 3: 4*3 > 8, outside even the attempt regime
     D = gen_random_semiregular(8, 8, 3, 0)
-    with pytest.raises(PreconditionError, match="degree-bounded solver could not resolve"):
+    with pytest.raises(PreconditionError, match="degree-bounded solver could not resolve") as exc:
         solve_quarter(D)
+    assert str(exc.value).endswith(": class-A degree 3 exceeds b/4 = 2")
 
 
 def test_quarter_gives_up_when_the_list_coloring_fails():
     # within the b/4 attempt regime, but the bounded list coloring gives up
     D = gen_random_semiregular(24, 24, 6, 10)
-    with pytest.raises(PreconditionError, match="degree-bounded solver could not resolve"):
+    with pytest.raises(PreconditionError, match="degree-bounded solver could not resolve") as exc:
         solve_quarter(D)
+    assert str(exc.value).endswith(": the list coloring gave up within 1000 nodes")
 
 
 def test_quarter_intermediate_claims():
@@ -315,13 +320,93 @@ def lift_calls(monkeypatch):
     return calls
 
 
-def test_quarter_lifts_in_two_batches(lift_calls):
+# stage 2 is read off the colouring, so only stage 1 builds a lifted graph
+def test_quarter_lifts_in_one_batch(lift_calls):
     D = gen_random_semiregular(32, 32, 4, 3)
     assert verify_resolution(D, solve_quarter(D)) == []
-    assert len(lift_calls) == 2
+    assert len(lift_calls) == 1
 
 
-def test_blocked_lifts_in_two_batches(lift_calls):
+def test_blocked_lifts_in_one_batch(lift_calls):
     D = gen_random_blocked(24, (8, 8, 8), 3)
     assert verify_resolution(D, solve_blocked(D, (8, 8, 8))) == []
-    assert len(lift_calls) == 2
+    assert len(lift_calls) == 1
+
+
+# -- routes composed from the two stages ---------------------------------------------
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """Record the stage-1 lifted graph and every stage-2 colouring of a solve."""
+    seen = {"G": None, "cols": []}
+    real_lift = tpb.structured.lift
+    names = ("vizing_color", "greedy_list_color")
+    real_colorings = {name: getattr(tpb.structured, name) for name in names}
+
+    def lifting(H, moves):
+        seen["G"] = real_lift(H, moves)
+        return seen["G"]
+
+    def recording(real):
+        def color(*args, **kwargs):
+            seen["cols"].append(real(*args, **kwargs))
+            return seen["cols"][-1]
+        return color
+
+    monkeypatch.setattr(tpb.structured, "lift", lifting)
+    for name, real in real_colorings.items():
+        monkeypatch.setattr(tpb.structured, name, recording(real))
+    return seen
+
+
+def mixed_orders(D):
+    # the same demands with every other pair given class B first
+    return DemandGraph.from_pairs(
+        D.a, D.b, [(e.u, e.v) if e.id % 2 else (e.v, e.u) for e in D.edges.values()]
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n, sizes", [(12, (4, 4, 4)), (24, (8, 8, 8)), (7, (3, 2, 2))])
+@pytest.mark.parametrize("order", [lambda D: D, mixed_orders], ids=["a-first", "mixed"])
+def test_blocked_routes_equal_extraction_after_a_second_lift(stages, seed, n, sizes, order):
+    D = order(gen_random_blocked(n, sizes, seed))
+    res = solve_blocked(D, sizes)
+    starts = (0, sizes[0], sizes[0] + sizes[1], n)
+    blocks = [range(starts[k], starts[k + 1]) for k in range(3)]
+    moves = []
+    for k, col in enumerate(stages["cols"]):
+        targets = [n + j for j in blocks[(k + 1) % 3]] + [n + j for j in blocks[(k + 2) % 3]]
+        moves += ((eid, targets[c]) for eid, c in sorted(col.items(), key=lambda ec: (ec[1], ec[0])))
+    assert res.routes == extract_resolution(lift(stages["G"], moves), D).routes
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("a, b, delta_a", [(16, 16, 2), (24, 12, 2), (16, 32, 4), (32, 32, 4)])
+@pytest.mark.parametrize("order", [lambda D: D, mixed_orders], ids=["a-first", "mixed"])
+def test_quarter_routes_equal_extraction_after_a_second_lift(stages, seed, a, b, delta_a, order):
+    D = order(gen_random_semiregular(a, b, delta_a, seed))
+    res = solve_quarter(D)
+    (col,) = stages["cols"]
+    final = lift(stages["G"], sorted(col.items()))
+    assert res.routes == extract_resolution(final if a >= b else final.transpose(), D).routes
+
+
+def test_structured_solvers_audit_their_routes(monkeypatch, tmp_path, capsys):
+    # every within-class edge onto the same class-B vertex: routes share base edges
+    monkeypatch.setattr(tpb.structured, "vizing_color", lambda H: dict.fromkeys(H.links, 0))
+    monkeypatch.setattr(
+        tpb.structured, "greedy_list_color", lambda H, palette, *_, **__: dict.fromkeys(H.links, palette[0])
+    )
+    blocked = gen_random_blocked(24, (8, 8, 8), 3)
+    quarter = gen_random_semiregular(32, 32, 4, 3)
+    with pytest.raises(StructuralError, match="solver produced an invalid resolution: .*used by routes"):
+        solve_blocked(blocked, (8, 8, 8))
+    with pytest.raises(StructuralError, match="solver produced an invalid resolution: .*used by routes"):
+        solve_quarter(quarter)
+    for D, algo in ((blocked, ("blocked", "--blocks", "8,8,8")), (quarter, ("quarter",))):
+        inst = tmp_path / "audit.tpb"
+        inst.write_text(serialize_instance(D))
+        assert tpb.cli.main(["solve", "--in", str(inst), "--algo", *algo]) == 1
+        assert capsys.readouterr().err.startswith("error: solver produced an invalid resolution: ")
