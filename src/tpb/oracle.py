@@ -13,7 +13,7 @@ routing R*, or exhausts its space when there is none.
 Call slack(w) the number of free base edges at w less the number of
 unrouted demands at w.  Slack never grows: a path that ends at w lowers
 both terms by one, and a path that crosses w lowers the first by two.
-Three cuts are necessary conditions.
+Four cuts are necessary conditions.
 
 1. Crossing w takes two free edges, and each unrouted demand at w needs
    one more, so a path may cross only vertices of slack at least 2.
@@ -32,6 +32,16 @@ Three cuts are necessary conditions.
    slack fell below 2, and the ends of a pair that lost its last demand.
    It refutes `gen_sharp_edge(n)` at the root: A0 has n demands, but B1,
    of slack 1, leaves it only n - 1 usable vertices.
+4. Crossings: a path of length 2t + 1 crosses t vertices of each side,
+   so every route but a direct one crosses a vertex of each side, and a
+   pair admits one direct route.  The routes still to come cross v at
+   most slack(v) // 2 times: 2 crossings(v) + unrouted(v) <= free(v), as
+   a crossing takes two free edges at v and an unrouted demand one.  So
+   the unrouted demands, less the unrouted pairs whose base edge is free,
+   cannot exceed either side's sum of slack // 2.  By cut 1 a crossing
+   lowers that sum by exactly one, and both sides are crossed equally
+   often, so the smaller sum is its root value less the crossings so
+   far: half of the used base edges less the routed demands.
 
 Two more cuts break symmetries, in the lex-leader manner of Crawford,
 Ginsberg, Luks and Roy ("Symmetry-breaking predicates for search
@@ -226,14 +236,11 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
     ):
         return OracleVerdict(UNRESOLVABLE, None, 0)
 
-    # Parallel demands are adjacent in the key order: pairs[group[k]:] are
-    # the distinct pairs of demands[k:].
-    pairs: list[tuple[int, int]] = []
-    group = []
-    for _, ai, bj in demands:
-        if not pairs or pairs[-1] != (ai, bj):
-            pairs.append((ai, bj))
-        group.append(len(pairs) - 1)
+    # The crossings the sides admit at the root: the smaller sum of slack // 2.
+    cross = min(sum((b - c) // 2 for c in cnt_a), sum((a - c) // 2 for c in cnt_b))
+    # Parallel demands are adjacent in the key order: repeat[k] says that
+    # demand k is on the pair of demand k - 1.
+    repeat = [k > 0 and demands[k - 1][1:] == d[1:] for k, d in enumerate(demands)]
 
     seqs: list[list[int]] = [[] for _ in range(depth)]  # the committed path of each level
     saved: list[tuple[int, int, int, int]] = []  # hi_a, hi_b, pm_a[ai], pm_b[bj] before each commit
@@ -307,16 +314,16 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
         cnt_b[bj] += 1
 
     def choices(k: int):
-        # Counting bound: each group of c parallel demands needs 3c - 2
-        # base edges if its direct edge is free, 3c otherwise.
-        spare = a * b - used_total - 3 * (depth - k)
-        if spare < 0:
-            for i, j in pairs[group[k] :]:
-                if fm_a[i] >> j & 1:
-                    spare += 2
-                    if spare >= 0:
-                        break
-            else:
+        # Counting bound and crossing bound: each unrouted demand needs 3
+        # base edges and crosses a vertex of each side, unless it takes the
+        # one direct route its pair admits, which needs a free direct edge.
+        # Each side has been crossed (used_total - k) // 2 times so far.
+        rest = depth - k
+        spare = a * b - used_total - 3 * rest
+        left = cross - (used_total - k) // 2
+        if spare < 0 or left < rest:
+            direct = sum((f & p).bit_count() for f, p in zip(fm_a, pm_a))
+            if spare + 2 * direct < 0 or left < rest - direct:
                 return
         _, ai, bj = demands[k]
         seq = seqs[k] = [ai]
@@ -335,9 +342,9 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
                     else:
                         fresh[s].append(1 << v)
             fresh[s].append(0)
-        last_demand = k + 1 == depth or group[k + 1] != group[k]
+        last_demand = k + 1 == depth or not repeat[k + 1]
         level = (seq, bj, last_demand, inner, fresh, fm, commit, retract)
-        if k and group[k] == group[k - 1]:
+        if repeat[k]:
             # Lex leader: this path must exceed the previous parallel one in
             # (length, vertex sequence).  That path's first edge is taken,
             # so a path of its length exceeds it iff its second vertex does.

@@ -77,14 +77,15 @@ def naive_decide(D):
 
 
 def reference_decide(D):
-    """`decide`'s search without its symmetry cuts and its saturation cut.
+    """`decide`'s search without its symmetry, saturation and crossing cuts.
 
     It takes the demands in the same order and the paths in the same
     (length, vertex sequence) order, and makes only the root degree check,
     the counting bound and the slack filter on intermediates, so both
     return the lexicographically first routing.  Returns the status, each
-    demand's route as a vertex-index sequence, and the number of paths
-    tried.
+    demand's route as a vertex-index sequence, the number of paths tried,
+    and the number of levels it searched at which `decide`'s crossing
+    bound fails.
     """
     a, b = D.a, D.b
     degs = Counter(w for e in D.edges.values() for w in (e.u, e.v))
@@ -98,11 +99,11 @@ def reference_decide(D):
     cnt_a = Counter(ai for _, ai, _ in demands)
     cnt_b = Counter(bj for _, _, bj in demands)
     if any(c > b for c in cnt_a.values()) or any(c > a for c in cnt_b.values()):
-        return UNRESOLVABLE, None, 0
+        return UNRESOLVABLE, None, 0, 0
     free_a, free_b = [b] * a, [a] * b
     used = set()
     routes = {}
-    nodes = 0
+    nodes = crossing_cut = 0
 
     def walk(seq, length, bj):
         # alternating index sequences seq + ... ending at B_bj, `length` edges in all
@@ -119,13 +120,21 @@ def reference_decide(D):
                 yield from walk(seq + [w], length, bj)
 
     def rec(k):
-        nonlocal nodes
+        nonlocal nodes, crossing_cut
         if k == len(demands):
             return True
         groups = Counter((ai, bj) for _, ai, bj in demands[k:])
         need = sum(3 * c - (0 if pair in used else 2) for pair, c in groups.items())
         if need > a * b - len(used):
             return False
+        # counted only: a demand without a direct route crosses a vertex of
+        # each side, and v can be crossed slack(v) // 2 more times
+        left = min(
+            sum((free_a[i] - cnt_a[i]) // 2 for i in range(a)),
+            sum((free_b[j] - cnt_b[j]) // 2 for j in range(b)),
+        )
+        direct = sum(1 for pair in groups if pair not in used)
+        crossing_cut += left < len(demands) - k - direct
         eid, ai, bj = demands[k]
         cnt_a[ai] -= 1
         cnt_b[bj] -= 1
@@ -149,8 +158,8 @@ def reference_decide(D):
         return False
 
     if rec(0):
-        return RESOLVABLE, routes, nodes
-    return UNRESOLVABLE, None, nodes
+        return RESOLVABLE, routes, nodes, crossing_cut
+    return UNRESOLVABLE, None, nodes, crossing_cut
 
 
 def relabeled(D, seed):
@@ -211,6 +220,25 @@ def test_uniform_instances_decided_within_budget():
                 assert verify_resolution(D, v.resolution) == []
 
 
+#: Benchmark ops that used up WORKLOAD_BUDGET before the crossing bound:
+#: (n, seed) -> (verdict, nodes explored).
+CROSSING_BOUND_OPS = {
+    (6, 145118792): (RESOLVABLE, 3603),
+    (5, 1472053993): (UNRESOLVABLE, 3267),
+    (6, 1202264108): (RESOLVABLE, 2949),
+    (5, 1341344619): (UNRESOLVABLE, 2860),
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(CROSSING_BOUND_OPS))
+def test_crossing_bound_decides_benchmark_ops_within_budget(n, seed):
+    D = uniform(n, seed)
+    v = decide(D, WORKLOAD_BUDGET)
+    assert (v.status, v.nodes_explored) == CROSSING_BOUND_OPS[n, seed]
+    if v.status == RESOLVABLE:
+        assert verify_resolution(D, v.resolution) == []
+
+
 def test_resolvable_verdicts_verify():
     for n in (4, 5):
         D = gen_chain(n)
@@ -228,6 +256,17 @@ def test_budget_exhaustion_is_unknown():
     D = threshold_instance(8, 3)
     v = decide(D, SearchBudget(max_nodes=5, max_millis=120_000))
     assert v.status == UNKNOWN
+
+
+def test_crossing_bound_resolves_the_threshold_instance():
+    # UNKNOWN after 100 k nodes without the crossing bound, which is tight
+    # at the root: the 16 demands that no direct route takes cross a vertex
+    # of each side apiece, and each side admits 8 * ((8 - 3) // 2) = 16
+    # crossings, so every route is direct or of length 3
+    D = threshold_instance(8, 3)
+    v = decide(D, BUDGET)
+    assert (v.status, v.nodes_explored) == (RESOLVABLE, 6140)
+    assert verify_resolution(D, v.resolution) == []
 
 
 def test_determinism():
@@ -305,17 +344,20 @@ def test_agreement_with_naive_reference():
 
 def test_symmetry_cuts_keep_the_first_routing():
     # every canonical instance on K_{n,n}, n <= 4, with at most 2n-1
-    # demands and degree at most n, then random ones on K_{5,5} and the
+    # demands and degree at most n, then random ones on K_{5,5}, denser
+    # ones on K_{4,4} with the benchmark's 2n+2..3n demands, and the
     # benchmark's relabelled sharp_edge(5)
     rng = random.Random(5)
     sample = [D for n in (1, 2, 3, 4) for D in enumerate_demands(n, 2 * n - 1, n)]
     for _ in range(200):
         pairs = [(A(rng.randrange(5)), B(rng.randrange(5))) for _ in range(rng.randint(8, 15))]
         sample.append(DemandGraph.from_pairs(5, 5, pairs))
+    sample += [uniform(4, seed) for seed in range(200)]
     sample += [relabeled(gen_sharp_edge(5), seed) for seed in range(10)]
     statuses = Counter()
+    crossing_cut = 0
     for D in sample:
-        status, routes, nodes = reference_decide(D)
+        status, routes, nodes, cut = reference_decide(D)
         v = decide(D, BUDGET)
         assert v.status == status
         if status == RESOLVABLE:
@@ -323,7 +365,11 @@ def test_symmetry_cuts_keep_the_first_routing():
             assert got == routes
         assert v.nodes_explored <= nodes
         statuses[status] += 1
+        crossing_cut += cut > 0
     assert statuses[RESOLVABLE] > 500 and statuses[UNRESOLVABLE] > 40
+    # instances whose reference search meets a level that the crossing
+    # bound cuts (140 of the 1142)
+    assert crossing_cut > 100
 
 
 def test_enumerate_tiny():
