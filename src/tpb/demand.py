@@ -13,7 +13,8 @@ edge to a vertex replaces it by a two-edge detour that inherits the
 label, so the edges sharing a label always form a walk between the two
 original terminals.  `lift` applies a batch of moves with one copy of
 the edge dict; its bipartite twin `edge_lift` lives with the edge
-solver's level state, which it changes in place.  Once some sequence of
+solver's level state, which it changes in place, removing a level's
+removal set in the same change.  Once some sequence of
 liftings produces a simple class-crossing subgraph, every label class
 contains an actual path between its terminals; `extract_resolution`
 reads those paths off for the edge solver, and `verify_resolution`

@@ -13,20 +13,21 @@ The reduction is legal when
   (3) degrees away from Z stay at most n - |Z|/2, and
   (4) no parallel edges touch Z,
 
-which `check_conditions` re-verifies at runtime at every level; a
-violation raises StructuralError naming the case, since it can only mean
-a handler bug.  The induction runs as one loop over one `LevelState`:
+which `check_conditions` re-verifies at runtime after every level's
+step; a violation raises StructuralError naming the case, since it can
+only mean a handler bug.  The induction runs as one loop over one `LevelState`:
 the remaining graph on the input's slots, with degrees, degree
 buckets and one adjacency map of each vertex pair's edge ids kept up to
 date by every change.  The stage operations (`pad_to_full`, `check_conditions`,
 `find_cover_F`, `place_F` and the bipartite lifting `edge_lift`) take
-that state: padding adds only the edges a level owes, each case applies
-its liftings in one `edge_lift` batch on the state in place, and
-removing Z sets its incident edges aside, so a level costs about what
-it changes rather than the size of the graph.  The paper states cases
-2.1, 2.2.2, 3 and 4 with either class as "A"; their handlers take the
-class playing A and the other class as arguments, so a level with the
-classes swapped runs on the same state like any other.  The handlers' rules
+that state: padding adds only the edges a level owes, and each case
+lifts onto Z and removes Z in one change to it (its `edge_lift` batch
+if it lifts), which moves every edge at Z, alive or just made, to the
+final edges without indexing it, so a level costs about what it
+changes rather than the size of the graph.  The paper states cases 2.1, 2.2.2, 3 and 4 with
+either class as "A"; their handlers take the class playing A and the
+other class as arguments, so a level with the classes swapped runs on
+the same state like any other.  The handlers' rules
 ("the lowest isolated vertex", index tie-breaks) read the alive
 vertices in slot order, which is the order of the smaller
 K_{m,m} the induction stands for; the trace records each level's
@@ -38,11 +39,11 @@ for auditability.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from itertools import combinations, islice, permutations, repeat
-from typing import Iterable
+from itertools import islice, permutations, repeat
+from typing import Collection, Iterable
 
 from .demand import (
     SIDE_A,
@@ -87,7 +88,7 @@ class LevelState:
     """The remaining graph of the induction, changed in place.
 
     Built from the alive edges of a demand graph D, optionally with the
-    slots already `removed` and the edges already set aside as `frozen`;
+    slots already `removed` and the edges already final as `frozen`;
     vertices are D's slots, and class s is 0 for A and 1 for B.
     `sides[s]` holds class s's alive slots in order, `deg` their degrees
     and `bydeg` the alive slots of positive degree by degree.
@@ -97,8 +98,8 @@ class LevelState:
     `idle[s]` is a min-heap that holds every isolated slot of class s,
     pruned lazily of slots that have since gained an edge or been
     removed.  `edges` holds the alive edges in id order (new ids are
-    always the largest) and `frozen` the edges set aside with a removed
-    vertex; `removed[s]` lists class s's removed slots in order.
+    always the largest) and `frozen` the final edges, those at removed
+    vertices; `removed[s]` lists class s's removed slots in order.
     """
 
     def __init__(
@@ -150,10 +151,15 @@ class LevelState:
             heappush(heap, v)
         return out
 
-    def local(self, v: int) -> V:
-        """v's position among the alive vertices of its class."""
+    def local(self, v: int, z: Iterable[int] = ()) -> V:
+        """v's position among the alive vertices of its class before the slots z were removed."""
         s = self.side(v)
-        return V((SIDE_A, SIDE_B)[s], v - s * self.a - bisect_left(self.removed[s], v))
+        lo = s * self.a
+        below = bisect_left(self.removed[s], v)
+        for w in z:
+            if lo <= w < v:
+                below -= 1
+        return V((SIDE_A, SIDE_B)[s], v - lo - below)
 
     def _check_vertex(self, v: int) -> None:
         if v not in self.deg:
@@ -196,34 +202,47 @@ class LevelState:
         self._bump(e.v, -1)
         return e
 
-    def replace_edges(
-        self, gone: Iterable[int], added: dict[int, Edge], next_fresh_id: int
-    ) -> "LevelState":
-        """Drop the ids in `gone`, add `added` in order; in place, returns self."""
+    def change(self, gone: Iterable[int], added: dict[int, Edge], z: tuple[int, ...] = ()) -> dict[int, Edge]:
+        """Drop the ids in `gone`, add `added` in order and delete the vertices z; in place.
+
+        Every edge at z, alive or added, moves straight to `frozen`, so only
+        the added edges that miss z are indexed.  z must be distinct alive
+        slots, which is checked before L changes.  Returns the edges frozen.
+        """
+        zs = set(z)
+        if len(zs) < len(z) or not zs <= self.deg.keys():
+            raise DomainError(f"removal set {z} repeats a slot or holds one that is not alive")
         for eid in gone:
             self._drop(eid)
-        for e in added.values():
-            self._add(e)
-        self.next_fresh_id = next_fresh_id
-        return self
-
-    def remove(self, z: Iterable[int]) -> None:
-        """Delete the vertices z, moving every edge that touches them to `frozen`."""
-        z = tuple(z)
+        froze = {}
         for v in z:
-            for ids in list(self.adj[v].values()):
-                for eid in list(ids):
-                    self.frozen[eid] = self._drop(eid)
-        for v in z:
+            for w, ids in self.adj.pop(v).items():
+                for eid in ids:
+                    froze[eid] = self.edges.pop(eid)
+                if len(ids) > 1:
+                    self.parallel.discard((v, w) if v < w else (w, v))
+                if w in self.adj:  # not a slot of z deleted already
+                    del self.adj[w][v]
+                    self._bump(w, -len(ids))
+                self._bump(v, -len(ids))
             s = self.side(v)
-            del self.deg[v], self.adj[v], self.sides[s][v]
+            del self.deg[v], self.sides[s][v]
             insort(self.removed[s], v)
+        for e in added.values():
+            if e.u in zs or e.v in zs:
+                froze[e.id] = e
+            else:
+                self._add(e)
+        if added:
+            self.next_fresh_id = max(added) + 1
+        self.frozen.update(froze)
+        return froze
 
 
 # -- public operations --------------------------------------------------------
 
 
-def edge_lift(L: LevelState, moves: Iterable[tuple[int, int, int]]) -> LevelState:
+def edge_lift(L: LevelState, moves: Iterable[tuple[int, int, int]], z: tuple[int, ...] = ()) -> LevelState:
     """Apply the edge-liftings (edge_id, x, y) to L in order, in place; returns L.
 
     Each replaces class-crossing edge uv by the three edges xy, uy, xv with
@@ -232,7 +251,9 @@ def edge_lift(L: LevelState, moves: Iterable[tuple[int, int, int]]) -> LevelStat
     move needs alive slots x and y in opposite classes, either way round,
     and four distinct vertices; u is the endpoint of the lifted edge in x's
     class, so a lift with x in class B mirrors the class-A lift of the
-    transposed graph.  The whole batch is checked before L changes.
+    transposed graph.  Given a removal set z, the same `LevelState.change`
+    then deletes z, so the new edges at z go straight to `frozen`.  The
+    whole batch, z included, is checked before L changes.
     """
     gone: set[int] = set()
     added: dict[int, Edge] = {}
@@ -259,7 +280,8 @@ def edge_lift(L: LevelState, moves: Iterable[tuple[int, int, int]]) -> LevelStat
         added[i + 1] = Edge(i + 1, e.label, u, y)
         added[i + 2] = Edge(i + 2, e.label, x, v)
         i += 3
-    return L.replace_edges(gone, added, i)
+    L.change(gone, added, z)
+    return L
 
 
 def solve_edge_version(D: DemandGraph) -> tuple[Resolution, CaseTrace]:
@@ -284,42 +306,24 @@ def solve_edge_version(D: DemandGraph) -> tuple[Resolution, CaseTrace]:
     return res, trace
 
 
-def check_conditions(L: LevelState, z: tuple[int, ...], n: int) -> list[str]:
-    """Check the four induction conditions for removing z; returns failures.
+def check_conditions(L: LevelState, z: tuple[int, ...], n: int, froze: Collection[Edge]) -> list[str]:
+    """Check the four induction conditions after the step that removed z; returns failures.
 
-    Reads only z, the pairs at z and the vertices whose degree exceeds
-    n - |z|/2, since every other vertex meets condition (3) already.
+    Reads z, the edges at z that the step froze and the degrees left, which are those off z.
     """
     problems = []
-    zset = set(z)
-    za = sum(1 for v in zset if v < L.a)
-    zb = len(zset) - za
+    za = sum(1 for v in z if v < L.a)
+    zb = len(z) - za
     if za != zb:
         problems.append(f"(1) Z meets the classes {za}/{zb}")
-    inside = sum(len(L.pair(u, v)) for u, v in combinations(zset, 2))
-    incident = sum(L.deg.get(v, 0) for v in zset) - inside
-    if incident < len(zset):
-        problems.append(f"(2) only {incident} edges incident to Z, need {len(zset)}")
-    bound = n - len(zset) // 2
-    worst = max(
-        (
-            d - sum(len(L.pair(v, w)) for w in zset)
-            for d, vs in L.bydeg.items()
-            if d > bound
-            for v in vs
-            if v not in zset
-        ),
-        default=0,
-    )
+    if len(froze) < len(z):
+        problems.append(f"(2) only {len(froze)} edges incident to Z, need {len(z)}")
+    bound = n - len(z) // 2
+    worst = max(L.bydeg, default=0)
     if worst > bound:
         problems.append(f"(3) degree {worst} off Z exceeds {bound}")
-    bad = {
-        (min(v, w), max(v, w))
-        for v in zset
-        for w in L.adj.get(v, ())
-        if len(L.pair(v, w)) > 1
-    }
-    problems.extend(f"(4) parallel edges {u}-{v} touch Z" for u, v in sorted(bad))
+    bad = sorted(p for p, k in Counter(e.pair() for e in froze).items() if k > 1)
+    problems.extend(f"(4) parallel edges {u}-{v} touch Z" for u, v in bad)
     return problems
 
 
@@ -346,7 +350,8 @@ def pad_to_full(L: LevelState, n: int) -> LevelState:
         raise StructuralError("no deficient vertex pair available for padding")
     nid = L.next_fresh_id
     added = {i: Edge(i, i, u, v) for i, (u, v) in enumerate(pairs, nid)}
-    return L.replace_edges((), added, nid + owed)
+    L.change((), added)
+    return L
 
 
 def find_cover_F(L: LevelState, X: tuple[int, ...], Y: tuple[int, ...]) -> tuple[int, ...]:
@@ -367,13 +372,13 @@ def find_cover_F(L: LevelState, X: tuple[int, ...], Y: tuple[int, ...]) -> tuple
 
 
 def place_F(L: LevelState, F: tuple[int, ...], u1: int, u2: int, v1: int, v2: int) -> LevelState:
-    """Edge-lift the cover edges onto the four isolated corners of Z.
+    """Edge-lift the cover edges onto the four isolated corners and remove them as Z.
 
     Takes the first of the up-to-24 assignments of F to the slots u1v1,
     u1v2, u2v2, u2v1 whose twelve new pairs at Z are distinct, which for
     isolated corners is to say it leaves no parallel edge at Z, and
-    applies it as one batch to L in place.  A corner that carries an edge
-    raises PreconditionError.
+    applies it with the removal of Z as one `edge_lift` batch to L in
+    place.  A corner that carries an edge raises PreconditionError.
     """
     busy = [v for v in (u1, u2, v1, v2) if L.deg.get(v)]
     if busy:
@@ -388,7 +393,7 @@ def place_F(L: LevelState, F: tuple[int, ...], u1: int, u2: int, v1: int, v2: in
             u, v = (e.u, e.v) if (e.u < a) == (x < a) else (e.v, e.u)
             made.update(((x, y), (u, y), (x, v)))
         if len(made) == 3 * len(moves):
-            return edge_lift(L, moves)
+            return edge_lift(L, moves, (u1, u2, v1, v2))
     raise StructuralError("no numbering of the cover edges avoids parallels at Z")
 
 
@@ -398,8 +403,9 @@ def place_F(L: LevelState, F: tuple[int, ...], u1: int, u2: int, v1: int, v2: in
 def _resolve(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
     """Run the induction on D and return the simple graph it lifts to.
 
-    Every level works on the one state L; removing Z moves the edges
-    touching it to `L.frozen`, where they are final.
+    Every level works on the one state L and ends in one change to it
+    that lifts onto Z and removes Z, moving the edges at Z to `L.frozen`,
+    where they are final.
     """
     L = LevelState(D)
     while True:
@@ -411,19 +417,20 @@ def _resolve(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
             _base_case(L, trace)
             break
         pad_to_full(L, n)
+        k = len(L.frozen)
         ctx, z = _dispatch(L, n)
         ctx.x_set, ctx.y_set, ctx.z_set = (
-            tuple(map(L.local, vs)) for vs in (ctx.x_set, ctx.y_set, ctx.z_set)
+            tuple(L.local(v, z or ()) for v in vs) for vs in (ctx.x_set, ctx.y_set, ctx.z_set)
         )
         trace.steps.append(ctx)
         if z is None:
             if L.parallel:
                 raise StructuralError(f"case {ctx.case_tag}: direct construction not simple")
             break
-        problems = check_conditions(L, z, n)
+        froze = list(islice(reversed(L.frozen.values()), len(L.frozen) - k))
+        problems = check_conditions(L, z, n, froze)
         if problems:
             raise StructuralError(f"case {ctx.case_tag}: " + "; ".join(problems))
-        L.remove(z)
         m = n - len(z) // 2
         if L.m > 2 * m - 2:
             raise StructuralError(f"case {ctx.case_tag}: induced instance keeps too many edges")
@@ -455,21 +462,21 @@ def _base_case(L: LevelState, trace: CaseTrace) -> None:
         for x, y in zip(vs, vs[1:]):
             edges[nid] = Edge(nid, e.label, x, y)
             nid += 1
-    L.replace_edges(list(L.edges), edges, nid)
+    L.change(list(L.edges), edges)
 
 
 # -- case dispatch -------------------------------------------------------------
 
 
 def _dispatch(L: LevelState, n: int):
-    """Run the case handler for this level on L in place; returns (ctx, z)."""
+    """Run the case handler, which lifts onto Z and removes Z from L in place; returns (ctx, z)."""
     iso_a = L.isolated(0, 2)
     iso_b = L.isolated(1, 2)
-    X = L.of_degree(n)
+    X = tuple(L.of_degree(n))
     if len({L.side(v) for v in X}) < len(X):
         raise StructuralError("more than one degree-n vertex in a class")
     if len(iso_a) >= 2 and len(iso_b) >= 2:
-        return _case1(L, n)
+        return _case1(L, n, iso_a, iso_b, X)
     if not X:
         ones = L.of_degree(1)
         if ones:
@@ -499,10 +506,9 @@ def _first(L: LevelState, keep, k: int = 2) -> list[int]:
 # -- Case 1: four isolated corners ---------------------------------------------
 
 
-def _case1(L: LevelState, n: int):
-    u1, u2 = L.isolated(0, 2)
-    v1, v2 = L.isolated(1, 2)
-    X = tuple(L.of_degree(n))
+def _case1(L: LevelState, n: int, iso_a: list[int], iso_b: list[int], X: tuple[int, ...]):
+    u1, u2 = iso_a
+    v1, v2 = iso_b
     Y = tuple(sorted(v for d in (n - 1, n) for v in L.bydeg.get(d, ())))
     F = find_cover_F(L, X, Y)
     place_F(L, F, u1, u2, v1, v2)
@@ -591,8 +597,8 @@ def _case21(L: LevelState, n: int, s: int, t: int):
         away = _first(L, lambda e: not e.touches(x) and not e.touches(xp), 1)
         if not away:
             raise StructuralError("case 2.1: no edge avoids x and its neighbor")
-        edge_lift(L, [(away[0], x, y)])
         z = (x, y)
+        edge_lift(L, [(away[0], x, y)], z)
         return CaseContext(n, "2.1", z_set=z, lifts=1), z
     ones = L.of_degree(1, t)
     if len(ones) < 2:
@@ -601,6 +607,7 @@ def _case21(L: LevelState, n: int, s: int, t: int):
     if y is None:
         raise StructuralError("case 2.1: every degree-1 vertex is joined to x")
     z = (x, y)
+    L.change((), {}, z)
     return CaseContext(n, "2.1", z_set=z), z
 
 
@@ -614,6 +621,7 @@ def _case22(L: LevelState, n: int):
             if not other_iso:
                 raise StructuralError("case 2.2.1: no isolated vertex opposite")
             z = (v, other_iso[0])
+            L.change((), {}, z)
             return CaseContext(n, "2.2.1", z_set=z), z
     if len(iso_a) >= 2 or len(iso_b) >= 2:
         return _oriented(_case222, L, n, 1 if len(iso_b) >= 2 else 0)
@@ -641,8 +649,8 @@ def _case222(L: LevelState, n: int, s: int, t: int):
     w = min(L.adj[v])
     if zz == w:
         raise StructuralError("case 2.2.2: chosen neighbors coincide")
-    edge_lift(L, [(L.pair(u, zz)[0], a1, w), (L.pair(v, w)[0], a2, zz)])
     z = (a1, a2, zz, w)
+    edge_lift(L, [(L.pair(u, zz)[0], a1, w), (L.pair(v, w)[0], a2, zz)], z)
     return CaseContext(n, "2.2.2", z_set=z, lifts=2), z
 
 
@@ -687,8 +695,8 @@ def _case3(L: LevelState, n: int, s: int, t: int):
                 raise StructuralError("case 3.1: no edge disjoint from u and z")
         else:
             away = _first(L, lambda e: e.touches(z), 1)
-        edge_lift(L, [(away[0], v, u)])
         zz = (v, u)
+        edge_lift(L, [(away[0], v, u)], zz)
         return CaseContext(n, "3.1", x_set=(z,), z_set=zz, lifts=1), zz
     iso_t = L.isolated(t, 1)
     if not iso_t:
@@ -707,8 +715,8 @@ def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
     if adj_free:
         x = adj_free[0]
         eid = _first(L, lambda e: e.touches(z) and not e.touches(x), 1)[0]
-        edge_lift(L, [(eid, v, u)])
         zz = (v, x)
+        edge_lift(L, [(eid, v, u)], zz)
         ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=1, note="plain neighbor")
         return ctx, zz
     if not mult_free:
@@ -723,8 +731,8 @@ def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
             raise StructuralError("case 3.2.1: no doubled pair away from the full vertex")
         b = b_cands[0]
         zp = next(iter(adj[b]))
-        edge_lift(L, [(L.pair(z, a_nb)[0], v, b), (L.pair(zp, b)[0], v2, a_nb)])
         zz = (v, v2, a_nb, b)
+        edge_lift(L, [(L.pair(z, a_nb)[0], v, b), (L.pair(zp, b)[0], v2, a_nb)], zz)
         ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=2, note="parallel pairs")
         return ctx, zz
     # Mixed shape: the full vertex sees only doubled pairs while plain
@@ -739,8 +747,8 @@ def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
     targets = [y for y in L.sides[t] if y not in adj[z]]
     if len(targets) != len(star):
         raise StructuralError("case 3.2.1: target count mismatch")
-    edge_lift(L, [(L.pair(z, x)[0], v, y) for x, y in zip(star, targets)])
     zz = (z, v, star[0], u)
+    edge_lift(L, [(L.pair(z, x)[0], v, y) for x, y in zip(star, targets)], zz)
     ctx = CaseContext(
         n, "3.2.1", x_set=(z,), z_set=zz, lifts=len(star), note="lifted parallel star"
     )
@@ -753,8 +761,8 @@ def _case322(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
     for x in sorted(L.adj[z]):
         for y in ones_s:
             if x not in L.adj[y]:
-                edge_lift(L, [(L.pair(z, x)[0], y, u)])
                 zz = (y, u)
+                edge_lift(L, [(L.pair(z, x)[0], y, u)], zz)
                 return CaseContext(n, "3.2.2", x_set=(z,), z_set=zz, lifts=1), zz
     raise StructuralError("case 3.2.2: every neighbor of z covers all degree-1 vertices")
 
@@ -781,5 +789,5 @@ def _case4(L: LevelState, n: int, s: int, t: int):
         raise StructuralError("case 4: full vertex must carry exactly one doubled edge")
     else:
         y, zz = v2, (z1, v2)
-    edge_lift(L, [(joint[0], v1, y)])
+    edge_lift(L, [(joint[0], v1, y)], zz)
     return CaseContext(n, "4", x_set=(z1, z2), z_set=zz, lifts=1), zz

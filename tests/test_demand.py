@@ -164,7 +164,7 @@ def test_edge_lift_batch_failure_leaves_input_unchanged():
 
     def fresh():
         L = LevelState(D)
-        L.remove([s(A(3)), s(B(3))])
+        L.change((), {}, (s(A(3)), s(B(3))))
         return L
 
     L = fresh()
@@ -181,6 +181,11 @@ def test_edge_lift_batch_failure_leaves_input_unchanged():
         with pytest.raises(error):
             edge_lift(L, moves)
         assert state_of(L) == state_of(fresh()), moves
+    # the removal set is checked with the moves: a repeated or removed slot
+    for z in ((s(A(2)), s(B(2)), s(A(2))), (s(A(2)), s(B(3)))):
+        with pytest.raises(DomainError):
+            edge_lift(L, [(0, s(A(2)), s(B(2)))], z)
+        assert state_of(L) == state_of(fresh()), z
 
 
 # -- extraction ----------------------------------------------------------------

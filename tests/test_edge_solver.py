@@ -80,22 +80,28 @@ def test_pad_avoids_full_vertices():
 # -- induction conditions -----------------------------------------------------------
 
 
+def removed_and_checked(L, z, n):
+    """Remove z from L as a level does, then audit the step."""
+    return check_conditions(L, z, n, L.change((), {}, z).values())
+
+
 def test_conditions_empty_z():
-    assert check_conditions(LevelState(gen_chain(6)), (), 6) == []
+    assert removed_and_checked(LevelState(gen_chain(6)), (), 6) == []
 
 
 def test_conditions_flag_parallels_at_z():
     L = state(6, [(A(0), B(0))] * 2)
-    problems = check_conditions(L, slots(6, A(0), B(1)), 6)
-    assert any(p.startswith("(4)") for p in problems)
+    problems = removed_and_checked(L, slots(6, A(0), B(1)), 6)
+    assert problems == [f"(4) parallel edges {slots(6, A(0))[0]}-{slots(6, B(0))[0]} touch Z"]
 
 
 def test_conditions_flag_unbalanced_and_degree():
     L = state(6, [(A(0), B(j)) for j in range(6)])
-    problems = check_conditions(L, slots(6, A(1), A(2)), 6)
+    problems = removed_and_checked(L, slots(6, A(1), A(2)), 6)
     assert any(p.startswith("(1)") for p in problems)
+    assert any(p.startswith("(2)") for p in problems)  # no edge at A1 or A2
     L = state(6, [(A(0), B(0))] * 6)
-    problems = check_conditions(L, slots(6, A(1), B(1)), 6)
+    problems = removed_and_checked(L, slots(6, A(1), B(1)), 6)
     assert any(p.startswith("(3)") for p in problems)  # A0 keeps degree 6 > 5
 
 
@@ -182,8 +188,10 @@ def test_place_f_disjoint_edges():
     F = (0, 1, 2, 3)
     z = slots(8, A(6), A(7), B(6), B(7))
     assert place_F(L, F, *z) is L
-    zset = set(z)
-    assert all(L.deg[v] == 4 for v in zset)
+    # the corners leave the state with their four edges each frozen
+    at = Counter(w for e in L.frozen.values() for w in (e.u, e.v))
+    assert all(at[v] == 4 and v not in L.deg for v in z)
+    assert L.m == 2 and not any(set(z) & {e.u, e.v} for e in L.edges.values())
 
 
 def test_place_f_with_parallel_pair():
@@ -191,19 +199,15 @@ def test_place_f_with_parallel_pair():
     L = state(8, pairs)
     z = slots(8, A(6), A(7), B(6), B(7))
     place_F(L, (0, 1, 2, 3), *z)
-    mult = {}
-    for e in L.edges.values():
-        if e.u in z or e.v in z:
-            key = e.pair()
-            mult[key] = mult.get(key, 0) + 1
-    assert all(c == 1 for c in mult.values())
+    mult = Counter(e.pair() for e in L.frozen.values())
+    assert len(mult) == 12 and all(c == 1 for c in mult.values())
 
 
 def test_place_f_c4_cover():
     pairs = [(A(0), B(0)), (A(1), B(0)), (A(1), B(1)), (A(0), B(1))]
     L = state(8, pairs)
     place_F(L, (0, 1, 2, 3), *slots(8, A(6), A(7), B(6), B(7)))
-    assert L.m == len(pairs) + 8
+    assert L.m == 0 and len(L.frozen) == len(pairs) + 8
 
 
 def test_place_f_rejects_a_corner_with_an_edge():
@@ -642,26 +646,47 @@ def pinned_instances():
 
 
 def test_incremental_conditions_agree_with_full_check(monkeypatch):
-    real = tpb.edge_solver.check_conditions
+    # every level's step is replayed on rebuilt copies of the state before
+    # it, with the real Z and six perturbed ones, and each audit is compared
+    # with the full check over the lifted graph that the step removes Z from
+    real_change = LevelState.change
+    real_check = tpb.edge_solver.check_conditions
+    steps = []
     levels = []
     failures = Counter()
 
-    def both(L, z, n):
-        G = DemandGraph(L.a, L.b, dict(L.edges), L.next_fresh_id)
-        top = max(L.deg, key=lambda v: (L.deg[v], v))
-        other = max((v for v in L.deg if L.side(v) != L.side(z[0])), key=lambda v: (L.deg[v], v))
-        idle = tuple(L.isolated(0, 2) + L.isolated(1, 2))
+    def recording(L, gone, added, z=()):
+        if z:
+            steps.append((rebuilt(L), list(gone), dict(added), z))
+        return real_change(L, gone, added, z)
+
+    def both(L, z, n, froze):
+        before, gone, added, step_z = steps[-1]
+        assert step_z == z
+        lifted = rebuilt(before)
+        real_change(lifted, gone, added)
+        G = DemandGraph(lifted.a, lifted.b, dict(lifted.edges), lifted.next_fresh_id)
+        top = max(lifted.deg, key=lambda v: (lifted.deg[v], v))
+        other = max(
+            (v for v in lifted.deg if lifted.side(v) != lifted.side(z[0])),
+            key=lambda v: (lifted.deg[v], v),
+        )
+        idle = tuple(lifted.isolated(0, 2) + lifted.isolated(1, 2))
         for zz in (z, z[:-1], (z[0], other), (top,) + z[1:], (top, other), idle, idle[::2]):
-            got = real(L, zz, n)
+            zz = tuple(dict.fromkeys(zz))
+            replay = rebuilt(before)
+            got = real_check(replay, zz, n, real_change(replay, gone, added, zz).values())
             assert sorted(got) == sorted(full_check_conditions(G, zz, n)), (zz, got)
             failures.update(p[:3] for p in got)
         levels.append(z)
-        return real(L, z, n)
+        return real_check(L, z, n, froze)
 
+    monkeypatch.setattr(LevelState, "change", recording)
     monkeypatch.setattr(tpb.edge_solver, "check_conditions", both)
     for D in pinned_instances():
         solve_edge_version(D)
     assert len(levels) > 500
+    assert len(steps) == len(levels)
     assert set(failures) == {"(1)", "(2)", "(3)", "(4)"}
 
 
@@ -688,11 +713,13 @@ def test_level_state_matches_rebuild(data):
     pairs = data.draw(st.lists(cells, max_size=2 * n - 2), label="pairs")
     L = LevelState(DemandGraph.from_pairs(n, n, [(A(i), B(j)) for i, j in pairs]))
     for _ in range(data.draw(st.integers(1, 8), label="ops")):
-        op = data.draw(st.sampled_from(["lift", "pad", "remove"]), label="op")
         alive_a, alive_b = list(L.sides[0]), list(L.sides[1])
+        if not alive_a or not alive_b:
+            break
+        op = data.draw(st.sampled_from(["step", "pad"]), label="op")
         before = rebuilt(L)
         try:
-            if op == "lift" and L.edges:
+            if op == "step":
                 moves = data.draw(
                     st.lists(
                         st.tuples(
@@ -701,23 +728,26 @@ def test_level_state_matches_rebuild(data):
                             st.sampled_from(alive_b),
                             st.booleans(),
                         ).map(lambda t: (t[0], t[2], t[1]) if t[3] else t[:3]),
-                        min_size=1,
                         max_size=3,
                     ),
                     label="moves",
                 )
-                assert tpb.edge_solver.edge_lift(L, moves) is L
-            elif op == "pad":
-                assert pad_to_full(L, len(alive_a)) is L
-                assert L.m == 2 * len(alive_a) - 2
-            elif op == "remove" and len(alive_a) > 1:
-                k = data.draw(st.integers(1, min(2, len(alive_a) - 1)), label="k")
-                za = data.draw(st.permutations(alive_a), label="za")[:k]
-                zb = data.draw(st.permutations(alive_b), label="zb")[:k]
-                L.remove(za + zb)
-                assert not set(za + zb) & set(L.deg)
+                # mostly alive distinct slots; a removed or repeated one fails the batch
+                za = data.draw(st.lists(st.sampled_from(range(n)), max_size=2), label="za")
+                zb = data.draw(st.lists(st.sampled_from(range(n, 2 * n)), max_size=2), label="zb")
+                z = tuple(za + zb)
+                assert tpb.edge_solver.edge_lift(L, moves, z) is L
+                assert not set(z) & set(L.deg)
                 removed = {v for ix in L.removed for v in ix}
                 assert all({e.u, e.v} & removed for e in L.frozen.values())
+                # the same as lifting first and removing z after
+                two = rebuilt(before)
+                tpb.edge_solver.edge_lift(two, moves)
+                two.change((), {}, z)
+                assert state_of(two) == state_of(L)
+            else:
+                assert pad_to_full(L, len(alive_a)) is L
+                assert L.m == 2 * len(alive_a) - 2
         except (PreconditionError, StructuralError, tpb.NotFoundError, tpb.DomainError):
             assert state_of(L) == state_of(before)  # a failed batch changes nothing
         assert list(L.edges) == sorted(L.edges)

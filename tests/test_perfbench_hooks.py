@@ -71,8 +71,8 @@ def test_edge_lift_runs_through_its_module_global_on_the_state(monkeypatch):
     calls = []
     real = tpb.edge_solver.edge_lift
 
-    def counting(G, moves):
-        out = real(G, moves)
+    def counting(G, moves, *z):
+        out = real(G, moves, *z)
         calls.append((G, out))
         return out
 
@@ -145,12 +145,32 @@ def test_every_solve_op_of_the_full_workload_exits_zero(bench_run, workload, tmp
     # the benchmark's own pass and checks, so a failure share or an output
     # that moves shows here as it would in a benchmark run; an oracle op
     # fails when it uses up the node budget
-    env = bench_run.load_tpb()
-    ops = bench_run.build_ops(env.tpb, workload, 1, str(tmp_path))
-    assert len(ops) == {"edge-induction": 338, "structured-lift": 280, "oracle-search": 348}[workload]
-    phase = bench_run.run_phase(env, ops, str(tmp_path), "u", 0, passes=1)
-    digest, problems = bench_run.verify_results(env, phase.results)
-    failed = [f"{r.op.label}: {r.outcome} {r.detail}" for r in phase.results if r.outcome in bench_run.FAIL_KINDS]
+    n_ops, failed, problems, digest = one_pass(bench_run, workload, 1, tmp_path)
+    assert n_ops == {"edge-induction": 338, "structured-lift": 280, "oracle-search": 348}[workload]
     assert failed == []
     assert problems == []
     assert digest == SOLVE_DIGESTS[workload]
+
+
+#: Edge-induction `output_digest` at more seeds, as for seed 1 above.
+EDGE_DIGESTS = {
+    2: "f45edfe5130c04034097ef8638821250c6d799d4de0be9e8072b73eae2020a14",
+    3: "24483cf5b10642ac6f1244b415e038ce74f22abe5f9de5af6e4c1045a25dbc02",
+    4: "c35fc909153a65a112be994a0c59405c08e7c4d28af46beed63c1b262650fd06",
+    5: "37f2910fd55bf484f1c5cfaa72a5cd4d990d1663d30b9c41f1cbd6d884c59497",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(EDGE_DIGESTS))
+def test_edge_induction_keeps_its_outputs_at_more_seeds(bench_run, seed, tmp_path):
+    assert one_pass(bench_run, "edge-induction", seed, tmp_path) == (338, [], [], EDGE_DIGESTS[seed])
+
+
+def one_pass(bench_run, workload, seed, tmp_path):
+    """Op count, failed ops, check problems and `output_digest` of one untraced pass."""
+    env = bench_run.load_tpb()
+    ops = bench_run.build_ops(env.tpb, workload, seed, str(tmp_path))
+    phase = bench_run.run_phase(env, ops, str(tmp_path), "u", 0, passes=1)
+    digest, problems = bench_run.verify_results(env, phase.results)
+    failed = [f"{r.op.label}: {r.outcome} {r.detail}" for r in phase.results if r.outcome in bench_run.FAIL_KINDS]
+    return len(ops), failed, problems, digest
