@@ -14,11 +14,12 @@ label, so the edges sharing a label always form a walk between the two
 original terminals.  `lift` applies a batch of moves with one copy of
 the edge dict; its bipartite twin `edge_lift` lives with the edge
 solver's level state, which it changes in place, removing a level's
-removal set in the same change.  Once some sequence of
-liftings produces a simple class-crossing subgraph, every label class
-contains an actual path between its terminals; `extract_resolution`
-reads those paths off for the edge solver, and `verify_resolution`
-(`verify_routes` for slot routes) is the independent checker.
+removal set in the same change.  A demand's route is the composition
+of its lifts: the edge solver records each split edge's pieces in walk
+order as it makes them, and `extract_resolution` expands every demand
+from those records down to its final edges, cutting the cycles out of a
+walk that revisits a vertex.  `verify_resolution` (`verify_routes` for
+slot routes) is the independent checker.
 """
 from __future__ import annotations
 
@@ -210,38 +211,7 @@ def lift(D: DemandGraph, moves: Iterable[tuple[int, int]]) -> DemandGraph:
     return D if i == D.next_fresh_id else DemandGraph(D.a, D.b, edges, i)
 
 
-# -- reading paths back out ------------------------------------------------
-
-
-def _euler_trail(edges: list[Edge], s: int, t: int) -> list[int]:
-    """Order a label class that meets s into the walk it forms from s to t."""
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for k, e in enumerate(edges):
-        adj.setdefault(e.u, []).append((k, e.v))
-        adj.setdefault(e.v, []).append((k, e.u))
-    for lst in adj.values():
-        lst.sort(key=lambda kv: (kv[1], kv[0]))
-    used = [False] * len(edges)
-    ptr = {v: 0 for v in adj}
-    stack = [s]
-    out: list[int] = []
-    while stack:
-        w = stack[-1]
-        lst = adj[w]
-        i = ptr[w]
-        while i < len(lst) and used[lst[i][0]]:
-            i += 1
-        if i == len(lst):
-            ptr[w] = i
-            out.append(stack.pop())
-        else:
-            used[lst[i][0]] = True
-            ptr[w] = i + 1
-            stack.append(lst[i][1])
-    out.reverse()
-    if len(out) != len(edges) + 1 or out[0] != s or out[-1] != t:
-        raise StructuralError("label class does not form a walk between its terminals")
-    return out
+# -- composing routes ------------------------------------------------------
 
 
 def _shortcut_walk(walk: list) -> list:
@@ -260,70 +230,36 @@ def _shortcut_walk(walk: list) -> list:
     return out
 
 
-def _trace(edges: list[Edge], s: int, t: int) -> list[int]:
-    """The path a label class gives from s to t.
+def extract_resolution(
+    D: DemandGraph, split: dict[int, tuple[int, tuple[int, ...]]], final: dict[int, Edge]
+) -> Resolution:
+    """Compose one path per demand of D from the record of its splits.
 
-    While s and every vertex reached from it meet at most two of the
-    class's edges, the trail from s is unique and repeats no vertex, so it
-    is followed as it stands.  A vertex meeting three or more sends the
-    class through `_euler_trail` (lowest neighbour, then lowest edge id)
-    and `_shortcut_walk`.  The edge solver gets there when the base case
-    routes a label's one alive edge through a vertex its frozen edges
-    reach, such as its own terminal after case 3.2.1's plain-neighbour lift.
+    `split[eid] = (u, ids)` says that edge eid was replaced by the edges
+    `ids`, a walk from its end u to its other end; an edge that was never
+    split is in `final`.  Each demand's walk is expanded from
+    `D.links[eid].u` down to final edges, and a walk that repeats a vertex
+    is cut short by `_shortcut_walk`.  The routes are not checked here:
+    that is `verify_resolution`'s job.
     """
-    nbrs: dict[int, list[int]] = {}
-    for e in edges:
-        nbrs.setdefault(e.u, []).append(e.v)
-        nbrs.setdefault(e.v, []).append(e.u)
-    ns = nbrs.get(s)
-    if ns is None:
-        raise StructuralError("label class misses its terminal")
-    walk = [s]
-    while len(ns) == 1:
-        w = ns[0]
-        ns = nbrs[w]
-        ns.remove(walk[-1])  # the edge just walked; the class is simple
-        walk.append(w)
-    if not ns:
-        if len(walk) != len(edges) + 1 or walk[-1] != t:
-            raise StructuralError("label class does not form a walk between its terminals")
-        return walk
-    return _shortcut_walk(_euler_trail(sorted(edges, key=lambda e: e.id), s, t))
-
-
-def extract_resolution(final: DemandGraph, original: DemandGraph) -> Resolution:
-    """Recover one path per original edge from a fully lifted simple graph.
-
-    `final` must be a simple class-crossing graph reached from `original`
-    (possibly plus auxiliary padding demands) by liftings.  Labels that do
-    not belong to `original` are ignored.  One pass over `final` checks it
-    and groups its edges by label; each class is then traced by `_trace`.
-    """
-    if final.a != original.a or final.b != original.b:
-        raise StructuralError("final and original graphs live on different bases")
-    a, n = final.a, final.a + final.b
-    classes: dict[int, list[Edge]] = {}
-    pairs: set[int] = set()
-    for e in final.links.values():
-        u, v = e.u, e.v
-        key = u * n + v if u < v else v * n + u
-        if (u < a) == (v < a) or key in pairs:
-            raise StructuralError("extraction requires a simple class-crossing graph")
-        pairs.add(key)
-        classes.setdefault(e.label, []).append(e)
-    seen = set()
-    for e in original.links.values():
-        if e.label in seen:
-            raise StructuralError("original graph carries duplicate labels")
-        seen.add(e.label)
-    vertex = cache(final.vertex)
+    vertex = cache(D.vertex)
     routes: dict[int, Path] = {}
-    for eid in sorted(original.links):
-        e0 = original.links[eid]
-        cls = classes.get(e0.label)
-        if not cls:
-            raise StructuralError(f"label {e0.label} has no edges left to trace")
-        routes[eid] = Path(tuple(map(vertex, _trace(cls, e0.u, e0.v))))
+    for eid in sorted(D.links):
+        walk = [D.links[eid].u]
+        stack = [eid]
+        while stack:
+            i = stack.pop()
+            piece = split.get(i)
+            if piece is not None:
+                u, ids = piece
+                stack.extend(reversed(ids) if u == walk[-1] else ids)
+            elif i in final:
+                walk.append(final[i].other(walk[-1]))
+            else:
+                raise StructuralError(f"edge {i} of demand {eid} is neither split nor final")
+        if len(set(walk)) < len(walk):
+            walk = _shortcut_walk(walk)
+        routes[eid] = Path(tuple(map(vertex, walk)))
     return Resolution(routes)
 
 

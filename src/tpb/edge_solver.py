@@ -34,7 +34,9 @@ K_{m,m} the induction stands for; the trace records each level's
 vertices in those compact coordinates.  The loop ends at a simple
 graph, an n <= 5 instance (solved by the exact oracle) or a case that
 lifts straight to a simple graph.  Each step is recorded in a CaseTrace
-for auditability.
+for auditability.  Every lift, and the base case's routing, records the
+pieces that replace an edge, so each demand's route is composed from its
+own lifts.
 """
 from __future__ import annotations
 
@@ -100,6 +102,8 @@ class LevelState:
     removed.  `edges` holds the alive edges in id order (new ids are
     always the largest) and `frozen` the final edges, those at removed
     vertices; `removed[s]` lists class s's removed slots in order.
+    `split[eid] = (u, ids)` records each edge that a lift or the base case
+    replaced: the ids of its pieces in walk order from its end u.
     """
 
     def __init__(
@@ -122,6 +126,7 @@ class LevelState:
         self.adj: dict[int, dict[int, list[int]]] = {v: {} for v in self.deg}
         self.parallel: set[tuple[int, int]] = set()
         self.edges: dict[int, Edge] = {}
+        self.split: dict[int, tuple[int, tuple[int, ...]]] = {}
         for e in sorted(D.links.values()):
             self._add(e)
 
@@ -253,10 +258,12 @@ def edge_lift(L: LevelState, moves: Iterable[tuple[int, int, int]], z: tuple[int
     class, so a lift with x in class B mirrors the class-A lift of the
     transposed graph.  Given a removal set z, the same `LevelState.change`
     then deletes z, so the new edges at z go straight to `frozen`.  The
-    whole batch, z included, is checked before L changes.
+    whole batch, z included, is checked before L changes.  Each move
+    records uv's pieces uy, yx, xv in `L.split`.
     """
     gone: set[int] = set()
     added: dict[int, Edge] = {}
+    split = {}
     a = L.a
     i = L.next_fresh_id
     for edge_id, x, y in moves:
@@ -279,8 +286,10 @@ def edge_lift(L: LevelState, moves: Iterable[tuple[int, int, int]], z: tuple[int
         added[i] = Edge(i, e.label, x, y)
         added[i + 1] = Edge(i + 1, e.label, u, y)
         added[i + 2] = Edge(i + 2, e.label, x, v)
+        split[edge_id] = (u, (i + 1, i, i + 2))
         i += 3
     L.change(gone, added, z)
+    L.split.update(split)
     return L
 
 
@@ -298,8 +307,8 @@ def solve_edge_version(D: DemandGraph) -> tuple[Resolution, CaseTrace]:
     if D.max_degree() > n:
         raise PreconditionError(f"max degree {D.max_degree()} exceeds n = {n}")
     trace = CaseTrace()
-    final = _resolve(D, trace)
-    res = extract_resolution(final, D)
+    L = _resolve(D, trace)
+    res = extract_resolution(D, L.split, L.frozen | L.edges)
     problems = verify_resolution(D, res)
     if problems:
         raise StructuralError("solver produced an invalid resolution: " + "; ".join(problems))
@@ -400,12 +409,14 @@ def place_F(L: LevelState, F: tuple[int, ...], u1: int, u2: int, v1: int, v2: in
 # -- induction loop -------------------------------------------------------------
 
 
-def _resolve(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
-    """Run the induction on D and return the simple graph it lifts to.
+def _resolve(D: DemandGraph, trace: CaseTrace) -> LevelState:
+    """Run the induction on D and return its final state.
 
     Every level works on the one state L and ends in one change to it
     that lifts onto Z and removes Z, moving the edges at Z to `L.frozen`,
-    where they are final.
+    where they are final; the alive edges left at the end are final too.
+    Each lift and the base case record in `L.split` the pieces that
+    replace an edge, and a demand's route is composed from those records.
     """
     L = LevelState(D)
     while True:
@@ -434,11 +445,14 @@ def _resolve(D: DemandGraph, trace: CaseTrace) -> DemandGraph:
         m = n - len(z) // 2
         if L.m > 2 * m - 2:
             raise StructuralError(f"case {ctx.case_tag}: induced instance keeps too many edges")
-    return DemandGraph(L.a, L.b, {**L.frozen, **L.edges}, L.next_fresh_id)
+    return L
 
 
 def _base_case(L: LevelState, trace: CaseTrace) -> None:
-    """Route the alive graph with the oracle on the compact K_{n,n}, in place."""
+    """Route the alive graph with the oracle on the compact K_{n,n}, in place.
+
+    Each alive edge is replaced by the edges of its route, recorded in `L.split`.
+    """
     alive = [*L.sides[0], *L.sides[1]]  # by compact slot
     n = len(L.sides[0])
     compact = {v: k for k, v in enumerate(alive)}
@@ -459,6 +473,7 @@ def _base_case(L: LevelState, trace: CaseTrace) -> None:
     for eid in sorted(C.links):
         e = C.links[eid]
         vs = [alive[C.slot(w)] for w in verdict.resolution.routes[eid].vertices]
+        L.split[eid] = (vs[0], tuple(range(nid, nid + len(vs) - 1)))
         for x, y in zip(vs, vs[1:]):
             edges[nid] = Edge(nid, e.label, x, y)
             nid += 1

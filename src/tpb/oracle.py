@@ -148,8 +148,9 @@ def _extend(
     `level` holds the demand's path so far, its B end, whether it is the
     last demand on its pair, the bitmasks of each side's possible
     intermediates that are not fresh, the bits of each side's fresh ones
-    in order, the free-edge bitmasks, and `commit` and `retract`, which
-    apply and undo a complete path.  The next vertex is one of the bits of
+    in order, the free-edge bitmasks, `commit` and `retract`, which
+    apply and undo a complete path, and `tick`, which counts a step of
+    the search.  The next vertex is one of the bits of
     m, on side nxt: a possible intermediate, off the path, joined to the
     path's end by a free edge.  p_s is the number of fresh vertices and
     on_s the bitmask of the vertices of side s on the path.  A fresh
@@ -159,7 +160,8 @@ def _extend(
     in `decide`, so that no level leaves a reference cycle for the garbage
     collector: the verdict's memory is all that a call keeps.
     """
-    seq, bj, last_demand, inner, fresh, fm, commit, retract = level
+    seq, bj, last_demand, inner, fresh, fm, commit, retract, tick = level
+    tick()
     low_fresh = fresh[nxt][p_nxt]
     while m:
         bit = m & -m
@@ -245,9 +247,17 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
     seqs: list[list[int]] = [[] for _ in range(depth)]  # the committed path of each level
     saved: list[tuple[int, int, int, int]] = []  # hi_a, hi_b, pm_a[ai], pm_b[bj] before each commit
     used_total = 0
-    nodes = 0
+    nodes = steps = 0
     max_nodes = budget.max_nodes
     deadline = time.monotonic() + budget.max_millis / 1000.0
+
+    def tick() -> None:
+        # Count a step, one per commit and per `_extend` call, so that the
+        # deadline bounds the partial paths walked between commits too.
+        nonlocal steps
+        steps += 1
+        if steps % 1024 == 0 and time.monotonic() > deadline:
+            raise _BudgetExceeded
 
     def commit(seq: list[int], last_demand: bool) -> bool:
         # Count a node and route the demand seq[0]-seq[-1] along seq;
@@ -257,8 +267,7 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
         nodes += 1
         if nodes > max_nodes:
             raise _BudgetExceeded
-        if nodes % 1024 == 0 and time.monotonic() > deadline:
-            raise _BudgetExceeded
+        tick()
         ai, bj = seq[0], seq[-1]
         saved.append((hi_a, hi_b, pm_a[ai], pm_b[bj]))
         As, Bs = seq[::2], seq[1::2]
@@ -343,7 +352,7 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
                         fresh[s].append(1 << v)
             fresh[s].append(0)
         last_demand = k + 1 == depth or not repeat[k + 1]
-        level = (seq, bj, last_demand, inner, fresh, fm, commit, retract)
+        level = (seq, bj, last_demand, inner, fresh, fm, commit, retract, tick)
         if repeat[k]:
             # Lex leader: this path must exceed the previous parallel one in
             # (length, vertex sequence).  That path's first edge is taken,

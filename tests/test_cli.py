@@ -209,7 +209,7 @@ def test_solve_writes_status_file_when_unsolved(tmp_path):
 
 def test_unknown_budget_exit_code(tmp_path, capsys):
     # 8 disjoint pairs with 3 parallel demands each: UNKNOWN after 50 k
-    # nodes, while the clock is read every 1024
+    # nodes, while the clock is read every 1024 search steps
     inst = tmp_path / "t8.tpb"
     inst.write_text("p tpb 8 8 24\n" + "".join(f"e {i} {i} 3\n" for i in range(1, 9)))
     code = run(
@@ -302,19 +302,19 @@ def test_edge_on_a_wide_header_with_one_demand(tmp_path, capsys):
     assert status == "SOLVED" and len(res.routes) == 1
 
 
-def test_edge_solve_that_needs_the_euler_trail_fallback(tmp_path, monkeypatch, capsys):
+def test_edge_solve_whose_composed_walk_revisits_a_vertex(tmp_path, monkeypatch, capsys):
     # Case 3.2.1's plain-neighbour lift leaves demand 2 (A2-B3, 0-based)
-    # with the alive edge A1-B3 and the frozen edges A2-B2-A1; the base
-    # case routes A1-B3 as A1-B1-A2-B3, so the class revisits its own
-    # terminal A2 and only the Euler trail and its shortcut read it back.
+    # with the alive piece A1-B3 after the frozen pieces A2-B2-A1; the base
+    # case routes A1-B3 as A1-B1-A2-B3, so the composed walk revisits its
+    # own terminal A2 and is the one walk that needs the shortcut.
     calls = []
-    real = tpb.demand._euler_trail
+    real = tpb.demand._shortcut_walk
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(tpb.demand, "_euler_trail", counting)
+    monkeypatch.setattr(tpb.demand, "_shortcut_walk", counting)
     inst = tmp_path / "revisit.tpb"
     sol = tmp_path / "revisit.sol"
     pairs = ("1 1 1", "1 4 1", "3 4 1", "3 5 1", "4 4 2", "5 2 1", "5 4 1", "6 1 1", "6 4 1")

@@ -1,5 +1,4 @@
-"""Lifting calculus: liftings, walk recovery, verifier."""
-import random
+"""Lifting calculus: liftings, route composition, verifier."""
 from collections import Counter
 
 import pytest
@@ -44,7 +43,7 @@ def state_of(L):
     """Everything a level state holds, for comparing two states."""
     return (
         list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.adj,
-        L.parallel, [list(vs) for vs in L.sides], L.removed, L.frozen,
+        L.parallel, [list(vs) for vs in L.sides], L.removed, L.frozen, L.split,
         [L.isolated(s, L.a + L.b) for s in (0, 1)],
     )
 
@@ -193,14 +192,19 @@ def test_edge_lift_batch_failure_leaves_input_unchanged():
 
 def test_extract_length_one_and_simple_walk():
     D = g(3, 3, [(A(0), B(0)), (A(1), B(1))])
-    r = extract_resolution(D, D)
-    assert r.routes[0] == Path((A(0), B(0)))
-    final = graph_of(edge_lift(LevelState(D), [(0, D.slot(A(2)), D.slot(B(2)))]))
-    r = extract_resolution(final, D)
-    assert r.routes[0].vertices[0] == A(0)
-    assert r.routes[0].vertices[-1] == B(0)
-    assert r.routes[0].length == 3
+    r = extract_resolution(D, {}, D.links)
+    assert r.routes == {0: Path((A(0), B(0))), 1: Path((A(1), B(1)))}
+    L = edge_lift(LevelState(D), [(0, D.slot(A(2)), D.slot(B(2)))])
+    # the pieces uy, xy, xv of uv = A0-B0, in walk order from A0
+    assert L.split == {0: (D.slot(A(0)), (3, 2, 4))}
+    r = extract_resolution(D, L.split, L.edges)
+    assert r.routes[0] == Path((A(0), B(2), A(2), B(0)))
     assert verify_resolution(D, r) == []
+    # a demand listed from its other end walks the pieces backwards
+    D2 = g(3, 3, [(B(0), A(0))])
+    r = extract_resolution(D2, L.split, L.edges)
+    assert r.routes[0] == Path((B(0), A(2), B(2), A(0)))
+    assert verify_resolution(D2, r) == []
 
 
 def test_shortcut_drops_two_cycle():
@@ -208,162 +212,44 @@ def test_shortcut_drops_two_cycle():
     assert _shortcut_walk(walk) == [A(0), B(0)]
 
 
-def revisiting_final():
-    """A simple final graph whose two label classes revisit vertices.
+def revisiting_splits():
+    """Split records whose composed walks revisit vertices.
 
-    Demand 0 (A0-B0) runs round the closed walk A0-B1-A1-B2-A0 before
-    its last edge, so A0 carries three class edges; demand 1 (A2-B3)
-    meets A2 three times and A3 four times.
+    Demand 0 (A0-B0) is split into A0-B1, B1-A0 and A0-B0, and its middle
+    piece, recorded from A0, into A0-B2-A1-B1, so its walk runs round
+    A0-B1-A1-B2-A0 before its last edge.  Demand 1 (A2-B3) walks
+    A2-B4-A3-B5-A2-B1-A3-B3, meeting A2 and A3 twice each.
     """
     s = DemandGraph.empty(4, 6).slot
     orig = DemandGraph(4, 6, {0: Edge(0, 0, s(A(0)), s(B(0))), 1: Edge(1, 1, s(A(2)), s(B(3)))}, 2)
     steps = [
-        (0, A(1), B(2)), (0, A(0), B(1)), (0, B(0), A(0)), (0, B(2), A(0)), (0, B(1), A(1)),
+        (0, A(0), B(1)), (0, A(0), B(0)), (0, A(0), B(2)), (0, B(2), A(1)), (0, A(1), B(1)),
         (1, A(2), B(4)), (1, B(4), A(3)), (1, A(3), B(5)), (1, B(5), A(2)),
         (1, A(2), B(1)), (1, B(1), A(3)), (1, A(3), B(3)),
     ]
-    edges = {10 + k: Edge(10 + k, lab, s(u), s(v)) for k, (lab, u, v) in enumerate(steps)}
-    return DemandGraph(4, 6, edges, 10 + len(steps)), orig
+    final = {10 + k: Edge(10 + k, lab, s(u), s(v)) for k, (lab, u, v) in enumerate(steps)}
+    split = {
+        0: (s(A(0)), (10, 9, 11)),
+        9: (s(A(0)), (12, 13, 14)),
+        1: (s(A(2)), tuple(range(15, 22))),
+    }
+    return orig, split, final
 
 
 def test_extract_revisiting_class_pinned():
-    final, orig = revisiting_final()
-    r = extract_resolution(final, orig)
-    assert r.routes == {0: Path((A(0), B(0))), 1: Path((A(2), B(5), A(3), B(3)))}
+    orig, split, final = revisiting_splits()
+    r = extract_resolution(orig, split, final)
+    assert r.routes == {0: Path((A(0), B(0))), 1: Path((A(2), B(1), A(3), B(3)))}
     assert verify_resolution(orig, r) == []
 
 
-def reference_euler_trail(edges, s, t):
-    adj = {}
-    for k, e in enumerate(edges):
-        adj.setdefault(e.u, []).append((k, e.v))
-        adj.setdefault(e.v, []).append((k, e.u))
-    for lst in adj.values():
-        lst.sort(key=lambda kv: (kv[1], kv[0]))
-    if s not in adj:
-        raise StructuralError("label class misses its terminal")
-    used = [False] * len(edges)
-    ptr = {v: 0 for v in adj}
-    stack = [s]
-    out = []
-    while stack:
-        w = stack[-1]
-        lst = adj[w]
-        i = ptr[w]
-        while i < len(lst) and used[lst[i][0]]:
-            i += 1
-        if i == len(lst):
-            ptr[w] = i
-            out.append(stack.pop())
-        else:
-            used[lst[i][0]] = True
-            ptr[w] = i + 1
-            stack.append(lst[i][1])
-    out.reverse()
-    if len(out) != len(edges) + 1 or out[0] != s or out[-1] != t:
-        raise StructuralError("label class does not form a walk between its terminals")
-    return out
-
-
-def reference_shortcut_walk(walk):
-    out = []
-    pos = {}
-    for w in walk:
-        if w in pos:
-            cut = pos[w]
-            for dropped in out[cut + 1:]:
-                del pos[dropped]
-            del out[cut + 1:]
-        else:
-            pos[w] = len(out)
-            out.append(w)
-    return out
-
-
-def reference_extract(final, original):
-    """Every class through the Euler trail and the shortcut, as extraction once ran."""
-    classes = {}
-    for e in final.edges.values():
-        classes.setdefault(e.label, []).append(e)
-    routes = {}
-    for eid in sorted(original.edges):
-        e0 = original.edges[eid]
-        cls = classes.get(e0.label)
-        if not cls:
-            raise StructuralError(f"label {e0.label} has no edges left to trace")
-        walk = reference_euler_trail(sorted(cls, key=lambda e: e.id), e0.u, e0.v)
-        routes[eid] = Path(tuple(reference_shortcut_walk(walk)))
-    return routes
-
-
-def random_walk_final(seed):
-    """Random walks on disjoint base edges of a small K_{a,b}, one label each.
-
-    Walks revisit vertices freely; every demand's walk has odd length, so
-    its ends lie in opposite classes.  Some walks carry a label outside
-    the original (padding), and sometimes one final edge goes missing.
-    """
-    rng = random.Random(seed)
-    a, b = rng.randint(2, 4), rng.randint(2, 4)
-    s = DemandGraph.empty(a, b).slot
-    free = {(i, j) for i in range(a) for j in range(b)}
-    orig, steps = {}, []
-    for label in range(rng.randint(1, 4)):
-        start = A(rng.randrange(a)) if rng.random() < 0.5 else B(rng.randrange(b))
-        walk = [start]
-        for _ in range(rng.randint(1, 9)):
-            w = walk[-1]
-            nxt = [B(j) for j in range(b) if (w.index, j) in free] if w.side == "A" else [
-                A(i) for i in range(a) if (i, w.index) in free
-            ]
-            if not nxt:
-                break
-            x = rng.choice(nxt)
-            free.discard((w.index, x.index) if w.side == "A" else (x.index, w.index))
-            walk.append(x)
-        if len(walk) % 2 == 1:
-            walk.pop()  # the edge it drops stays unused
-        if len(walk) < 2:
-            continue
-        if rng.random() < 0.8:
-            orig[label] = Edge(label, label, s(walk[0]), s(walk[-1]))
-        steps += [(label, x, y) if rng.random() < 0.5 else (label, y, x) for x, y in zip(walk, walk[1:])]
-    if steps and rng.random() < 0.15:
-        steps.pop(rng.randrange(len(steps)))
-    ids = rng.sample(range(100, 100 + 3 * len(steps)), len(steps))
-    final = DemandGraph(a, b, {i: Edge(i, lab, s(x), s(y)) for i, (lab, x, y) in zip(ids, steps)}, 200)
-    return final, DemandGraph(a, b, orig, 10)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 10**9))
-def test_extract_matches_euler_trail_and_shortcut(seed):
-    final, orig = random_walk_final(seed)
-    try:
-        expected = reference_extract(final, orig)
-    except StructuralError:
-        with pytest.raises(StructuralError):
-            extract_resolution(final, orig)
-        return
-    assert extract_resolution(final, orig).routes == expected
-
-
-def test_extract_requires_simple_graph():
-    D = g(2, 2, [(A(0), B(0)), (A(0), B(0))])
-    with pytest.raises(StructuralError):
-        extract_resolution(D, D)
-
-
 def test_extract_flags_lost_label():
+    # a demand whose edge, or a piece of it, is neither split nor final
     D = g(2, 2, [(A(0), B(0))])
-    other = g(2, 2, [(A(1), B(1))])
-    full = DemandGraph(2, 2, dict(other.links), other.next_fresh_id)
-    # label 0 of D is nowhere in `full` even though ids align
-    relabeled = DemandGraph(
-        2, 2, {0: full.links[0]._replace(label=7)}, full.next_fresh_id
-    )
     with pytest.raises(StructuralError):
-        extract_resolution(relabeled, D)
+        extract_resolution(D, {}, {})
+    with pytest.raises(StructuralError):
+        extract_resolution(D, {0: (0, (1, 2))}, {1: Edge(1, 0, 0, 3)})
 
 
 # -- verifier -------------------------------------------------------------------

@@ -29,6 +29,8 @@ from tpb import (
 from tpb.edge_solver import LevelState
 from tpb.instances import serialize_resolution
 
+from readback import reference_extract
+
 
 def g(n, pairs):
     return DemandGraph.from_pairs(n, n, pairs)
@@ -536,6 +538,28 @@ def test_outputs_and_traces_pinned(family, n):
         make = clustered_instance if family == "clustered" else gen_random_edge
         instances = (make(n, seed) for seed in range(8))
     assert solves_digest(instances) == PINNED_DIGESTS[(family, n)]
+
+
+def test_composed_routes_equal_the_label_class_read_back(monkeypatch):
+    # The routes composed from the split records equal the Euler trail and
+    # shortcut of each demand's label class among the final edges.
+    states = []
+    real = tpb.edge_solver._resolve
+
+    def recording(D, trace):
+        states.append(real(D, trace))
+        return states[-1]
+
+    monkeypatch.setattr(tpb.edge_solver, "_resolve", recording)
+    instances = [gen_random_edge(n, seed) for n in range(4, 40) for seed in range(40)]
+    instances += [clustered_instance(n, seed) for n in (8, 16, 32, 64, 128, 256) for seed in range(8)]
+    instances += [D for case in "1234" for flip in (False, True) for D, _, _ in case_instances(case, flip)]
+    instances.append(gen_chain(400))
+    for D in instances:
+        res, _ = solve_edge_version(D)
+        L = states.pop()
+        final = DemandGraph(L.a, L.b, L.frozen | L.edges, L.next_fresh_id)
+        assert res.routes == reference_extract(final, D)
 
 
 # every hand-built case instance with the classes swapped, in CASE_VARIANTS order

@@ -1,5 +1,7 @@
 """Exact oracle: decisions, budgets, enumeration."""
+import hashlib
 import random
+import time
 from collections import Counter
 from itertools import permutations, product
 
@@ -17,11 +19,14 @@ from tpb import (
     decide,
     enumerate_demands,
     gen_chain,
+    gen_random_semiregular,
     gen_sharp_conjecture,
     gen_sharp_edge,
     verify_resolution,
 )
+from tpb.cli import main
 from tpb.demand import SIDE_A
+from tpb.instances import serialize_instance
 from tpb.oracle import search
 
 BUDGET = SearchBudget(max_nodes=10_000_000, max_millis=120_000)
@@ -256,6 +261,41 @@ def test_budget_exhaustion_is_unknown():
     D = threshold_instance(8, 3)
     v = decide(D, SearchBudget(max_nodes=5, max_millis=120_000))
     assert v.status == UNKNOWN
+
+
+def stalling_instance():
+    """A relabelling of gen_random_semiregular(24, 24, 10, 2).
+
+    The search on it walks partial paths for seconds between commits.
+    """
+    D0 = gen_random_semiregular(24, 24, 10, 2)
+    rng = random.Random(0)
+    pa, pb = list(range(24)), list(range(24))
+    rng.shuffle(pa)
+    rng.shuffle(pb)
+    D = D0.empty(24, 24).with_slots([(pa[e.u], 24 + pb[e.v - 24]) for e in D0.links.values()])
+    digest = hashlib.sha256(serialize_instance(D).encode()).hexdigest()
+    assert digest == "f8b8e874564ecadabc33fe1cef9240f3795c101b260b0cfbe29352fce6d130bf"
+    return D
+
+
+def test_time_budget_bounds_the_walk_between_commits():
+    # a 2-vCPU VM commits about 200 paths in the second, so the node
+    # budget alone would let the search run for many seconds
+    D = stalling_instance()
+    started = time.monotonic()
+    v = decide(D, SearchBudget(max_nodes=960, max_millis=1000))
+    assert v.status == UNKNOWN
+    assert time.monotonic() - started < 2.0
+
+
+def test_cli_timeout_exits_3_on_time(tmp_path, capsys):
+    inst = tmp_path / "stall.tpb"
+    inst.write_text(serialize_instance(stalling_instance()))
+    started = time.monotonic()
+    assert main(["solve", "--in", str(inst), "--algo", "oracle", "--timeout-ms", "1000"]) == 3
+    assert time.monotonic() - started < 2.0
+    assert "outcome: unknown" in capsys.readouterr().out
 
 
 def test_crossing_bound_resolves_the_threshold_instance():

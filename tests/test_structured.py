@@ -13,7 +13,6 @@ from tpb import (
     StructuralError,
     TpbError,
     decide,
-    extract_resolution,
     gen_random_blocked,
     gen_random_semiregular,
     konig_decompose,
@@ -27,6 +26,8 @@ import tpb.structured
 from tpb.structured import check_quarter_claims, lift
 from tpb.coloring import choose_semiregular_targets, regularize
 from tpb.instances import serialize_instance, serialize_resolution
+
+from readback import reference_extract
 
 
 # -- repartition -----------------------------------------------------------------
@@ -379,7 +380,7 @@ def test_blocked_routes_equal_extraction_after_a_second_lift(stages, seed, n, si
     for k, col in enumerate(stages["cols"]):
         targets = [n + j for j in blocks[(k + 1) % 3]] + [n + j for j in blocks[(k + 2) % 3]]
         moves += ((eid, targets[c]) for eid, c in sorted(col.items(), key=lambda ec: (ec[1], ec[0])))
-    assert res.routes == extract_resolution(lift(stages["G"], moves), D).routes
+    assert res.routes == reference_extract(lift(stages["G"], moves), D)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -390,7 +391,7 @@ def test_quarter_routes_equal_extraction_after_a_second_lift(stages, seed, a, b,
     res = solve_quarter(D)
     (col,) = stages["cols"]
     final = lift(stages["G"], sorted(col.items()))
-    assert res.routes == extract_resolution(final if a >= b else final.transpose(), D).routes
+    assert res.routes == reference_extract(final if a >= b else final.transpose(), D)
 
 
 def test_structured_solvers_audit_their_routes(monkeypatch, tmp_path, capsys):
