@@ -254,7 +254,8 @@ def extract_resolution(
                 u, ids = piece
                 stack.extend(reversed(ids) if u == walk[-1] else ids)
             elif i in final:
-                walk.append(final[i].other(walk[-1]))
+                e = final[i]
+                walk.append(e.v if e.u == walk[-1] else e.u)
             else:
                 raise StructuralError(f"edge {i} of demand {eid} is neither split nor final")
         if len(set(walk)) < len(walk):

@@ -97,11 +97,14 @@ class LevelState:
     `adj[v][w]` lists the ids of the edges between v and w lowest first,
     one list shared by both ends, so the keys of `adj[v]` are v's
     neighbours; `parallel` holds the pairs with two or more edges.
-    `idle[s]` is a min-heap that holds every isolated slot of class s,
-    pruned lazily of slots that have since gained an edge or been
-    removed.  `edges` holds the alive edges in id order (new ids are
-    always the largest) and `frozen` the final edges, those at removed
-    vertices; `removed[s]` lists class s's removed slots in order.
+    `low[d][s]` is a min-heap per degree d <= 2 and class s: a slot is
+    pushed whenever its degree becomes d, and `lowest` prunes lazily the
+    slots that have since changed degree or been removed, so a lookup of
+    the k lowest reads about k entries, not the whole bucket.  `edges`
+    holds the alive edges in id order (new ids are always the largest),
+    `ids` is a min-heap of their ids pruned the same way, and `frozen`
+    the final edges, those at removed vertices; `removed[s]` lists
+    class s's removed slots in order.
     `split[eid] = (u, ids)` records each edge that a lift or the base case
     replaced: the ids of its pieces in walk order from its end u.
     """
@@ -120,22 +123,23 @@ class LevelState:
         for slots, gone in zip((range(D.a), range(D.a, D.a + D.b)), self.removed):
             gone = set(gone)
             self.sides.append({v: None for v in slots if v not in gone})
-        self.deg = dict.fromkeys([*self.sides[0], *self.sides[1]], 0)
-        self.idle = [list(vs) for vs in self.sides]
-        self.bydeg = defaultdict(set)
-        self.adj: dict[int, dict[int, list[int]]] = {v: {} for v in self.deg}
+        self.adj: dict[int, dict[int, list[int]]] = {v: {} for vs in self.sides for v in vs}
         self.parallel: set[tuple[int, int]] = set()
         self.edges: dict[int, Edge] = {}
         self.split: dict[int, tuple[int, tuple[int, ...]]] = {}
+        self.ids: list[int] = []
         for e in sorted(D.links.values()):
-            self._add(e)
+            self._link(e)
+        self.deg = {v: sum(map(len, nbrs.values())) for v, nbrs in self.adj.items()}
+        self.bydeg = defaultdict(set)
+        for v, d in self.deg.items():
+            if d:
+                self.bydeg[d].add(v)
+        self.low = [[[v for v in vs if self.deg[v] == d] for vs in self.sides] for d in range(3)]
 
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def side(self, v: int) -> int:
-        return int(v >= self.a)
 
     def pair(self, u: int, v: int) -> list[int]:
         return self.adj[u].get(v, [])
@@ -144,13 +148,14 @@ class LevelState:
         a = self.a
         return sorted(v for v in self.bydeg.get(d, ()) if side is None or (v >= a) == side)
 
-    def isolated(self, side: int, k: int) -> list[int]:
-        """The k lowest isolated slots of a class, or all of them if fewer."""
-        heap = self.idle[side]
+    def lowest(self, d: int, side: int, k: int) -> list[int]:
+        """The k lowest alive slots of degree d <= 2 in a class, or all of them if fewer."""
+        heap = self.low[d][side]
+        deg = self.deg
         out: list[int] = []
         while heap and len(out) < k:
             v = heappop(heap)
-            if self.deg.get(v) == 0 and v not in out:
+            if deg.get(v) == d and v not in out:
                 out.append(v)
         for v in out:
             heappush(heap, v)
@@ -158,7 +163,7 @@ class LevelState:
 
     def local(self, v: int, z: Iterable[int] = ()) -> V:
         """v's position among the alive vertices of its class before the slots z were removed."""
-        s = self.side(v)
+        s = int(v >= self.a)
         lo = s * self.a
         below = bisect_left(self.removed[s], v)
         for w in z:
@@ -166,34 +171,35 @@ class LevelState:
                 below -= 1
         return V((SIDE_A, SIDE_B)[s], v - lo - below)
 
-    def _check_vertex(self, v: int) -> None:
-        if v not in self.deg:
-            raise DomainError(f"slot {v} is not an alive vertex")
+    def _bump(self, k: int, *vs: int) -> None:
+        deg, bydeg, low, a = self.deg, self.bydeg, self.low, self.a
+        for v in vs:
+            d = deg[v]
+            if d:
+                bucket = bydeg[d]
+                bucket.discard(v)
+                if not bucket:
+                    del bydeg[d]
+            d += k
+            deg[v] = d
+            if d:
+                bydeg[d].add(v)
+            if d <= 2:
+                heappush(low[d][v >= a], v)
 
-    def _bump(self, v: int, k: int) -> None:
-        d = self.deg[v]
-        if d:
-            bucket = self.bydeg[d]
-            bucket.discard(v)
-            if not bucket:
-                del self.bydeg[d]
-        d += k
-        self.deg[v] = d
-        if d:
-            self.bydeg[d].add(v)
-        else:
-            heappush(self.idle[v >= self.a], v)
-
-    def _add(self, e: Edge) -> None:
+    def _link(self, e: Edge) -> None:
         self.edges[e.id] = e
+        heappush(self.ids, e.id)
         ids = self.adj[e.u].get(e.v)
         if ids is None:
             ids = self.adj[e.u][e.v] = self.adj[e.v][e.u] = []
         ids.append(e.id)
         if len(ids) == 2:
             self.parallel.add(e.pair())
-        self._bump(e.u, 1)
-        self._bump(e.v, 1)
+
+    def _add(self, e: Edge) -> None:
+        self._link(e)
+        self._bump(1, e.u, e.v)
 
     def _drop(self, eid: int) -> Edge:
         e = self.edges.pop(eid)
@@ -203,8 +209,7 @@ class LevelState:
             del self.adj[e.u][e.v], self.adj[e.v][e.u]
         elif len(ids) == 1:
             self.parallel.discard(e.pair())
-        self._bump(e.u, -1)
-        self._bump(e.v, -1)
+        self._bump(-1, e.u, e.v)
         return e
 
     def change(self, gone: Iterable[int], added: dict[int, Edge], z: tuple[int, ...] = ()) -> dict[int, Edge]:
@@ -221,16 +226,15 @@ class LevelState:
             self._drop(eid)
         froze = {}
         for v in z:
+            # a slot of z deleted already has left v's map
             for w, ids in self.adj.pop(v).items():
                 for eid in ids:
                     froze[eid] = self.edges.pop(eid)
                 if len(ids) > 1:
                     self.parallel.discard((v, w) if v < w else (w, v))
-                if w in self.adj:  # not a slot of z deleted already
-                    del self.adj[w][v]
-                    self._bump(w, -len(ids))
-                self._bump(v, -len(ids))
-            s = self.side(v)
+                del self.adj[w][v]
+                self._bump(-len(ids), w, v)
+            s = v >= self.a
             del self.deg[v], self.sides[s][v]
             insort(self.removed[s], v)
         for e in added.values():
@@ -264,7 +268,7 @@ def edge_lift(L: LevelState, moves: Iterable[tuple[int, int, int]], z: tuple[int
     gone: set[int] = set()
     added: dict[int, Edge] = {}
     split = {}
-    a = L.a
+    a, deg = L.a, L.deg
     i = L.next_fresh_id
     for edge_id, x, y in moves:
         if edge_id in added:
@@ -274,8 +278,8 @@ def edge_lift(L: LevelState, moves: Iterable[tuple[int, int, int]], z: tuple[int
             if e is None:
                 raise NotFoundError(f"edge id {edge_id} not in graph")
             gone.add(edge_id)
-        L._check_vertex(x)
-        L._check_vertex(y)
+        if x not in deg or y not in deg:
+            raise DomainError(f"slot {y if x in deg else x} is not an alive vertex")
         if (x < a) == (y < a):
             raise PreconditionError("edge-lift target must pair vertices of opposite classes")
         if (e.u < a) == (e.v < a):
@@ -331,8 +335,10 @@ def check_conditions(L: LevelState, z: tuple[int, ...], n: int, froze: Collectio
     worst = max(L.bydeg, default=0)
     if worst > bound:
         problems.append(f"(3) degree {worst} off Z exceeds {bound}")
-    bad = sorted(p for p, k in Counter(e.pair() for e in froze).items() if k > 1)
-    problems.extend(f"(4) parallel edges {u}-{v} touch Z" for u, v in bad)
+    pairs = [(e.u, e.v) if e.u <= e.v else (e.v, e.u) for e in froze]
+    if len(set(pairs)) < len(pairs):
+        bad = sorted(p for p, k in Counter(pairs).items() if k > 1)
+        problems.extend(f"(4) parallel edges {u}-{v} touch Z" for u, v in bad)
     return problems
 
 
@@ -371,10 +377,14 @@ def find_cover_F(L: LevelState, X: tuple[int, ...], Y: tuple[int, ...]) -> tuple
     the case analysis guarantees one at a Case-1 level.
     """
     F = _structured_cover(L, X, Y)
-    ends = [w for eid in F for w in (L.edges[eid].u, L.edges[eid].v)]
+    count: dict[int, int] = {}
+    for eid in F:
+        e = L.edges[eid]
+        count[e.u] = count.get(e.u, 0) + 1
+        count[e.v] = count.get(e.v, 0) + 1
     if (
-        len(F) != 4 or len(set(F)) != 4 or any(ends.count(w) > 2 for w in ends)
-        or any(y not in ends for y in Y) or any(ends.count(x) != 2 for x in X)
+        len(F) != 4 or len(set(F)) != 4 or max(count.values()) > 2
+        or any(y not in count for y in Y) or any(count.get(x) != 2 for x in X)
     ):
         raise StructuralError(f"no structured 4-edge cover for |Y|={len(Y)}")
     return tuple(sorted(F))
@@ -383,25 +393,27 @@ def find_cover_F(L: LevelState, X: tuple[int, ...], Y: tuple[int, ...]) -> tuple
 def place_F(L: LevelState, F: tuple[int, ...], u1: int, u2: int, v1: int, v2: int) -> LevelState:
     """Edge-lift the cover edges onto the four isolated corners and remove them as Z.
 
-    Takes the first of the up-to-24 assignments of F to the slots u1v1,
-    u1v2, u2v2, u2v1 whose twelve new pairs at Z are distinct, which for
-    isolated corners is to say it leaves no parallel edge at Z, and
-    applies it with the removal of Z as one `edge_lift` batch to L in
+    Takes the first numbering f0..f3 of F, in the order of
+    `permutations(sorted(F))`, that leaves no parallel edge at Z when fi
+    goes to the i-th slot xy of u1v1, u1v2, u2v2, u2v1 and becomes xy,
+    py and xq, p being its end in u1's class: edges that share p need
+    different y (f0 and f3 share v1, f1 and f2 share v2), and edges that
+    share q different x (f0 and f1 share u1, f2 and f3 share u2).  It is
+    applied with the removal of Z as one `edge_lift` batch to L in
     place.  A corner that carries an edge raises PreconditionError.
     """
     busy = [v for v in (u1, u2, v1, v2) if L.deg.get(v)]
     if busy:
         raise PreconditionError(f"place_F needs isolated corners; {busy[0]} has an edge")
-    corners = [(u1, v1), (u1, v2), (u2, v2), (u2, v1)]
     a = L.a
-    for perm in permutations(sorted(F)):
-        moves = [(eid, x, y) for eid, (x, y) in zip(perm, corners)]
-        made = set()
-        for eid, x, y in moves:
-            e = L.edges[eid]
-            u, v = (e.u, e.v) if (e.u < a) == (x < a) else (e.v, e.u)
-            made.update(((x, y), (u, y), (x, v)))
-        if len(made) == 3 * len(moves):
+    side = u1 < a
+    p, q = {}, {}
+    for eid in F:
+        e = L.edges[eid]
+        p[eid], q[eid] = (e.u, e.v) if (e.u < a) == side else (e.v, e.u)
+    for f0, f1, f2, f3 in permutations(sorted(F)):
+        if p[f0] != p[f3] and p[f1] != p[f2] and q[f0] != q[f1] and q[f2] != q[f3]:
+            moves = [(f0, u1, v1), (f1, u1, v2), (f2, u2, v2), (f3, u2, v1)]
             return edge_lift(L, moves, (u1, u2, v1, v2))
     raise StructuralError("no numbering of the cover edges avoids parallels at Z")
 
@@ -431,7 +443,7 @@ def _resolve(D: DemandGraph, trace: CaseTrace) -> LevelState:
         k = len(L.frozen)
         ctx, z = _dispatch(L, n)
         ctx.x_set, ctx.y_set, ctx.z_set = (
-            tuple(L.local(v, z or ()) for v in vs) for vs in (ctx.x_set, ctx.y_set, ctx.z_set)
+            tuple([L.local(v, z or ()) for v in vs]) if vs else () for vs in (ctx.x_set, ctx.y_set, ctx.z_set)
         )
         trace.steps.append(ctx)
         if z is None:
@@ -485,20 +497,21 @@ def _base_case(L: LevelState, trace: CaseTrace) -> None:
 
 def _dispatch(L: LevelState, n: int):
     """Run the case handler, which lifts onto Z and removes Z from L in place; returns (ctx, z)."""
-    iso_a = L.isolated(0, 2)
-    iso_b = L.isolated(1, 2)
+    iso_a = L.lowest(0, 0, 2)
+    iso_b = L.lowest(0, 1, 2)
     X = tuple(L.of_degree(n))
-    if len({L.side(v) for v in X}) < len(X):
+    a = L.a
+    if len({v >= a for v in X}) < len(X):
         raise StructuralError("more than one degree-n vertex in a class")
     if len(iso_a) >= 2 and len(iso_b) >= 2:
         return _case1(L, n, iso_a, iso_b, X)
     if not X:
-        ones = L.of_degree(1)
-        if ones:
-            return _oriented(_case21, L, n, L.side(ones[0]))
+        for s in (0, 1):
+            if L.lowest(1, s, 1):
+                return _oriented(_case21, L, n, s)
         return _case22(L, n)
     if len(X) == 1:
-        return _oriented(_case3, L, n, L.side(X[0]))
+        return _oriented(_case3, L, n, int(X[0] >= a))
     return _oriented(_case4, L, n, 1 if len(iso_b) >= 2 else 0)
 
 
@@ -513,9 +526,22 @@ def _oriented(handler, L: LevelState, n: int, s: int):
     return ctx, z
 
 
-def _first(L: LevelState, keep, k: int = 2) -> list[int]:
-    """The k lowest ids of the alive edges that `keep` accepts."""
-    return list(islice((eid for eid, e in L.edges.items() if keep(e)), k))
+def _first(L: LevelState, k: int, p: int | None = None, q: int | None = None, at: int | None = None) -> list[int]:
+    """The k lowest ids of the alive edges that touch neither p nor q, and touch `at` if given.
+
+    Reads `L.ids` in order, so the ids of edges gone since are read once.
+    """
+    heap, edges = L.ids, L.edges
+    out, seen = [], []
+    while heap and len(out) < k:
+        e = edges.get(heappop(heap))
+        if e is not None:
+            seen.append(e.id)
+            if e.u != p and e.v != p and e.u != q and e.v != q and (at is None or at == e.u or at == e.v):
+                out.append(e.id)
+    for eid in seen:
+        heappush(heap, eid)
+    return out
 
 
 # -- Case 1: four isolated corners ---------------------------------------------
@@ -533,7 +559,6 @@ def _case1(L: LevelState, n: int, iso_a: list[int], iso_b: list[int], X: tuple[i
 
 def _structured_cover(L: LevelState, X, Y) -> list[int]:
     # Case 1 has m = 2n - 2, Δ <= n, n >= 6: at most two Y vertices per class, so each branch finds 4 edges
-    yset = set(Y)
     ya = sorted(v for v in Y if v < L.a)
     yb = sorted(v for v in Y if v >= L.a)
     if len(Y) == 4:
@@ -556,27 +581,24 @@ def _structured_cover(L: LevelState, X, Y) -> list[int]:
             return []
         p_star = max(p, key=lambda w: (len(L.pair(hub, w)), -w))
         other = p[0] if p_star == p[1] else p[1]
-        out_ids = _first(L, lambda e: e.touches(other) and e.other(other) not in yset)
-        return L.pair(hub, p_star)[:2] + out_ids
+        return L.pair(hub, p_star)[:2] + _first(L, 2, hub, at=other)
     if len(Y) == 2:
         y1, y2 = sorted(Y)
-        if L.side(y1) != L.side(y2):
-            out1 = _first(L, lambda e: e.touches(y1) and not e.touches(y2))
-            out2 = _first(L, lambda e: e.touches(y2) and not e.touches(y1))
+        if (y1 < L.a) != (y2 < L.a):
+            out1 = _first(L, 2, y2, at=y1)
+            out2 = _first(L, 2, y1, at=y2)
             if len(out1) >= 2 and len(out2) >= 2:
                 return out1 + out2
-            outer = _first(L, lambda e: not e.touches(y1) and not e.touches(y2))
-            return L.pair(y1, y2)[:2] + outer
-        # both in one class: two lowest edges at each, capping shared endpoints
+            return L.pair(y1, y2)[:2] + _first(L, 2, y1, y2)
+        # both in one class, so no edge joins them: two lowest edges at
+        # each, capping shared endpoints
         out = []
         cover: dict[int, int] = {}
         for y in (y1, y2):
             got = 0
             for eid, e in L.edges.items():
-                if not e.touches(y) or eid in out:
-                    continue
-                w = e.other(y)
-                if cover.get(w, 0) >= 2:
+                w = e.v if e.u == y else e.u if e.v == y else None
+                if w is None or cover.get(w, 0) >= 2:
                     continue
                 out.append(eid)
                 cover[w] = cover.get(w, 0) + 1
@@ -595,8 +617,7 @@ def _structured_cover(L: LevelState, X, Y) -> list[int]:
         p, q = min(L.parallel)
     else:
         return []
-    rest = _first(L, lambda e: not e.touches(p) and not e.touches(q))
-    return L.pair(p, q)[:2] + rest
+    return L.pair(p, q)[:2] + _first(L, 2, p, q)
 
 
 # -- Case 2: no degree-n vertex --------------------------------------------------
@@ -604,48 +625,61 @@ def _structured_cover(L: LevelState, X, Y) -> list[int]:
 
 def _case21(L: LevelState, n: int, s: int, t: int):
     """A degree-1 vertex x in class s."""
-    x = L.of_degree(1, s)[0]
+    x = L.lowest(1, s, 1)[0]
     xp = next(iter(L.adj[x]))
-    iso_t = L.isolated(t, 1)
+    iso_t = L.lowest(0, t, 1)
     if iso_t:
         y = iso_t[0]
-        away = _first(L, lambda e: not e.touches(x) and not e.touches(xp), 1)
+        away = _first(L, 1, x, xp)
         if not away:
             raise StructuralError("case 2.1: no edge avoids x and its neighbor")
         z = (x, y)
         edge_lift(L, [(away[0], x, y)], z)
         return CaseContext(n, "2.1", z_set=z, lifts=1), z
-    ones = L.of_degree(1, t)
+    ones = L.lowest(1, t, 2)
     if len(ones) < 2:
         raise StructuralError("case 2.1: expected two degree-1 vertices opposite x")
-    y = next((y for y in ones if y not in L.adj[x]), None)
-    if y is None:
-        raise StructuralError("case 2.1: every degree-1 vertex is joined to x")
-    z = (x, y)
+    # x has the one neighbour xp, so one of the two lowest is not joined to x
+    z = (x, ones[1] if ones[0] == xp else ones[0])
     L.change((), {}, z)
     return CaseContext(n, "2.1", z_set=z), z
 
 
 def _case22(L: LevelState, n: int):
     """No degree-1 vertex and no degree-n vertex."""
-    iso_a = L.isolated(0, 2)
-    iso_b = L.isolated(1, 2)
-    for v in L.of_degree(2):
-        if len(L.adj[v]) == 2:
-            other_iso = iso_b if v < L.a else iso_a
-            if not other_iso:
-                raise StructuralError("case 2.2.1: no isolated vertex opposite")
-            z = (v, other_iso[0])
-            L.change((), {}, z)
-            return CaseContext(n, "2.2.1", z_set=z), z
+    iso_a = L.lowest(0, 0, 2)
+    iso_b = L.lowest(0, 1, 2)
+    v = _first_plain(L)
+    if v is not None:
+        other_iso = iso_b if v < L.a else iso_a
+        if not other_iso:
+            raise StructuralError("case 2.2.1: no isolated vertex opposite")
+        z = (v, other_iso[0])
+        L.change((), {}, z)
+        return CaseContext(n, "2.2.1", z_set=z), z
     if len(iso_a) >= 2 or len(iso_b) >= 2:
         return _oriented(_case222, L, n, 1 if len(iso_b) >= 2 else 0)
     return _case223(L, n)
 
 
+def _first_plain(L: LevelState) -> int | None:
+    """The lowest degree-2 slot with two distinct neighbours, read from each class in doubling prefixes."""
+    for s in (0, 1):
+        k = 1
+        while True:
+            k *= 2
+            twos = L.lowest(2, s, k)
+            for v in twos:
+                if len(L.adj[v]) == 2:
+                    return v
+            if len(twos) < k:
+                break
+    return None
+
+
 def _case222(L: LevelState, n: int, s: int, t: int):
     """Two isolated vertices in class s; class t all doubled pairs."""
-    iso_s = L.isolated(s, 2)
+    iso_s = L.lowest(0, s, 2)
     if len(iso_s) < 2:
         raise StructuralError("case 2.2.2: missing the two isolated vertices")
     a1, a2 = iso_s
@@ -681,8 +715,8 @@ def _case223(L: LevelState, n: int):
         part[a] = next(iter(nb))
     if len(part) != n - 1 or len(set(part.values())) != n - 1:
         raise StructuralError("case 2.2.3: partners are not a matching")
-    a_seq = list(part) + L.isolated(0, 1)
-    b_seq = list(part.values()) + L.isolated(1, 1)
+    a_seq = list(part) + L.lowest(0, 0, 1)
+    b_seq = list(part.values()) + L.lowest(0, 1, 1)
     moves = [
         (L.pair(a_seq[i], b_seq[i])[0], a_seq[i + 1], b_seq[(i + 2) % n])
         for i in range(n - 1)
@@ -697,23 +731,23 @@ def _case223(L: LevelState, n: int):
 def _case3(L: LevelState, n: int, s: int, t: int):
     """One degree-n vertex z, in class s."""
     z = L.of_degree(n, s)[0]
-    iso_s = L.isolated(s, 1)
+    iso_s = L.lowest(0, s, 1)
     if not iso_s:
         raise StructuralError("case 3: class of the full vertex has no isolated vertex")
     v = iso_s[0]
-    ones_t = L.of_degree(1, t)
+    ones_t = L.lowest(1, t, 1)
     if ones_t:
         u = ones_t[0]
         if u in L.adj[z]:
-            away = _first(L, lambda e: not e.touches(u) and not e.touches(z), 1)
+            away = _first(L, 1, u, z)
             if not away:
                 raise StructuralError("case 3.1: no edge disjoint from u and z")
         else:
-            away = _first(L, lambda e: e.touches(z), 1)
+            away = _first(L, 1, at=z)
         zz = (v, u)
         edge_lift(L, [(away[0], v, u)], zz)
         return CaseContext(n, "3.1", x_set=(z,), z_set=zz, lifts=1), zz
-    iso_t = L.isolated(t, 1)
+    iso_t = L.lowest(0, t, 1)
     if not iso_t:
         raise StructuralError("case 3.2: opposite class has no isolated vertex")
     u = iso_t[0]
@@ -729,19 +763,20 @@ def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
     adj_free = [x for x in mult_free if x in adj[z]]
     if adj_free:
         x = adj_free[0]
-        eid = _first(L, lambda e: e.touches(z) and not e.touches(x), 1)[0]
+        eid = _first(L, 1, x, at=z)[0]
         zz = (v, x)
         edge_lift(L, [(eid, v, u)], zz)
         ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=1, note="plain neighbor")
         return ctx, zz
     if not mult_free:
         # every degree-2 vertex is a doubled pair
-        iso_s = L.isolated(s, 2)
+        iso_s = L.lowest(0, s, 2)
         if len(iso_s) < 2:
             raise StructuralError("case 3.2.1: second isolated vertex missing")
         v2 = iso_s[1]
         a_nb = min(adj[z])
-        b_cands = [y for y in L.of_degree(2, t) if y not in adj[z]]
+        # at most len(adj[z]) degree-2 slots are joined to z
+        b_cands = [y for y in L.lowest(2, t, len(adj[z]) + 1) if y not in adj[z]]
         if not b_cands:
             raise StructuralError("case 3.2.1: no doubled pair away from the full vertex")
         b = b_cands[0]
@@ -772,7 +807,9 @@ def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
 
 def _case322(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
     """Full vertex z in class s, two isolated vertices in class t, the rest of s degree one."""
-    ones_s = L.of_degree(1, s)
+    # every degree-1 slot joined to the first x is one of its edges, so a
+    # prefix one longer than its degree holds the y the full bucket gives
+    ones_s = L.lowest(1, s, L.deg[min(L.adj[z])] + 1)
     for x in sorted(L.adj[z]):
         for y in ones_s:
             if x not in L.adj[y]:
@@ -792,8 +829,8 @@ def _case4(L: LevelState, n: int, s: int, t: int):
     joint = L.pair(z1, z2)
     if len(joint) < 2:
         raise StructuralError("case 4: the two full vertices are not doubly joined")
-    iso_s = L.isolated(s, 1)
-    iso_t = L.isolated(t, 1)
+    iso_s = L.lowest(0, s, 1)
+    iso_t = L.lowest(0, t, 1)
     if not iso_s or not iso_t:
         raise StructuralError("case 4: missing isolated vertices")
     v1, v2 = iso_s[0], iso_t[0]

@@ -44,7 +44,7 @@ def state_of(L):
     return (
         list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.adj,
         L.parallel, [list(vs) for vs in L.sides], L.removed, L.frozen, L.split,
-        [L.isolated(s, L.a + L.b) for s in (0, 1)],
+        [L.lowest(d, s, L.a + L.b) for d in range(3) for s in (0, 1)],
     )
 
 

@@ -29,6 +29,7 @@ from tpb import (
 from tpb.edge_solver import LevelState
 from tpb.instances import serialize_resolution
 
+from numbering import reference_numbering
 from readback import reference_extract
 
 
@@ -221,6 +222,34 @@ def test_place_f_rejects_a_corner_with_an_edge():
     with pytest.raises(PreconditionError):
         place_F(L, (0, 1, 2, 3), *slots(8, A(7), A(6), B(6), B(7)))
     assert list(L.edges.items()) == before
+
+
+#: Hand-built Case-1 covers, edges 0-3, placed on the isolated corners A6, A7, B6, B7 of K_{8,8}.
+PLACE_COVERS = {
+    "disjoint": [(A(0), B(0)), (A(1), B(1)), (A(2), B(2)), (A(3), B(3))],
+    "parallel pair": [(A(0), B(0))] * 2 + [(A(1), B(1)), (A(2), B(2))],
+    "c4": [(A(0), B(0)), (A(1), B(0)), (A(1), B(1)), (A(0), B(1))],
+    "shared A end": [(A(0), B(0)), (A(0), B(1)), (A(1), B(2)), (A(2), B(3))],
+    "shared B end": [(A(0), B(0)), (A(1), B(0)), (A(2), B(1)), (A(3), B(2))],
+}
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["a-first", "b-first"])
+@pytest.mark.parametrize("corners", [
+    (A(6), A(7), B(6), B(7)), (A(7), A(6), B(6), B(7)),
+    (A(6), A(7), B(7), B(6)), (A(7), A(6), B(7), B(6)),
+], ids=["u67-v67", "u76-v67", "u67-v76", "u76-v76"])
+@pytest.mark.parametrize("cover", sorted(PLACE_COVERS))
+def test_place_f_takes_the_first_numbering_by_the_twelve_pairs_rule(cover, corners, flip):
+    pairs = [(v, u) if flip else (u, v) for u, v in PLACE_COVERS[cover]]
+    z = slots(8, *corners)
+    ref = state(8, pairs)
+    moves = reference_numbering(ref, (0, 1, 2, 3), *z)
+    tpb.edge_solver.edge_lift(ref, moves, z)
+    L = state(8, pairs)
+    place_F(L, (0, 1, 2, 3), *z)
+    assert L.split == ref.split
+    assert L.frozen == ref.frozen
 
 
 # -- full solves -----------------------------------------------------------------------
@@ -692,10 +721,10 @@ def test_incremental_conditions_agree_with_full_check(monkeypatch):
         G = DemandGraph(lifted.a, lifted.b, dict(lifted.edges), lifted.next_fresh_id)
         top = max(lifted.deg, key=lambda v: (lifted.deg[v], v))
         other = max(
-            (v for v in lifted.deg if lifted.side(v) != lifted.side(z[0])),
+            (v for v in lifted.deg if (v < lifted.a) != (z[0] < lifted.a)),
             key=lambda v: (lifted.deg[v], v),
         )
-        idle = tuple(lifted.isolated(0, 2) + lifted.isolated(1, 2))
+        idle = tuple(lifted.lowest(0, 0, 2) + lifted.lowest(0, 1, 2))
         for zz in (z, z[:-1], (z[0], other), (top,) + z[1:], (top, other), idle, idle[::2]):
             zz = tuple(dict.fromkeys(zz))
             replay = rebuilt(before)
@@ -725,7 +754,7 @@ def state_of(L):
     return (
         list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.adj,
         L.parallel, [list(vs) for vs in L.sides], L.removed, L.frozen,
-        [L.isolated(s, L.a + L.b) for s in (0, 1)],
+        [L.lowest(d, s, L.a + L.b) for d in range(3) for s in (0, 1)],
     )
 
 
@@ -776,6 +805,41 @@ def test_level_state_matches_rebuild(data):
             assert state_of(L) == state_of(before)  # a failed batch changes nothing
         assert list(L.edges) == sorted(L.edges)
         assert state_of(L) == state_of(rebuilt(L))
+        for d in range(3):
+            for s, alive in enumerate(L.sides):
+                bucket = [v for v in alive if L.deg[v] == d]
+                for k in (1, 2, 3):
+                    assert L.lowest(d, s, k) == bucket[:k], (d, s, k)
+        # the alive edge ids come off their heap in id order
+        assert tpb.edge_solver._first(L, L.m + 1) == list(L.edges)
+
+
+def test_low_degree_lookups_read_a_constant_per_level(monkeypatch):
+    # the entries the lookups read: heap pops (stale ones included) and
+    # whole degree buckets; a lookup that sorts its bucket reads the
+    # degree-1 bucket at each Case 2.1 level, hundreds per level at n = 1024
+    reads = Counter()
+    real_pop = tpb.edge_solver.heappop
+    real_of_degree = LevelState.of_degree
+
+    def counting_pop(heap):
+        reads["entries"] += 1
+        return real_pop(heap)
+
+    def counting_of_degree(L, d, side=None):
+        reads["entries"] += len(L.bydeg.get(d, ()))
+        return real_of_degree(L, d, side)
+
+    monkeypatch.setattr(tpb.edge_solver, "heappop", counting_pop)
+    monkeypatch.setattr(LevelState, "of_degree", counting_of_degree)
+    per_level = []
+    for n in (256, 1024, 4096):
+        reads.clear()
+        D = gen_random_edge(n, 0)
+        res, trace = solve_edge_version(D)
+        assert verify_resolution(D, res) == []
+        per_level.append(reads["entries"] / len(trace.steps))
+    assert all(b <= 1.5 * a for a, b in zip(per_level, per_level[1:])), per_level
 
 
 def test_levels_touch_no_whole_graph(monkeypatch):
