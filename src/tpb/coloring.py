@@ -6,9 +6,9 @@ colors any loopless multigraph from a palette of Δ+μ colors using the
 fan/fold/reduce recoloring argument, which always succeeds within Δ+μ
 colors (Berge and Fournier's proof of Vizing's theorem for multigraphs),
 so a stalled fan raises StructuralError.  `greedy_list_color` assigns
-each edge a color from one ordered palette, minus the colors excluded
-for that edge, and is guaranteed to succeed whenever the palette size
-minus an edge's excluded colors exceeds the edge's adjacency count.
+each edge a color from one ordered palette, minus the colors of the
+edge's exclusion mask, and is guaranteed to succeed whenever the palette
+size minus an edge's excluded colors exceeds the edge's adjacency count.
 
 All three keep each slot's colors as an int bitmask `used[w]`, and a
 choice takes the lowest free bit, the least color.  Kőnig and Vizing
@@ -18,15 +18,15 @@ that state only through `_paint` and the alternating-chain `_swap`.
 from __future__ import annotations
 
 from heapq import heapify, heapreplace
-from typing import Collection, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .demand import DemandGraph
 from .errors import PreconditionError, StructuralError
 from .oracle import _BudgetExceeded, search
 
 
-#: Colors each edge id may not take, for `greedy_list_color`.
-Exclusions = Mapping[int, Collection]
+#: Per edge id, the mask of palette positions (bit k for palette[k]) it may not take.
+Exclusions = Mapping[int, int]
 
 
 def _low(m: int) -> int:
@@ -204,7 +204,7 @@ def vizing_color(H: DemandGraph) -> dict[int, int]:
 def greedy_list_color(
     H: DemandGraph, palette: Sequence, excluded: Exclusions, max_nodes: int = 1000
 ) -> dict[int, object] | None:
-    """Proper coloring with colors(e) drawn from `palette` minus excluded[e], or None.
+    """Proper coloring with colors(e) drawn from `palette` minus the mask excluded[e], or None.
 
     Edges are processed in decreasing adjacency order with backtracking
     bounded by `max_nodes` assignments; each edge tries the colors in
@@ -212,20 +212,16 @@ def greedy_list_color(
     guaranteed when, for every edge, the palette size minus its excluded
     colors exceeds the number of edges adjacent to it, since then the
     first pass can never dead-end.  Colors are bits of palette positions,
-    so a palette that repeats a color raises PreconditionError.
+    in the exclusion masks as in the search, so a palette that repeats a
+    color raises PreconditionError.
     """
     links = H.links
-    bits = {c: 1 << k for k, c in enumerate(palette)}
-    if len(bits) != len(palette):
+    if len(set(palette)) != len(palette):
         raise PreconditionError("the palette repeats a color")
-    full = (1 << len(bits)) - 1
-    ex: dict[int, int] = {}
+    full = (1 << len(palette)) - 1
     for eid in links:
         if eid not in excluded:
-            raise PreconditionError(f"edge {eid} has no exclusion list")
-        ex[eid] = 0
-        for c in excluded[eid]:
-            ex[eid] |= bits.get(c, 0)
+            raise PreconditionError(f"edge {eid} has no exclusion mask")
     degs = H.degree_map()
     order = sorted(links, key=lambda eid: (-(degs[links[eid].u] + degs[links[eid].v]), eid))
     used = [0] * len(degs)
@@ -237,7 +233,7 @@ def greedy_list_color(
         eid = order[i]
         e = links[eid]
         # only levels < i hold colors while this generator is live
-        free = full & ~(used[e.u] | used[e.v] | ex[eid])
+        free = full & ~(used[e.u] | used[e.v] | excluded[eid])
         while free:
             bit = free & -free
             free ^= bit

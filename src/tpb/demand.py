@@ -17,9 +17,10 @@ solver's level state, which it changes in place, removing a level's
 removal set in the same change.  A demand's route is the composition
 of its lifts: the edge solver records each split edge's pieces in walk
 order as it makes them, and `extract_resolution` expands every demand
-from those records down to its final edges, cutting the cycles out of a
-walk that revisits a vertex.  `verify_resolution` (`verify_routes` for
-slot routes) is the independent checker.
+from those records down to its final edges as slot tuples, cutting the
+cycles out of a walk that revisits a vertex.  `verify_routes` checks
+slot routes (`verify_resolution` a `Resolution`'s), and the solvers'
+one exit `checked_resolution` builds `V` paths only after that check.
 """
 from __future__ import annotations
 
@@ -232,18 +233,17 @@ def _shortcut_walk(walk: list) -> list:
 
 def extract_resolution(
     D: DemandGraph, split: dict[int, tuple[int, tuple[int, ...]]], final: dict[int, Edge]
-) -> Resolution:
-    """Compose one path per demand of D from the record of its splits.
+) -> dict[int, tuple[int, ...]]:
+    """Compose one slot route per demand of D from the record of its splits.
 
     `split[eid] = (u, ids)` says that edge eid was replaced by the edges
     `ids`, a walk from its end u to its other end; an edge that was never
     split is in `final`.  Each demand's walk is expanded from
     `D.links[eid].u` down to final edges, and a walk that repeats a vertex
     is cut short by `_shortcut_walk`.  The routes are not checked here:
-    that is `verify_resolution`'s job.
+    that is `checked_resolution`'s job.
     """
-    vertex = cache(D.vertex)
-    routes: dict[int, Path] = {}
+    routes: dict[int, tuple[int, ...]] = {}
     for eid in sorted(D.links):
         walk = [D.links[eid].u]
         stack = [eid]
@@ -260,8 +260,20 @@ def extract_resolution(
                 raise StructuralError(f"edge {i} of demand {eid} is neither split nor final")
         if len(set(walk)) < len(walk):
             walk = _shortcut_walk(walk)
-        routes[eid] = Path(tuple(map(vertex, walk)))
-    return Resolution(routes)
+        routes[eid] = tuple(walk)
+    return routes
+
+
+def checked_resolution(D: DemandGraph, routes: dict[int, tuple[int, ...]]) -> Resolution:
+    """A constructive solver's slot routes as a `Resolution`, built once they pass `verify_routes`.
+
+    Any problem is a solver bug and raises StructuralError naming every problem.
+    """
+    problems = verify_routes(D, routes)
+    if problems:
+        raise StructuralError("solver produced an invalid resolution: " + "; ".join(problems))
+    vertex = cache(D.vertex)
+    return Resolution({eid: Path(tuple(map(vertex, route))) for eid, route in routes.items()})
 
 
 def verify_resolution(D: DemandGraph, res: Resolution) -> list[str]:
@@ -270,7 +282,7 @@ def verify_resolution(D: DemandGraph, res: Resolution) -> list[str]:
 
 
 def verify_routes(D: DemandGraph, routes: dict[int, tuple], slot: Callable | None = None) -> list[str]:
-    """`verify_resolution` for slot routes, or for `V` routes whose vertices `slot` maps to slots."""
+    """`verify_resolution` for slot routes in [0, a+b), or for `V` routes whose vertices `slot` maps to slots."""
     problems = [f"edge {eid}: no route" for eid in sorted(D.links) if eid not in routes]
     a, n = D.a, D.a + D.b
     sound: dict[int, tuple[int, ...] | list[int]] = {}
@@ -293,6 +305,9 @@ def verify_routes(D: DemandGraph, routes: dict[int, tuple], slot: Callable | Non
                     break
             if len(ss) < len(vs):
                 continue
+        elif min(ss) < 0 or max(ss) >= n:
+            problems.append(f"route {eid}: vertex {next(w for w in ss if not 0 <= w < n)} outside base graph")
+            continue
         ok = True
         if any((x < a) == (y < a) for x, y in zip(ss, ss[1:])):
             problems.append(f"route {eid}: consecutive vertices do not alternate classes")

@@ -40,7 +40,7 @@ own lifts.
 """
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -54,8 +54,9 @@ from .demand import (
     Edge,
     Resolution,
     V,
+    checked_resolution,
     extract_resolution,
-    verify_resolution,
+    verify_resolution,  # noqa: F401 -- perfbench/spans.py HOOKS rebinds it here
 )
 from .errors import DomainError, NotFoundError, PreconditionError, StructuralError
 from .oracle import RESOLVABLE, SearchBudget, decide
@@ -92,8 +93,8 @@ class LevelState:
     Built from the alive edges of a demand graph D, optionally with the
     slots already `removed` and the edges already final as `frozen`;
     vertices are D's slots, and class s is 0 for A and 1 for B.
-    `sides[s]` holds class s's alive slots in order, `deg` their degrees
-    and `bydeg` the alive slots of positive degree by degree.
+    `sides[s]` is the sorted list of class s's alive slots, `deg` their
+    degrees and `bydeg` the alive slots of positive degree by degree.
     `adj[v][w]` lists the ids of the edges between v and w lowest first,
     one list shared by both ends, so the keys of `adj[v]` are v's
     neighbours; `parallel` holds the pairs with two or more edges.
@@ -103,8 +104,7 @@ class LevelState:
     the k lowest reads about k entries, not the whole bucket.  `edges`
     holds the alive edges in id order (new ids are always the largest),
     `ids` is a min-heap of their ids pruned the same way, and `frozen`
-    the final edges, those at removed vertices; `removed[s]` lists
-    class s's removed slots in order.
+    the final edges, those at removed vertices.
     `split[eid] = (u, ids)` records each edge that a lift or the base case
     replaced: the ids of its pieces in walk order from its end u.
     """
@@ -117,12 +117,9 @@ class LevelState:
     ):
         self.a, self.b = D.a, D.b
         self.next_fresh_id = D.next_fresh_id
-        self.removed = removed or ([], [])
         self.frozen = frozen if frozen is not None else {}
-        self.sides = []
-        for slots, gone in zip((range(D.a), range(D.a, D.a + D.b)), self.removed):
-            gone = set(gone)
-            self.sides.append({v: None for v in slots if v not in gone})
+        gone = {v for vs in removed or () for v in vs}
+        self.sides = [[v for v in vs if v not in gone] for vs in (range(D.a), range(D.a, D.a + D.b))]
         self.adj: dict[int, dict[int, list[int]]] = {v: {} for vs in self.sides for v in vs}
         self.parallel: set[tuple[int, int]] = set()
         self.edges: dict[int, Edge] = {}
@@ -144,10 +141,6 @@ class LevelState:
     def pair(self, u: int, v: int) -> list[int]:
         return self.adj[u].get(v, [])
 
-    def of_degree(self, d: int, side: int | None = None) -> list[int]:
-        a = self.a
-        return sorted(v for v in self.bydeg.get(d, ()) if side is None or (v >= a) == side)
-
     def lowest(self, d: int, side: int, k: int) -> list[int]:
         """The k lowest alive slots of degree d <= 2 in a class, or all of them if fewer."""
         heap = self.low[d][side]
@@ -165,11 +158,7 @@ class LevelState:
         """v's position among the alive vertices of its class before the slots z were removed."""
         s = int(v >= self.a)
         lo = s * self.a
-        below = bisect_left(self.removed[s], v)
-        for w in z:
-            if lo <= w < v:
-                below -= 1
-        return V((SIDE_A, SIDE_B)[s], v - lo - below)
+        return V((SIDE_A, SIDE_B)[s], bisect_left(self.sides[s], v) + sum(lo <= w < v for w in z))
 
     def _bump(self, k: int, *vs: int) -> None:
         deg, bydeg, low, a = self.deg, self.bydeg, self.low, self.a
@@ -234,9 +223,8 @@ class LevelState:
                     self.parallel.discard((v, w) if v < w else (w, v))
                 del self.adj[w][v]
                 self._bump(-len(ids), w, v)
-            s = v >= self.a
-            del self.deg[v], self.sides[s][v]
-            insort(self.removed[s], v)
+            side = self.sides[v >= self.a]
+            del self.deg[v], side[bisect_left(side, v)]
         for e in added.values():
             if e.u in zs or e.v in zs:
                 froze[e.id] = e
@@ -312,11 +300,7 @@ def solve_edge_version(D: DemandGraph) -> tuple[Resolution, CaseTrace]:
         raise PreconditionError(f"max degree {D.max_degree()} exceeds n = {n}")
     trace = CaseTrace()
     L = _resolve(D, trace)
-    res = extract_resolution(D, L.split, L.frozen | L.edges)
-    problems = verify_resolution(D, res)
-    if problems:
-        raise StructuralError("solver produced an invalid resolution: " + "; ".join(problems))
-    return res, trace
+    return checked_resolution(D, extract_resolution(D, L.split, L.frozen | L.edges)), trace
 
 
 def check_conditions(L: LevelState, z: tuple[int, ...], n: int, froze: Collection[Edge]) -> list[str]:
@@ -499,7 +483,7 @@ def _dispatch(L: LevelState, n: int):
     """Run the case handler, which lifts onto Z and removes Z from L in place; returns (ctx, z)."""
     iso_a = L.lowest(0, 0, 2)
     iso_b = L.lowest(0, 1, 2)
-    X = tuple(L.of_degree(n))
+    X = tuple(sorted(L.bydeg.get(n, ())))
     a = L.a
     if len({v >= a for v in X}) < len(X):
         raise StructuralError("more than one degree-n vertex in a class")
@@ -730,7 +714,7 @@ def _case223(L: LevelState, n: int):
 
 def _case3(L: LevelState, n: int, s: int, t: int):
     """One degree-n vertex z, in class s."""
-    z = L.of_degree(n, s)[0]
+    (z,) = L.bydeg[n]
     iso_s = L.lowest(0, s, 1)
     if not iso_s:
         raise StructuralError("case 3: class of the full vertex has no isolated vertex")
@@ -824,8 +808,8 @@ def _case322(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
 
 def _case4(L: LevelState, n: int, s: int, t: int):
     """Degree-n vertices z1 in class s and z2 in class t."""
-    z1 = L.of_degree(n, s)[0]
-    z2 = L.of_degree(n, t)[0]
+    za, zb = sorted(L.bydeg[n])
+    z1, z2 = (za, zb) if s == 0 else (zb, za)
     joint = L.pair(z1, z2)
     if len(joint) < 2:
         raise StructuralError("case 4: the two full vertices are not doubly joined")
@@ -834,7 +818,8 @@ def _case4(L: LevelState, n: int, s: int, t: int):
     if not iso_s or not iso_t:
         raise StructuralError("case 4: missing isolated vertices")
     v1, v2 = iso_s[0], iso_t[0]
-    loose = [y for y in L.of_degree(1, t) if y not in L.adj[z1]]
+    # at most len(adj[z1]) degree-1 slots are joined to z1
+    loose = [y for y in L.lowest(1, t, len(L.adj[z1]) + 1) if y not in L.adj[z1]]
     if loose:
         y, zz = loose[0], (v1, loose[0])
     elif len(joint) != 2:

@@ -4,9 +4,10 @@ Instance files are DIMACS-flavoured: `c` comment lines, one
 `p tpb <a> <b> <m>` header, then `e <i> <j> [mult]` lines with 1-based
 vertex indices (repeated lines accumulate).  The header's m is at most
 a*b, because at most a*b edge-disjoint routes fit in K_{a,b}, and at
-most MAX_DEMANDS = 1 000 000, so that a file cannot ask for more memory
-than its demands can use.  Edge ids
-are assigned in file order, expanding multiplicities in line order.
+most MAX_DEMANDS = 1 000 000; a and b are each at most MAX_VERTICES =
+1 000 000, because the solvers allocate per vertex of the header.  So a
+file cannot ask for more memory than its demands and vertices can use.
+Edge ids are assigned in file order, expanding multiplicities in line order.
 The canonical form sorts edge lines by (i, j) with multiplicities
 merged, which makes the serialize/parse round trip the identity.
 Resolution files carry an `s SOLVED|UNSOLVED|UNKNOWN` line and one `r`
@@ -26,6 +27,7 @@ UNSOLVED = "UNSOLVED"
 UNKNOWN_STATUS = "UNKNOWN"
 
 MAX_DEMANDS = 1_000_000  # the most demand edges an instance file may declare
+MAX_VERTICES = 1_000_000  # the most vertices per class an instance file may declare
 
 
 # -- sharp unresolvable families -----------------------------------------------
@@ -155,6 +157,8 @@ def serialize_instance(D: DemandGraph) -> str:
         raise FormatError(f"{D.m} demand edges exceed the {D.a * D.b} edges of K_{{{D.a},{D.b}}}")
     if D.m > MAX_DEMANDS:
         raise FormatError(f"{D.m} demand edges exceed the limit of {MAX_DEMANDS}")
+    if max(D.a, D.b) > MAX_VERTICES:
+        raise FormatError(f"{max(D.a, D.b)} vertices in a class exceed the limit of {MAX_VERTICES}")
     a = D.a
     mult = Counter((e.u, e.v - a) if e.u < a else (e.v, e.u - a) for e in D.links.values())
     lines = [f"p tpb {D.a} {D.b} {D.m}"]
@@ -193,6 +197,8 @@ def parse_instance(text: str) -> DemandGraph:
                 raise FormatError(f"line {ln}: {m} demand edges exceed the {a * b} edges of K_{{{a},{b}}}")
             if m > MAX_DEMANDS:
                 raise FormatError(f"line {ln}: {m} demand edges exceed the limit of {MAX_DEMANDS}")
+            if max(a, b) > MAX_VERTICES:
+                raise FormatError(f"line {ln}: {max(a, b)} vertices in a class exceed the limit of {MAX_VERTICES}")
         elif toks[0] == "e":
             if a is None:
                 raise FormatError(f"line {ln}: edge record before header")

@@ -22,7 +22,6 @@ Only the first stage builds a lifted graph (one `lift`); colors complete the rou
 from __future__ import annotations
 
 from collections import Counter
-from functools import cache
 
 from .coloring import (
     choose_semiregular_targets,
@@ -32,7 +31,7 @@ from .coloring import (
     regularize,
     vizing_color,
 )
-from .demand import DemandGraph, Path, Resolution, lift, verify_routes
+from .demand import DemandGraph, Resolution, checked_resolution, lift
 from .demand import extract_resolution  # noqa: F401 -- perfbench/spans.py HOOKS rebinds it here
 from .errors import PreconditionError, StructuralError
 
@@ -167,15 +166,17 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
 # -- degree-bounded instances ----------------------------------------------------
 
 
-def check_quarter_claims(G: DemandGraph, delta_a: int) -> dict[int, set[int]]:
-    """Assert the facts the lifting stage must establish; return the exclusion lists.
+def check_quarter_claims(G: DemandGraph, delta_a: int) -> dict[int, int]:
+    """Assert the facts the lifting stage must establish; return the exclusion masks.
 
-    A within-class edge may not be lifted onto a B-vertex next to either
-    end.  Every class-A vertex keeps delta_a distinct cross edges, so an
-    edge excludes at most 2*delta_a B-slots.
+    A within-class edge uv may not be lifted onto a B-vertex next to either
+    end, so it excludes `nb[u] | nb[v]`, `nb[x]` being x's cross neighbours
+    as a mask of class-B positions (bit y - a for slot y).  Every class-A
+    vertex keeps delta_a distinct cross edges, so an edge excludes at most
+    2*delta_a B-slots.
     """
     a = G.a
-    nb: list[set[int]] = [set() for _ in range(a)]
+    nb = [0] * a
     within = []
     within_deg = [0] * a
     for e in G.links.values():
@@ -187,12 +188,12 @@ def check_quarter_claims(G: DemandGraph, delta_a: int) -> dict[int, set[int]]:
             within_deg[e.v] += 1
         else:
             x, y = (e.u, e.v) if e.u < a else (e.v, e.u)
-            if y in nb[x]:
+            if nb[x] >> (y - a) & 1:
                 raise StructuralError("lifting created a parallel cross edge")
-            nb[x].add(y)
+            nb[x] |= 1 << (y - a)
     if any(c > 2 for c in Counter(e.pair() for e in within).values()):
         raise StructuralError("within-class multiplicity exceeds 2")
-    if any(len(ys) != delta_a for ys in nb):
+    if any(ys.bit_count() != delta_a for ys in nb):
         raise StructuralError("some class-A vertex does not keep delta_a cross edges")
     if max(within_deg) > 2 * delta_a:
         raise StructuralError("within-class degree exceeds 2*delta_a")
@@ -240,7 +241,7 @@ def solve_quarter(D: DemandGraph) -> Resolution:
 
 
 def _routes(D: DemandGraph, T: DemandGraph, first: dict[int, int], second: dict[int, int]) -> Resolution:
-    """Each demand's route x, c, z, y, checked once; x, y where stage 1 left it in place.
+    """Each demand's route x, c, z, y, or x, y where stage 1 left it in place, via `checked_resolution`.
 
     z and c are its label's targets in `first` and `second`.  Routes are on D's slots
     (T is D or its transpose) and start at the end D lists first.
@@ -254,8 +255,4 @@ def _routes(D: DemandGraph, T: DemandGraph, first: dict[int, int], second: dict[
         route = (x, y) if z == x else (x, second[e.label], z, y)
         route = route if e.u == x else route[::-1]
         routes[eid] = route if back is None else tuple(back[s] for s in route)
-    problems = verify_routes(D, routes)
-    if problems:
-        raise StructuralError("solver produced an invalid resolution: " + "; ".join(problems))
-    vertex = cache(D.vertex)
-    return Resolution({eid: Path(tuple(map(vertex, route))) for eid, route in routes.items()})
+    return checked_resolution(D, routes)

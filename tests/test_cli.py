@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, files, reproducibility."""
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -30,39 +31,33 @@ def test_gen_solve_verify_chain(tmp_path, capsys):
 
 
 def test_solve_verifies_each_resolution_once(tmp_path, monkeypatch, capsys):
-    calls = []
-    real = tpb.cli.verify_resolution
+    calls = Counter()
 
-    def counting(D, res):
-        calls.append(D)
-        return real(D, res)
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
 
-    for module in (tpb.cli, tpb.edge_solver):
-        monkeypatch.setattr(module, "verify_resolution", counting)
-    inst = tmp_path / "chain.tpb"
-    assert run("gen", "--family", "chain", "--n", "6", "--out", str(inst)) == 0
-    # the edge solver verifies inside solve_edge_version, the oracle's
-    # resolution is verified by the command
-    for algo in ("edge", "oracle"):
-        calls.clear()
-        assert run("solve", "--in", str(inst), "--algo", algo) == 0
-        assert len(calls) == 1, algo
-    # the structured solvers check their slot routes once, and the command not again
-    real_routes = tpb.structured.verify_routes
-
-    def counting_routes(D, routes):
-        calls.append(D)
-        return real_routes(D, routes)
-
-    monkeypatch.setattr(tpb.structured, "verify_routes", counting_routes)
+    monkeypatch.setattr(tpb.demand, "verify_routes", counting("routes", tpb.demand.verify_routes))
+    monkeypatch.setattr(tpb.cli, "verify_resolution", counting("resolution", tpb.cli.verify_resolution))
+    inst = tmp_path / "solve.tpb"
+    # the constructive solvers check their slot routes once, in
+    # `checked_resolution`, and the command not again
     for gen, algo in (
+        (("--family", "chain", "--n", "6"), ("edge",)),
         (("--family", "random-blocked", "--n", "12"), ("blocked", "--blocks", "4,4,4")),
         (("--family", "random-semiregular", "--n", "16", "--delta-a", "2"), ("quarter",)),
     ):
         assert run("gen", *gen, "--out", str(inst)) == 0
         calls.clear()
         assert run("solve", "--in", str(inst), "--algo", *algo) == 0
-        assert len(calls) == 1, algo
+        assert calls == {"routes": 1}, algo
+    # the oracle's resolution is verified by the command, through `verify_routes`
+    assert run("gen", "--family", "chain", "--n", "6", "--out", str(inst)) == 0
+    calls.clear()
+    assert run("solve", "--in", str(inst), "--algo", "oracle") == 0
+    assert calls == {"resolution": 1, "routes": 1}
 
 
 def test_quarter_with_over_a_thousand_within_class_edges(tmp_path, capsys):
@@ -280,11 +275,13 @@ def test_unwritable_or_missing_file_is_usage_error(tmp_path, capsys):
 def test_oversized_multiplicity_is_usage_error(tmp_path, capsys):
     inst = tmp_path / "big.tpb"
     # a header may not declare more demands than K_{4,4} has edges, nor
-    # more than the format's limit of a million
+    # more than the format's limit of a million, nor more than a million
+    # vertices per class
     for text, line in (
         ("p tpb 4 4 1\ne 1 1 99999999999", 2),
         ("p tpb 4 4 99999999999\ne 1 1 99999999999", 1),
         ("p tpb 1000000 1000000 999999999999\ne 1 1 999999999999", 1),
+        ("p tpb 100000000000 100000000000 1\ne 1 1", 1),
     ):
         inst.write_text(text)
         assert run("solve", "--in", str(inst)) == 2

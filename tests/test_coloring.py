@@ -247,13 +247,13 @@ def test_colorings_of_the_empty_graph():
 
 def test_list_color_single_edge():
     D = DemandGraph.from_pairs(1, 1, [(A(0), B(0))])
-    col = greedy_list_color(D, [5], {0: ()})
+    col = greedy_list_color(D, [5], {0: 0})
     assert col == {0: 5}
 
 
 def test_list_color_star_distinct():
     D = DemandGraph.from_pairs(1, 4, [(A(0), B(j)) for j in range(4)])
-    col = greedy_list_color(D, range(4), {eid: () for eid in D.edges})
+    col = greedy_list_color(D, range(4), dict.fromkeys(D.links, 0))
     assert sorted(col.values()) == [0, 1, 2, 3]
 
 
@@ -261,26 +261,26 @@ def test_list_color_path_with_binary_lists():
     D = DemandGraph.from_pairs(
         2, 2, [(A(0), B(0)), (B(0), A(1)), (A(1), B(1))]
     )
-    col = greedy_list_color(D, [0, 1], {eid: () for eid in D.edges})
+    col = greedy_list_color(D, [0, 1], dict.fromkeys(D.links, 0))
     assert col is not None
     assert proper(D, col)
 
 
 def test_list_color_reports_failure():
     D = DemandGraph.from_pairs(1, 2, [(A(0), B(0)), (A(0), B(1))])
-    assert greedy_list_color(D, [0], {eid: () for eid in D.edges}) is None
+    assert greedy_list_color(D, [0], dict.fromkeys(D.links, 0)) is None
 
 
 def test_list_color_needs_every_exclusion_list():
     D = DemandGraph.from_pairs(1, 2, [(A(0), B(0)), (A(0), B(1))])
     with pytest.raises(PreconditionError):
-        greedy_list_color(D, [0, 1], {0: ()})
+        greedy_list_color(D, [0, 1], {0: 0})
 
 
 def test_list_color_refuses_a_palette_that_repeats_a_color():
     D = DemandGraph.from_pairs(1, 2, [(A(0), B(0)), (A(0), B(1))])
     with pytest.raises(PreconditionError):
-        greedy_list_color(D, [0, 1, 0], {eid: () for eid in D.edges})
+        greedy_list_color(D, [0, 1, 0], dict.fromkeys(D.links, 0))
 
 
 def parallel_within_class_graph():
@@ -290,11 +290,12 @@ def parallel_within_class_graph():
 
 
 def window_exclusions(H, step, short):
-    # each edge may take the B(j) (slot 5 + j) of a cyclic window starting at
-    # step * eid, one longer than the edge's adjacency count less `short`
+    # each edge may take the B(j) (slot 5 + j, palette position j) of a cyclic
+    # window starting at step * eid, one longer than the edge's adjacency
+    # count less `short`; the mask excludes every other position
     degs = H.degree_map()
     return {
-        eid: {5 + (step * eid + j) % 12 for j in range(degs[e.u] + degs[e.v] - 1 - short, 12)}
+        eid: sum({1 << (step * eid + j) % 12 for j in range(degs[e.u] + degs[e.v] - 1 - short, 12)})
         for eid, e in H.links.items()
     }
 
@@ -328,7 +329,8 @@ def test_list_color_guarantee(seed):
     degs = H.degree_map()
     adjacent = {eid: degs[e.u] + degs[e.v] - 2 for eid, e in H.links.items()}
     palette = range(max(adjacent.values(), default=0) + 1)
-    excluded = {eid: range(adj + 1, len(palette)) for eid, adj in adjacent.items()}
+    full = (1 << len(palette)) - 1
+    excluded = {eid: full & ~((1 << (adj + 1)) - 1) for eid, adj in adjacent.items()}
     col = greedy_list_color(H, palette, excluded)
     assert col is not None
     assert proper(H, col)

@@ -22,7 +22,7 @@ from tpb import (
     lift,
     verify_resolution,
 )
-from tpb.demand import Edge, _shortcut_walk
+from tpb.demand import Edge, _shortcut_walk, checked_resolution, verify_routes
 
 
 def g(a, b, pairs):
@@ -43,7 +43,7 @@ def state_of(L):
     """Everything a level state holds, for comparing two states."""
     return (
         list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.adj,
-        L.parallel, [list(vs) for vs in L.sides], L.removed, L.frozen, L.split,
+        L.parallel, [list(vs) for vs in L.sides], L.frozen, L.split,
         [L.lowest(d, s, L.a + L.b) for d in range(3) for s in (0, 1)],
     )
 
@@ -192,19 +192,20 @@ def test_edge_lift_batch_failure_leaves_input_unchanged():
 
 def test_extract_length_one_and_simple_walk():
     D = g(3, 3, [(A(0), B(0)), (A(1), B(1))])
+    s = D.slot
     r = extract_resolution(D, {}, D.links)
-    assert r.routes == {0: Path((A(0), B(0))), 1: Path((A(1), B(1)))}
-    L = edge_lift(LevelState(D), [(0, D.slot(A(2)), D.slot(B(2)))])
+    assert r == {0: (s(A(0)), s(B(0))), 1: (s(A(1)), s(B(1)))}
+    L = edge_lift(LevelState(D), [(0, s(A(2)), s(B(2)))])
     # the pieces uy, xy, xv of uv = A0-B0, in walk order from A0
-    assert L.split == {0: (D.slot(A(0)), (3, 2, 4))}
+    assert L.split == {0: (s(A(0)), (3, 2, 4))}
     r = extract_resolution(D, L.split, L.edges)
-    assert r.routes[0] == Path((A(0), B(2), A(2), B(0)))
-    assert verify_resolution(D, r) == []
+    assert r[0] == (s(A(0)), s(B(2)), s(A(2)), s(B(0)))
+    assert verify_routes(D, r) == []
     # a demand listed from its other end walks the pieces backwards
     D2 = g(3, 3, [(B(0), A(0))])
     r = extract_resolution(D2, L.split, L.edges)
-    assert r.routes[0] == Path((B(0), A(2), B(2), A(0)))
-    assert verify_resolution(D2, r) == []
+    assert r[0] == (s(B(0)), s(A(2)), s(B(2)), s(A(0)))
+    assert verify_routes(D2, r) == []
 
 
 def test_shortcut_drops_two_cycle():
@@ -239,8 +240,9 @@ def revisiting_splits():
 def test_extract_revisiting_class_pinned():
     orig, split, final = revisiting_splits()
     r = extract_resolution(orig, split, final)
-    assert r.routes == {0: Path((A(0), B(0))), 1: Path((A(2), B(1), A(3), B(3)))}
-    assert verify_resolution(orig, r) == []
+    s = orig.slot
+    assert r == {0: (s(A(0)), s(B(0))), 1: (s(A(2)), s(B(1)), s(A(3)), s(B(3)))}
+    assert verify_routes(orig, r) == []
 
 
 def test_extract_flags_lost_label():
@@ -303,6 +305,28 @@ def test_verify_flags_vertex_outside_base_graph(w):
     assert verify_resolution(D, Resolution({0: Path(vs)})) == [
         f"route 0: vertex {w} outside base graph"
     ]
+
+
+@pytest.mark.parametrize("w", [6, -1])
+def test_verify_routes_flags_slot_outside_base_graph(w):
+    # a slot route through a slot that K_{3,3} lacks fails as a V route does,
+    # although its classes alternate and its base edges are distinct
+    D = g(3, 3, [(A(0), B(0))])
+    route = (0, w, 1, 3) if w >= 3 else (0, 4, w, 3)
+    assert verify_routes(D, {0: route}) == [f"route 0: vertex {w} outside base graph"]
+
+
+def test_checked_resolution_is_the_one_exit():
+    # routes that pass become V paths; any problem raises, naming every one
+    D = g(3, 3, [(A(0), B(0)), (A(1), B(1))])
+    s = D.slot
+    res = checked_resolution(D, {0: (s(A(0)), s(B(2)), s(A(2)), s(B(0))), 1: (s(A(1)), s(B(1)))})
+    assert res.routes == {0: Path((A(0), B(2), A(2), B(0))), 1: Path((A(1), B(1)))}
+    with pytest.raises(StructuralError) as exc:
+        checked_resolution(D, {0: (s(A(0)), s(B(0))), 1: (s(A(1)), 6)})
+    assert str(exc.value) == (
+        "solver produced an invalid resolution: route 1: vertex 6 outside base graph"
+    )
 
 
 # -- multigraph accessors ---------------------------------------------------------

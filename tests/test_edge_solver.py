@@ -743,17 +743,23 @@ def test_incremental_conditions_agree_with_full_check(monkeypatch):
     assert set(failures) == {"(1)", "(2)", "(3)", "(4)"}
 
 
+def removed_of(L):
+    """Each class's removed slots in order: those not in `L.sides`."""
+    return tuple(
+        sorted(set(slots).difference(side)) for slots, side in zip((range(L.a), range(L.a, L.a + L.b)), L.sides)
+    )
+
+
 def rebuilt(L):
     return LevelState(
-        DemandGraph(L.a, L.b, dict(L.edges), L.next_fresh_id),
-        tuple(list(ix) for ix in L.removed), dict(L.frozen),
+        DemandGraph(L.a, L.b, dict(L.edges), L.next_fresh_id), removed_of(L), dict(L.frozen),
     )
 
 
 def state_of(L):
     return (
         list(L.edges.items()), L.next_fresh_id, L.deg, L.bydeg, L.adj,
-        L.parallel, [list(vs) for vs in L.sides], L.removed, L.frozen,
+        L.parallel, [list(vs) for vs in L.sides], removed_of(L), L.frozen,
         [L.lowest(d, s, L.a + L.b) for d in range(3) for s in (0, 1)],
     )
 
@@ -791,7 +797,7 @@ def test_level_state_matches_rebuild(data):
                 z = tuple(za + zb)
                 assert tpb.edge_solver.edge_lift(L, moves, z) is L
                 assert not set(z) & set(L.deg)
-                removed = {v for ix in L.removed for v in ix}
+                removed = {v for ix in removed_of(L) for v in ix}
                 assert all({e.u, e.v} & removed for e in L.frozen.values())
                 # the same as lifting first and removing z after
                 two = rebuilt(before)
@@ -815,23 +821,19 @@ def test_level_state_matches_rebuild(data):
 
 
 def test_low_degree_lookups_read_a_constant_per_level(monkeypatch):
-    # the entries the lookups read: heap pops (stale ones included) and
-    # whole degree buckets; a lookup that sorts its bucket reads the
-    # degree-1 bucket at each Case 2.1 level, hundreds per level at n = 1024
+    # the entries the lookups read are heap pops, stale ones included; the
+    # only bucket read whole is the degree-n one, which holds at most two
+    # slots, so a lookup that sorted the degree-1 bucket instead would read
+    # hundreds per level at n = 1024
+    assert not hasattr(LevelState, "of_degree")
     reads = Counter()
     real_pop = tpb.edge_solver.heappop
-    real_of_degree = LevelState.of_degree
 
     def counting_pop(heap):
         reads["entries"] += 1
         return real_pop(heap)
 
-    def counting_of_degree(L, d, side=None):
-        reads["entries"] += len(L.bydeg.get(d, ()))
-        return real_of_degree(L, d, side)
-
     monkeypatch.setattr(tpb.edge_solver, "heappop", counting_pop)
-    monkeypatch.setattr(LevelState, "of_degree", counting_of_degree)
     per_level = []
     for n in (256, 1024, 4096):
         reads.clear()
@@ -867,6 +869,34 @@ def test_levels_touch_no_whole_graph(monkeypatch):
     # once by the oracle at an n <= 5 base case, never by a level
     assert calls["degree_map"] == 1 + int(base)
     assert calls["induced"] == calls["transpose"] == 0
+
+
+def test_edge_solve_reads_no_vertex_of_its_input(monkeypatch):
+    # the routes stay slot tuples from the lift records through the one
+    # check, so no V of a route goes back through the input's `slot` (a
+    # base case reads its oracle's routes on its own compact graph)
+    D = clustered_instance(96, 0)
+    graphs = []
+    real = DemandGraph.slot
+
+    def slot(G, v):
+        graphs.append(G)
+        return real(G, v)
+
+    monkeypatch.setattr(DemandGraph, "slot", slot)
+    res, trace = solve_edge_version(D)
+    assert not [G for G in graphs if G is D]
+    assert verify_resolution(D, res) == []
+
+
+def test_edge_solver_audits_its_routes(monkeypatch):
+    # routes that share a base edge, fed to the solver's one exit, fail there
+    D = gen_chain(6)
+    monkeypatch.setattr(
+        tpb.edge_solver, "extract_resolution", lambda D, *_: {eid: (e.u, e.v) for eid, e in D.links.items()}
+    )
+    with pytest.raises(StructuralError, match="solver produced an invalid resolution: .*used by routes"):
+        solve_edge_version(D)
 
 
 def test_swapped_levels_build_one_state(monkeypatch):

@@ -51,6 +51,16 @@ def test_serialize_refuses_more_demands_than_a_file_may_hold(monkeypatch):
         serialize_instance(gen_chain(6))
 
 
+def test_more_vertices_than_a_file_may_hold_are_refused(monkeypatch):
+    # both ways: a header past the limit is a parse error, and no such file is written
+    monkeypatch.setattr(tpb.instances, "MAX_VERTICES", 5)
+    with pytest.raises(FormatError, match="6 vertices in a class exceed the limit of 5"):
+        serialize_instance(gen_chain(6))
+    with pytest.raises(FormatError, match="line 1: 6 vertices in a class exceed the limit of 5"):
+        parse_instance("p tpb 5 6 1\ne 1 1\n")
+    assert parse_instance("p tpb 5 5 1\ne 1 1\n").m == 1
+
+
 def test_sharp_conjecture_counting_bound():
     for n in range(1, 101):
         assert n + 3 * n * (-(-n // 3)) > n * n

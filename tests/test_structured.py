@@ -238,7 +238,12 @@ def test_quarter_intermediate_claims():
     assert all(d <= 2 * ta for d in within_deg.values())
     within = [eid for eid, e in G.edges.items() if e.u.side == e.v.side]
     assert sorted(excluded) == sorted(within)
-    assert all(len(X) <= 2 * ta for X in excluded.values())
+    assert all(X.bit_count() <= 2 * ta for X in excluded.values())
+    # an edge's mask has bit j for each B(j) next to either of its ends
+    nb = [0] * G.a
+    for x, y in cross_pairs:
+        nb[x.index] |= 1 << y.index
+    assert all(excluded[eid] == nb[G.edges[eid].u.index] | nb[G.edges[eid].v.index] for eid in within)
 
 
 # -- pinned outputs and lift batching ------------------------------------------------
