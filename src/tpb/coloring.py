@@ -18,6 +18,7 @@ that state only through `_paint` and the alternating-chain `_swap`.
 from __future__ import annotations
 
 from heapq import heapify, heapreplace
+from math import gcd
 from typing import Mapping, Sequence
 
 from .demand import DemandGraph
@@ -260,15 +261,17 @@ def greedy_list_color(
 
 
 def choose_semiregular_targets(D: DemandGraph) -> tuple[int, int]:
-    """Smallest feasible semiregular degree pair (targetA, targetB)."""
+    """Smallest feasible semiregular degree pair (targetA, targetB).
+
+    a*t is a multiple of b exactly when t is one of b // gcd(a, b), and then
+    t*a/b >= Δ_B when t >= ceil(Δ_B*b/a); t is the least such multiple >= Δ_A.
+    """
+    a, b = D.a, D.b
     degs = D.degree_map()
-    da = max(degs[: D.a])
-    db = max(degs[D.a :])
-    t = da
-    while True:
-        if (D.a * t) % D.b == 0 and (D.a * t) // D.b >= db:
-            return t, (D.a * t) // D.b
-        t += 1
+    step = b // gcd(a, b)
+    low = max(max(degs[:a]), -(-max(degs[a:]) * b // a))
+    t = -(-low // step) * step
+    return t, a * t // b
 
 
 def regularize(D: DemandGraph, target_a: int, target_b: int) -> DemandGraph:

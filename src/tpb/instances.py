@@ -5,8 +5,10 @@ Instance files are DIMACS-flavoured: `c` comment lines, one
 vertex indices (repeated lines accumulate).  The header's m is at most
 a*b, because at most a*b edge-disjoint routes fit in K_{a,b}, and at
 most MAX_DEMANDS = 1 000 000; a and b are each at most MAX_VERTICES =
-1 000 000, because the solvers allocate per vertex of the header.  So a
-file cannot ask for more memory than its demands and vertices can use.
+1 000 000, because the solvers allocate per vertex of the header.  The
+caps do not bound what a solver builds from a file: `solve_quarter` pads
+to a*Δ_A demands, 8 000 000 for `p tpb 8000 4000 1000` with 1000 demands
+at one class-A vertex.
 Edge ids are assigned in file order, expanding multiplicities in line order.
 The canonical form sorts edge lines by (i, j) with multiplicities
 merged, which makes the serialize/parse round trip the identity.

@@ -140,43 +140,41 @@ def _bits(m: int) -> Iterator[int]:
         m ^= low
 
 
-def _extend(
-    level, m: int, nxt: int, remaining: int, p_nxt: int, p_cur: int, on_nxt: int, on_cur: int
-):
+def _extend(level, m: int, nxt: int, remaining: int, on_nxt: int, on_cur: int):
     """Extend a demand's partial path by `remaining` >= 3 edges to its B end.
 
     `level` holds the demand's path so far, its B end, whether it is the
     last demand on its pair, the bitmasks of each side's possible
-    intermediates that are not fresh, the bits of each side's fresh ones
-    in order, the free-edge bitmasks, `commit` and `retract`, which
-    apply and undo a complete path, and `tick`, which counts a step of
-    the search.  The next vertex is one of the bits of
-    m, on side nxt: a possible intermediate, off the path, joined to the
-    path's end by a free edge.  p_s is the number of fresh vertices and
-    on_s the bitmask of the vertices of side s on the path.  A fresh
-    vertex may be crossed only if it is the lowest one of its side that
-    the path does not cross yet.  A vertex after which the path cannot go
-    on is skipped without a call.  A module function rather than a closure
-    in `decide`, so that no level leaves a reference cycle for the garbage
+    intermediates that are not fresh and of those that are, the free-edge
+    bitmasks, `commit` and `retract`, which apply and undo a complete
+    path, and `tick`, which counts a step of the search.  The next vertex
+    is one of the bits of m, on side nxt: a possible intermediate, off the
+    path, joined to the path's end by a free edge.  on_s is the bitmask of
+    the vertices of side s on the path.  A fresh vertex may be crossed
+    only as the lowest fresh one of its side off the path, so a call costs
+    what its masks cost.  A vertex after which the path cannot go on is
+    skipped without a call.  A module function rather than a closure in
+    `decide`, so that no level leaves a reference cycle for the garbage
     collector: the verdict's memory is all that a call keeps.
     """
     seq, bj, last_demand, inner, fresh, fm, commit, retract, tick = level
     tick()
-    low_fresh = fresh[nxt][p_nxt]
+    cur = 1 - nxt
+    spare = fresh[cur] & ~on_cur
+    allowed = (inner[cur] | spare & -spare) & ~on_cur
     while m:
         bit = m & -m
         m ^= bit
         w = bit.bit_length() - 1
         if remaining > 3:
-            after = fm[nxt][w] & (inner[1 - nxt] | fresh[1 - nxt][p_cur]) & ~on_cur
+            after = fm[nxt][w] & allowed
             if after:
-                q = p_nxt + 1 if bit == low_fresh else p_nxt
                 seq.append(w)
-                yield from _extend(level, after, 1 - nxt, remaining - 1, p_cur, q, on_cur, on_nxt | bit)
+                yield from _extend(level, after, cur, remaining - 1, on_cur, on_nxt | bit)
                 seq.pop()
             continue
         # w is on side B; the last intermediate, on side A, is chosen here
-        last = fm[1][w] & fm[1][bj] & (inner[0] | fresh[0][p_cur]) & ~on_cur
+        last = fm[1][w] & fm[1][bj] & allowed
         seq.append(w)
         while last:
             x = last & -last
@@ -195,7 +193,10 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
     """Decide resolvability of a bipartite demand graph in K_{a,b}.
 
     A resolution is the lexicographically first routing R* of the module
-    docstring; `nodes_explored` counts the paths tried.
+    docstring; `nodes_explored` counts the paths tried.  Every vertex set
+    is a bitmask, and only the demands' ends are visited one by one, so
+    beyond one list entry per vertex, set-up and each level cost what the
+    demands and the masks cost, however many vertices have no demand.
     """
     if not D.is_bipartite_demand():
         raise PreconditionError("the oracle decides class-crossing demand graphs")
@@ -204,48 +205,52 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
     degs = D.degree_map()
     mult = Counter(e.pair() for e in links.values())
 
+    # Sides are 0 (class A) and 1 (class B).  cnt_s[v] counts the unrouted
+    # demands at v on side s, and ends_s holds the vertices with demands.
+    # Bitmasks over the other side: fm_s[v] holds the w whose base edge to
+    # v is free, and pm_s[v] v's partners in unrouted demands.  Over side
+    # s: touched_s holds the vertices with a demand or a used base edge,
+    # and hi_s those with slack (free edges less unrouted demands) at least
+    # 2, at the root every vertex without demands unless the other side has
+    # one vertex.  The saturation cut finds fm_a[i] & (pm_a[i] | hi_b)
+    # usable for A_i, all of pm_a[i] | hi_b at the root, and a vertex
+    # without demands needs none.
+    cnt_a, cnt_b = degs[:a], degs[a:]
+    pm_a, pm_b = [0] * a, [0] * b
+    for i, j in mult:
+        pm_a[i] |= 1 << (j - a)
+        pm_b[j - a] |= 1 << i
+    ends_a, ends_b = {i for i, _ in mult}, {j - a for _, j in mult}
+    touched_a, touched_b = sum(1 << i for i in ends_a), sum(1 << j for j in ends_b)
+    full_a, full_b = (1 << a) - 1, (1 << b) - 1
+    hi_a = full_a & ~sum(1 << i for i in ends_a if b - cnt_a[i] < 2) if b >= 2 else 0
+    hi_b = full_b & ~sum(1 << j for j in ends_b if a - cnt_b[j] < 2) if a >= 2 else 0
+    if any(cnt_a[i] > (pm_a[i] | hi_b).bit_count() for i in ends_a) or any(
+        cnt_b[j] > (pm_b[j] | hi_a).bit_count() for j in ends_b
+    ):
+        return OracleVerdict(UNRESOLVABLE, None, 0)
+    fm_a, fm_b = fm = [full_b] * a, [full_a] * b
+
     def key(eid):
         e = links[eid]
         return (-mult[e.pair()], -(degs[e.u] + degs[e.v]), e.pair(), eid)
 
-    # Sides are 0 (class A) and 1 (class B).  cnt[s][v] counts the
-    # unrouted demands at v on side s.
     demands = []
-    cnt_a, cnt_b = cnt = ([0] * a, [0] * b)
     for eid in sorted(links, key=key):
         i, j = links[eid].pair()
         demands.append((eid, i, j - a))
-        cnt_a[i] += 1
-        cnt_b[j - a] += 1
     depth = len(demands)
-
-    # Bitmasks over the other side: fm_s[v] holds the w whose base edge to
-    # v on side s is free, and pm_s[v] v's partners in unrouted demands.
-    # hi_s holds the vertices of side s with slack (free edges less
-    # unrouted demands) at least 2.  The vertices usable for A_i in the
-    # saturation cut are fm_a[i] & (pm_a[i] | hi_b).
-    size = (a, b)
-    full = ((1 << b) - 1, (1 << a) - 1)
-    fm_a, fm_b = fm = [full[0]] * a, [full[1]] * b
-    pm_a, pm_b = [0] * a, [0] * b
-    for _, ai, bj in demands:
-        pm_a[ai] |= 1 << bj
-        pm_b[bj] |= 1 << ai
-    hi_a = sum(1 << i for i, c in enumerate(cnt_a) if b - c >= 2)
-    hi_b = sum(1 << j for j, c in enumerate(cnt_b) if a - c >= 2)
-    if any(cnt_a[i] > (fm_a[i] & (pm_a[i] | hi_b)).bit_count() for i in range(a)) or any(
-        cnt_b[j] > (fm_b[j] & (pm_b[j] | hi_a)).bit_count() for j in range(b)
-    ):
-        return OracleVerdict(UNRESOLVABLE, None, 0)
-
     # The crossings the sides admit at the root: the smaller sum of slack // 2.
-    cross = min(sum((b - c) // 2 for c in cnt_a), sum((a - c) // 2 for c in cnt_b))
+    cross = min(
+        sum((b - cnt_a[i]) // 2 for i in ends_a) + (a - len(ends_a)) * (b // 2),
+        sum((a - cnt_b[j]) // 2 for j in ends_b) + (b - len(ends_b)) * (a // 2),
+    )
     # Parallel demands are adjacent in the key order: repeat[k] says that
     # demand k is on the pair of demand k - 1.
     repeat = [k > 0 and demands[k - 1][1:] == d[1:] for k, d in enumerate(demands)]
 
     seqs: list[list[int]] = [[] for _ in range(depth)]  # the committed path of each level
-    saved: list[tuple[int, int, int, int]] = []  # hi_a, hi_b, pm_a[ai], pm_b[bj] before each commit
+    saved: list[tuple[int, ...]] = []  # hi_s, touched_s, pm_a[ai], pm_b[bj] before each commit
     used_total = 0
     nodes = steps = 0
     max_nodes = budget.max_nodes
@@ -263,13 +268,13 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
         # Count a node and route the demand seq[0]-seq[-1] along seq;
         # last_demand says whether it is the last one on its pair.
         # Returns whether the saturation cut still holds.
-        nonlocal used_total, nodes, hi_a, hi_b
+        nonlocal used_total, nodes, hi_a, hi_b, touched_a, touched_b
         nodes += 1
         if nodes > max_nodes:
             raise _BudgetExceeded
         tick()
         ai, bj = seq[0], seq[-1]
-        saved.append((hi_a, hi_b, pm_a[ai], pm_b[bj]))
+        saved.append((hi_a, hi_b, touched_a, touched_b, pm_a[ai], pm_b[bj]))
         As, Bs = seq[::2], seq[1::2]
         for i, j in zip(As, Bs):
             fm_a[i] ^= 1 << j
@@ -283,6 +288,8 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
         for i, j in zip(inner_a, Bs):
             fm_a[i] ^= 1 << j
             fm_b[j] ^= 1 << i
+            touched_a |= 1 << i
+            touched_b |= 1 << j
             if fm_a[i].bit_count() < cnt_a[i] + 2:
                 hi_a ^= 1 << i
                 shrunk_b |= fm_a[i] & ~pm_a[i]
@@ -311,9 +318,9 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
 
     def retract(seq: list[int]) -> None:
         # Undo commit(seq).
-        nonlocal used_total, hi_a, hi_b
+        nonlocal used_total, hi_a, hi_b, touched_a, touched_b
         ai, bj = seq[0], seq[-1]
-        hi_a, hi_b, pm_a[ai], pm_b[bj] = saved.pop()
+        hi_a, hi_b, touched_a, touched_b, pm_a[ai], pm_b[bj] = saved.pop()
         Bs = seq[1::2]
         for i, j in chain(zip(seq[::2], Bs), zip(seq[2::2], Bs)):
             fm_a[i] ^= 1 << j
@@ -331,26 +338,17 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
         spare = a * b - used_total - 3 * rest
         left = cross - (used_total - k) // 2
         if spare < 0 or left < rest:
-            direct = sum((f & p).bit_count() for f, p in zip(fm_a, pm_a))
+            direct = sum((fm_a[i] & pm_a[i]).bit_count() for i in ends_a)
             if spare + 2 * direct < 0 or left < rest - direct:
                 return
         _, ai, bj = demands[k]
         seq = seqs[k] = [ai]
         # The possible intermediates of each side: crossing v takes two free
         # edges, and each unrouted demand at v needs one more.  inner[s]
-        # holds those that are not fresh, and fresh[s] the bits of the
-        # fresh ones in increasing order, then 0.
-        inner = [0, 0]
-        fresh: tuple[list[int], ...] = ([], [])
-        for s, end, h in ((0, ai, hi_a), (1, bj, hi_b)):
-            c, f, fs = cnt[s], fm[s], full[s]
-            for v in range(size[s]):
-                if v != end and h >> v & 1:
-                    if c[v] or f[v] != fs:
-                        inner[s] |= 1 << v
-                    else:
-                        fresh[s].append(1 << v)
-            fresh[s].append(0)
+        # holds those that are touched, and fresh[s] the others.
+        possible_a, possible_b = hi_a & ~(1 << ai), hi_b & ~(1 << bj)
+        inner = (possible_a & touched_a, possible_b & touched_b)
+        fresh = (possible_a ^ inner[0], possible_b ^ inner[1])
         last_demand = k + 1 == depth or not repeat[k + 1]
         level = (seq, bj, last_demand, inner, fresh, fm, commit, retract, tick)
         if repeat[k]:
@@ -369,10 +367,10 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
                 retract(seq)
                 seq.pop()
         # A path of length 2t + 1 crosses t intermediates of each side.
-        t = min(inner[s].bit_count() + len(fresh[s]) - 1 for s in (0, 1))
-        step = fm_a[ai] & (inner[1] | fresh[1][0])
+        t = min(possible_a.bit_count(), possible_b.bit_count())
+        step = fm_a[ai] & (inner[1] | fresh[1] & -fresh[1])
         for length in range(max(first, 3), 2 * t + 2, 2):
-            yield from _extend(level, step & above if length == first else step, 1, length, 0, 0, 0, 0)
+            yield from _extend(level, step & above if length == first else step, 1, length, 0, 0)
 
     try:
         found = search(depth, choices)

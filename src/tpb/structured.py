@@ -133,7 +133,7 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
     pairs = []
     for blk in blocks:
         pairs += deficit_pairs({i: t - degs[i] for i in blk}, {j: t - degs[n + j] for j in blk})
-    padded = D.with_slots((i, n + j) for i, j in pairs)
+    padded = _ids_as_labels(D.with_slots((i, n + j) for i, j in pairs))
 
     # Lift the j-th perfect matching of every block onto the block's j-th A-vertex.
     moves = []
@@ -146,7 +146,7 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
                 raise StructuralError(f"block {k + 1}: matching {j} is not perfect")
             moves += ((eid, blk[j]) for eid in sorted(matching))
     G = lift(padded, moves)
-    first = {padded.links[eid].label: z for eid, z in moves}
+    first = dict(moves)
 
     # Route each block's within-class edges of color c via the c-th B-vertex of the others.
     second: dict[int, int] = {}
@@ -221,7 +221,7 @@ def solve_quarter(D: DemandGraph) -> Resolution:
     ta, tb = choose_semiregular_targets(T)
     if 4 * ta > T.b:
         raise PreconditionError(f"{_DECLINE}: class-A degree {ta} exceeds b/4 = {T.b / 4:g}")
-    reg = regularize(T, ta, tb)
+    reg = _ids_as_labels(regularize(T, ta, tb))
     matchings = konig_decompose(reg)
     if len(matchings) != tb:
         raise StructuralError("semiregular graph did not split into Δ_B matchings")
@@ -236,14 +236,24 @@ def solve_quarter(D: DemandGraph) -> Resolution:
     col = greedy_list_color(within, range(G.a, G.a + G.b), excluded, max_nodes=budget)
     if col is None:
         raise PreconditionError(f"{_DECLINE}: the list coloring gave up within {budget} nodes")
-    first = {reg.links[eid].label: z for eid, z in moves}
-    return _routes(D, T, first, {G.links[eid].label: c for eid, c in col.items()})
+    return _routes(D, T, dict(moves), {G.links[eid].label: c for eid, c in col.items()})
+
+
+def _ids_as_labels(D: DemandGraph) -> DemandGraph:
+    """D with each edge labelled by its id, so that every piece a lift makes names its edge.
+
+    D's labels may repeat, as in an `induced` subgraph of a lifted graph; D is
+    returned as is when every label is its edge's id already.
+    """
+    if all(e.label == eid for eid, e in D.links.items()):
+        return D
+    return DemandGraph(D.a, D.b, {eid: e._replace(label=eid) for eid, e in D.links.items()}, D.next_fresh_id)
 
 
 def _routes(D: DemandGraph, T: DemandGraph, first: dict[int, int], second: dict[int, int]) -> Resolution:
     """Each demand's route x, c, z, y, or x, y where stage 1 left it in place, via `checked_resolution`.
 
-    z and c are its label's targets in `first` and `second`.  Routes are on D's slots
+    z and c are its targets in `first` and `second`, keyed by edge id.  Routes are on D's slots
     (T is D or its transpose) and start at the end D lists first.
     """
     back = None if T is D else [*range(T.b, T.b + T.a), *range(T.b)]
@@ -251,8 +261,8 @@ def _routes(D: DemandGraph, T: DemandGraph, first: dict[int, int], second: dict[
     for eid in sorted(T.links):
         e = T.links[eid]
         x, y = e.pair()  # class A sorts first
-        z = first[e.label]
-        route = (x, y) if z == x else (x, second[e.label], z, y)
+        z = first[eid]
+        route = (x, y) if z == x else (x, second[eid], z, y)
         route = route if e.u == x else route[::-1]
         routes[eid] = route if back is None else tuple(back[s] for s in route)
     return checked_resolution(D, routes)

@@ -358,6 +358,25 @@ def test_targets_divisibility():
     assert choose_semiregular_targets(D) == (2, 3)
 
 
+def test_targets_match_the_search_they_replace():
+    def searched(a, b, da, db):
+        # the least t >= da with a*t divisible by b and a*t/b >= db, by trial
+        t = da
+        while (a * t) % b or (a * t) // b < db:
+            t += 1
+        return t, (a * t) // b
+
+    rng = random.Random(3)
+    for a, b in product(range(1, 13), repeat=2):
+        for _ in range(4):
+            # edges skewed towards low indices, so the two maxima vary apart
+            pairs = [(A(rng.randrange(rng.randint(1, a))), B(rng.randrange(rng.randint(1, b))))
+                     for _ in range(rng.randint(0, 3 * max(a, b)))]
+            D = DemandGraph.from_pairs(a, b, pairs)
+            degs = D.degree_map()
+            assert choose_semiregular_targets(D) == searched(a, b, max(degs[:a]), max(degs[a:])), (a, b, pairs)
+
+
 def test_regularize_identity_when_semiregular():
     D = DemandGraph.from_pairs(2, 2, [(A(0), B(0)), (A(1), B(1))])
     R = regularize(D, 1, 1)

@@ -2,6 +2,7 @@
 import hashlib
 import random
 import time
+import tracemalloc
 from collections import Counter
 from itertools import permutations, product
 
@@ -326,6 +327,24 @@ def test_decide_beyond_the_recursion_limit():
     assert v.status == RESOLVABLE
     assert verify_resolution(D, v.resolution) == []
     assert v.nodes_explored == 1200
+
+
+def test_wide_headers_cost_what_their_demands_cost():
+    # one demand in K_{n,n-1}: the fresh vertices are one mask per side, so
+    # the peak grows about linearly in n; a list of one mask per fresh
+    # vertex would grow as n^2
+    peaks = []
+    for n in (10_000, 40_000):
+        D = DemandGraph.from_pairs(n, n - 1, [(A(n // 2), B(n // 2))])
+        tracemalloc.start()
+        try:
+            v = decide(D, BUDGET)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (v.status, v.nodes_explored) == (RESOLVABLE, 1)
+    assert peaks[1] <= 6 * peaks[0]
+    assert peaks[1] <= 8 * 2**20
 
 
 def _trail_choices(options, trail, tried):

@@ -399,6 +399,18 @@ def test_quarter_routes_equal_extraction_after_a_second_lift(stages, seed, a, b,
     assert res.routes == reference_extract(final if a >= b else final.transpose(), D)
 
 
+def with_one_label(D):
+    # a valid graph whose labels all repeat, as in `induced` of a lifted graph
+    return DemandGraph(D.a, D.b, {eid: e._replace(label=0) for eid, e in D.links.items()}, D.next_fresh_id)
+
+
+def test_structured_solvers_key_lift_targets_by_edge_id():
+    D = gen_random_semiregular(16, 16, 2, 0)
+    assert solve_quarter(with_one_label(D)).routes == solve_quarter(D).routes
+    D = gen_random_blocked(12, (4, 4, 4), 1)
+    assert solve_blocked(with_one_label(D), (4, 4, 4)).routes == solve_blocked(D, (4, 4, 4)).routes
+
+
 def test_structured_solvers_audit_their_routes(monkeypatch, tmp_path, capsys):
     # every within-class edge onto the same class-B vertex: routes share base edges
     monkeypatch.setattr(tpb.structured, "vizing_color", lambda H: dict.fromkeys(H.links, 0))
