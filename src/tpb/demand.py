@@ -6,7 +6,8 @@ path in the base graph.  Inside the package a vertex is an int slot: A_i
 is i and B_j is a + j, so `u < a` tells the class and slots sort like
 `V`s.  `V` (from `A` and `B`) is only the boundary: `from_pairs` and
 `with_edges` take and check it, `DemandGraph.edges` shows it, and
-`Resolution` paths are made of it, from one cache of V objects per call.
+`Resolution.routes` is made of it.  A solver's `Resolution` holds slot
+routes and builds those `V` paths only when a caller first reads them.
 
 Each physical edge carries a stable id plus a lineage label.  Lifting an
 edge to a vertex replaces it by a two-edge detour that inherits the
@@ -20,7 +21,8 @@ order as it makes them, and `extract_resolution` expands every demand
 from those records down to its final edges as slot tuples, cutting the
 cycles out of a walk that revisits a vertex.  `verify_routes` checks
 slot routes (`verify_resolution` a `Resolution`'s), and the solvers'
-one exit `checked_resolution` builds `V` paths only after that check.
+one exit `checked_resolution` wraps them, once checked, in a
+slot-backed `Resolution` without making any `V`.
 """
 from __future__ import annotations
 
@@ -78,11 +80,36 @@ class Path(NamedTuple):
         return len(self.vertices) - 1
 
 
-@dataclass
 class Resolution:
-    """Routes mapping each original demand-edge id to its path."""
+    """Routes mapping each original demand-edge id to its path.
 
-    routes: dict[int, Path]
+    `Resolution(routes)` holds `V` paths.  A solver's resolution comes from
+    `of_slots`: it holds its slot routes in `slots`, with the class-A size
+    `a` that reads them, and builds `routes` from them on first read.
+    """
+
+    def __init__(self, routes: dict[int, Path]):
+        self.routes = routes
+        self.slots: dict[int, tuple[int, ...]] | None = None
+        self.a = 0
+
+    @classmethod
+    def of_slots(cls, a: int, slots: dict[int, tuple[int, ...]]) -> "Resolution":
+        res = cls.__new__(cls)
+        res.slots, res.a = slots, a
+        return res
+
+    @cached_property
+    def routes(self) -> dict[int, Path]:
+        a = self.a
+        vertex = cache(lambda s: V(SIDE_A, s) if s < a else V(SIDE_B, s - a))
+        return {eid: Path(tuple(map(vertex, route))) for eid, route in self.slots.items()}
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Resolution) and self.routes == other.routes
+
+    def __repr__(self) -> str:
+        return f"Resolution(routes={self.routes!r})"
 
 
 @dataclass(frozen=True)
@@ -265,15 +292,14 @@ def extract_resolution(
 
 
 def checked_resolution(D: DemandGraph, routes: dict[int, tuple[int, ...]]) -> Resolution:
-    """A constructive solver's slot routes as a `Resolution`, built once they pass `verify_routes`.
+    """A constructive solver's slot routes as a slot-backed `Resolution`, once they pass `verify_routes`.
 
     Any problem is a solver bug and raises StructuralError naming every problem.
     """
     problems = verify_routes(D, routes)
     if problems:
         raise StructuralError("solver produced an invalid resolution: " + "; ".join(problems))
-    vertex = cache(D.vertex)
-    return Resolution({eid: Path(tuple(map(vertex, route))) for eid, route in routes.items()})
+    return Resolution.of_slots(D.a, routes)
 
 
 def verify_resolution(D: DemandGraph, res: Resolution) -> list[str]:
@@ -282,15 +308,20 @@ def verify_resolution(D: DemandGraph, res: Resolution) -> list[str]:
 
 
 def verify_routes(D: DemandGraph, routes: dict[int, tuple], slot: Callable | None = None) -> list[str]:
-    """`verify_resolution` for slot routes in [0, a+b), or for `V` routes whose vertices `slot` maps to slots."""
-    problems = [f"edge {eid}: no route" for eid in sorted(D.links) if eid not in routes]
+    """`verify_resolution` for slot routes in [0, a+b), or for `V` routes whose vertices `slot` maps to slots.
+
+    One pass per route: a route alternates iff its even and its odd
+    positions each lie in one class, told apart by their min and max.
+    """
+    links = D.links
+    problems = [f"edge {eid}: no route" for eid in sorted(links.keys() - routes.keys())]
     a, n = D.a, D.a + D.b
-    sound: dict[int, tuple[int, ...] | list[int]] = {}
+    sound: list[tuple[int, tuple[int, ...] | list[int]]] = []
     for eid in sorted(routes):
-        if eid not in D.links:
+        e = links.get(eid)
+        if e is None:
             problems.append(f"route {eid}: unknown demand edge")
             continue
-        e = D.links[eid]
         vs = ss = routes[eid]
         if len(vs) < 2:
             problems.append(f"route {eid}: needs at least one edge")
@@ -308,27 +339,25 @@ def verify_routes(D: DemandGraph, routes: dict[int, tuple], slot: Callable | Non
         elif min(ss) < 0 or max(ss) >= n:
             problems.append(f"route {eid}: vertex {next(w for w in ss if not 0 <= w < n)} outside base graph")
             continue
-        ok = True
-        if any((x < a) == (y < a) for x, y in zip(ss, ss[1:])):
+        even, odd = ss[::2], ss[1::2]
+        ok = max(even) < a <= min(odd) or max(odd) < a <= min(even)
+        if not ok:
             problems.append(f"route {eid}: consecutive vertices do not alternate classes")
-            ok = False
         if len(set(ss)) != len(ss):
             problems.append(f"route {eid}: repeats a vertex")
             ok = False
-        if {ss[0], ss[-1]} != {e.u, e.v}:
+        x, y = ss[0], ss[-1]
+        if not (x == e.u and y == e.v or x == e.v and y == e.u):
             problems.append(f"route {eid}: endpoints differ from the demand edge")
             ok = False
         if ok:
-            sound[eid] = ss
+            sound.append((eid, ss))
     usage: dict[int, int] = {}
-    for eid, ss in sound.items():
+    for eid, ss in sound:
         for x, y in zip(ss, ss[1:]):
             key = x * n + y if x < y else y * n + x
-            if key in usage and usage[key] != eid:
+            first = usage.setdefault(key, eid)
+            if first != eid:
                 lo, hi = divmod(key, n)
-                problems.append(
-                    f"base edge {D.vertex(lo)}-{D.vertex(hi)} used by routes {usage[key]} and {eid}"
-                )
-            else:
-                usage[key] = eid
+                problems.append(f"base edge {D.vertex(lo)}-{D.vertex(hi)} used by routes {first} and {eid}")
     return problems

@@ -468,7 +468,7 @@ def _base_case(L: LevelState, trace: CaseTrace) -> None:
     nid = L.next_fresh_id
     for eid in sorted(C.links):
         e = C.links[eid]
-        vs = [alive[C.slot(w)] for w in verdict.resolution.routes[eid].vertices]
+        vs = [alive[s] for s in verdict.resolution.slots[eid]]
         L.split[eid] = (vs[0], tuple(range(nid, nid + len(vs) - 1)))
         for x, y in zip(vs, vs[1:]):
             edges[nid] = Edge(nid, e.label, x, y)

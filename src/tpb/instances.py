@@ -5,20 +5,22 @@ Instance files are DIMACS-flavoured: `c` comment lines, one
 vertex indices (repeated lines accumulate).  The header's m is at most
 a*b, because at most a*b edge-disjoint routes fit in K_{a,b}, and at
 most MAX_DEMANDS = 1 000 000; a and b are each at most MAX_VERTICES =
-1 000 000, because the solvers allocate per vertex of the header.  The
-caps do not bound what a solver builds from a file: `solve_quarter` pads
-to a*Δ_A demands, 8 000 000 for `p tpb 8000 4000 1000` with 1000 demands
-at one class-A vertex.
+1 000 000, because the solvers allocate per vertex of the header.
+`solve_quarter` pads to a*Δ_A demands and declines when that exceeds
+MAX_DEMANDS, as it would for `p tpb 8000 4000 1000` with 1000 demands at
+one class-A vertex.  `solve_blocked` still pads to n*floor(n/3) demands,
+whatever the file holds.
 Edge ids are assigned in file order, expanding multiplicities in line order.
 The canonical form sorts edge lines by (i, j) with multiplicities
 merged, which makes the serialize/parse round trip the identity.
 Resolution files carry an `s SOLVED|UNSOLVED|UNKNOWN` line and one `r`
-record per route.
+record per route; a slot-backed `Resolution` is written from its slots.
 """
 from __future__ import annotations
 
 import random
 from collections import Counter
+from functools import cache
 from itertools import repeat
 
 from .demand import A, B, SIDE_A, DemandGraph, Path, Resolution, V
@@ -237,7 +239,10 @@ def _vertex_token(v: V) -> str:
 
 
 def serialize_resolution(res: Resolution | None, status: str = SOLVED) -> str:
-    """Resolution text; routes are oriented to start at the class-A terminal."""
+    """Resolution text; routes are oriented to start at the class-A terminal.
+
+    A slot-backed resolution is written from its slots, without its `V` paths.
+    """
     if status not in (SOLVED, UNSOLVED, UNKNOWN_STATUS):
         raise FormatError(f"unknown status {status!r}")
     if status != SOLVED:
@@ -245,12 +250,20 @@ def serialize_resolution(res: Resolution | None, status: str = SOLVED) -> str:
     if res is None:
         raise FormatError("a SOLVED file needs a resolution")
     lines = ["s SOLVED"]
-    for eid in sorted(res.routes):
-        vs = res.routes[eid].vertices
-        if vs and vs[0].side != SIDE_A:
-            vs = tuple(reversed(vs))
-        toks = " ".join(_vertex_token(v) for v in vs)
-        lines.append(f"r {eid} {len(vs) - 1} {toks}")
+    if res.slots is None:
+        for eid in sorted(res.routes):
+            vs = res.routes[eid].vertices
+            if vs and vs[0].side != SIDE_A:
+                vs = vs[::-1]
+            lines.append(f"r {eid} {len(vs) - 1} {' '.join(map(_vertex_token, vs))}")
+    else:
+        a, slots = res.a, res.slots
+        token = cache(lambda s: f"a{s + 1}" if s < a else f"b{s - a + 1}")
+        for eid in sorted(slots):
+            ss = slots[eid]
+            if ss[0] >= a:
+                ss = ss[::-1]
+            lines.append(f"r {eid} {len(ss) - 1} {' '.join(map(token, ss))}")
     return "\n".join(lines) + "\n"
 
 

@@ -75,11 +75,10 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
 from itertools import chain, permutations
 from typing import Callable, Iterator
 
-from .demand import DemandGraph, Path, Resolution
+from .demand import DemandGraph, Resolution
 from .errors import PreconditionError
 
 RESOLVABLE = "resolvable"
@@ -378,14 +377,8 @@ def decide(D: DemandGraph, budget: SearchBudget) -> OracleVerdict:
         return OracleVerdict(UNKNOWN, None, nodes)
     if not found:
         return OracleVerdict(UNRESOLVABLE, None, nodes)
-    # The paths share one V per vertex, so a verdict holds little more
-    # than its paths.
-    vertex = cache(D.vertex)
-    routes = {
-        eid: Path(tuple(vertex(x + a * (t % 2)) for t, x in enumerate(seq)))
-        for (eid, _, _), seq in zip(demands, seqs)
-    }
-    return OracleVerdict(RESOLVABLE, Resolution(routes), nodes)
+    routes = {eid: tuple(x + a * (t % 2) for t, x in enumerate(seq)) for (eid, _, _), seq in zip(demands, seqs)}
+    return OracleVerdict(RESOLVABLE, Resolution.of_slots(a, routes), nodes)
 
 
 # -- exhaustive instance enumeration ----------------------------------------

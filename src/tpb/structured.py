@@ -34,6 +34,7 @@ from .coloring import (
 from .demand import DemandGraph, Resolution, checked_resolution, lift
 from .demand import extract_resolution  # noqa: F401 -- perfbench/spans.py HOOKS rebinds it here
 from .errors import PreconditionError, StructuralError
+from .instances import MAX_DEMANDS
 
 _DECLINE = "degree-bounded solver could not resolve the instance"
 
@@ -206,12 +207,13 @@ def solve_quarter(D: DemandGraph) -> Resolution:
     Success is guaranteed when the semiregularized class-A degree is at
     most floor((b+1)/6); anything up to b/4 is attempted, with the list
     coloring allowed bounded backtracking before giving up.  A class-A
-    degree above b/4, or a list coloring that gives up, raises
-    PreconditionError.  The class-B target of a within-class edge is
-    excluded from the cross neighbours of both its ends, and those include
-    the B end of its label class, so no path passes through its own
-    class-B terminal.  When a < b the construction runs on the transposed
-    instance, whose routes are mapped back to D's slots.
+    degree above b/4, padding to more than MAX_DEMANDS demands, or a list
+    coloring that gives up, raises PreconditionError.  The class-B target
+    of a within-class edge is excluded from the cross neighbours of both
+    its ends, and those include the B end of its label class, so no path
+    passes through its own class-B terminal.  When a < b the construction
+    runs on the transposed instance, whose routes are mapped back to D's
+    slots.
     """
     if not D.is_bipartite_demand():
         raise PreconditionError("solve_quarter needs a class-crossing demand graph")
@@ -221,6 +223,8 @@ def solve_quarter(D: DemandGraph) -> Resolution:
     ta, tb = choose_semiregular_targets(T)
     if 4 * ta > T.b:
         raise PreconditionError(f"{_DECLINE}: class-A degree {ta} exceeds b/4 = {T.b / 4:g}")
+    if T.a * ta > MAX_DEMANDS:
+        raise PreconditionError(f"{_DECLINE}: padding to {T.a * ta} demands exceeds the limit of {MAX_DEMANDS}")
     reg = _ids_as_labels(regularize(T, ta, tb))
     matchings = konig_decompose(reg)
     if len(matchings) != tb:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, files, reproducibility."""
 import hashlib
+import time
 from collections import Counter
 
 import pytest
@@ -9,8 +10,9 @@ import tpb.demand
 import tpb.edge_solver
 import tpb.instances
 import tpb.structured
+from tpb import A, B, DemandGraph, Path, PreconditionError, Resolution, verify_resolution
 from tpb.cli import main
-from tpb.instances import parse_instance, parse_resolution
+from tpb.instances import parse_instance, parse_resolution, serialize_resolution
 
 
 def run(*argv):
@@ -58,6 +60,71 @@ def test_solve_verifies_each_resolution_once(tmp_path, monkeypatch, capsys):
     calls.clear()
     assert run("solve", "--in", str(inst), "--algo", "oracle") == 0
     assert calls == {"resolution": 1, "routes": 1}
+
+
+def test_solve_builds_no_path(tmp_path, monkeypatch, capsys):
+    # a constructive solver's routes stay on slots from the solver to the
+    # file; the V paths are built only when a caller reads `routes`
+    built = Counter()
+    real_new = Path.__new__
+
+    def counting_new(cls, *args):
+        built["path"] += 1
+        return real_new(cls, *args)
+
+    solved = []
+
+    def keeping(real):
+        def wrapper(*args):
+            result = real(*args)
+            solved.append(result[0] if isinstance(result, tuple) else result)
+            return result
+        return wrapper
+
+    for name in ("solve_edge_version", "solve_blocked", "solve_quarter"):
+        monkeypatch.setattr(tpb.cli, name, keeping(getattr(tpb.cli, name)))
+    monkeypatch.setattr(Path, "__new__", counting_new)
+    inst = tmp_path / "solve.tpb"
+    sol = tmp_path / "solve.sol"
+    for gen, algo in (
+        (("--family", "random-edge", "--n", "8"), ("edge",)),  # ends in the oracle's base case
+        (("--family", "random-blocked", "--n", "12"), ("blocked", "--blocks", "4,4,4")),
+        (("--family", "random-semiregular", "--n", "16", "--delta-a", "2"), ("quarter",)),
+    ):
+        assert run("gen", *gen, "--out", str(inst)) == 0
+        built.clear()
+        solved.clear()
+        assert run("solve", "--in", str(inst), "--algo", *algo, "--out", str(sol)) == 0
+        assert built["path"] == 0, algo
+        [res] = solved
+        D = parse_instance(inst.read_text())
+        assert res.routes == {eid: Path(tuple(map(D.vertex, route))) for eid, route in res.slots.items()}
+        assert res.routes == parse_resolution(sol.read_text())[1].routes  # the file's routes start in class A too
+        assert verify_resolution(D, res) == []
+        assert sol.read_text() == serialize_resolution(res) == serialize_resolution(Resolution(dict(res.routes)))
+    # a graph listed B-first gets routes that start in class B, which the file reverses
+    D = DemandGraph.from_pairs(8, 8, [(B(j), A(i)) for i, j in [(0, 1), (0, 1), (2, 3), (4, 2), (5, 5)]])
+    for res in (tpb.edge_solver.solve_edge_version(D)[0], tpb.structured.solve_quarter(D)):
+        assert all(route[0] >= D.a for route in res.slots.values())
+        text = serialize_resolution(res)
+        assert text == serialize_resolution(Resolution(dict(res.routes)))
+        assert all(line.split()[3].startswith("a") for line in text.splitlines()[1:])
+
+
+def test_quarter_declines_padding_beyond_the_demand_limit(tmp_path, capsys):
+    # a*Δ_A = 8000 * 1000 padded demands exceed MAX_DEMANDS, so the solver
+    # declines before it pads
+    inst = tmp_path / "wide.tpb"
+    inst.write_text("p tpb 8000 4000 1000\n" + "".join(f"e 1 {j}\n" for j in range(1, 1001)))
+    started = time.monotonic()
+    assert run("solve", "--in", str(inst), "--algo", "quarter") == 1
+    assert time.monotonic() - started < 5
+    assert capsys.readouterr().out.endswith(
+        "detail: degree-bounded solver could not resolve the instance: "
+        "padding to 8000000 demands exceeds the limit of 1000000\n"
+    )
+    with pytest.raises(PreconditionError, match="padding to 8000000 demands"):
+        tpb.structured.solve_quarter(parse_instance(inst.read_text()))
 
 
 def test_quarter_with_over_a_thousand_within_class_edges(tmp_path, capsys):

@@ -316,6 +316,41 @@ def test_verify_routes_flags_slot_outside_base_graph(w):
     assert verify_routes(D, {0: route}) == [f"route 0: vertex {w} outside base graph"]
 
 
+def test_verify_routes_reports_every_problem_in_order():
+    # one input that hits every message: missing routes first, then each
+    # route's problems in id order, then the base edges two sound routes share
+    D = g(3, 3, [(A(0), B(0))] * 6 + [(A(1), B(1)), (A(2), B(1)), (A(1), B(2))])
+    routes = {
+        9: (0, 3),  # no such demand
+        8: (0, 1, 0),  # no alternation, a repeat and wrong endpoints at once
+        1: (0,),
+        2: (0, 6, 1, 3),
+        3: (0, 1, 3),
+        4: (0, 4, 0, 3),  # shares A0-B1 with route 5, but neither is sound
+        5: (0, 4),
+        6: (1, 4),
+        7: (2, 5, 1, 4),
+    }
+    expected = [
+        "edge 0: no route",
+        "route 1: needs at least one edge",
+        "route 2: vertex 6 outside base graph",
+        "route 3: consecutive vertices do not alternate classes",
+        "route 4: repeats a vertex",
+        "route 5: endpoints differ from the demand edge",
+        "route 8: consecutive vertices do not alternate classes",
+        "route 8: repeats a vertex",
+        "route 8: endpoints differ from the demand edge",
+        "route 9: unknown demand edge",
+        f"base edge {A(1)}-{B(1)} used by routes 6 and 7",
+    ]
+    assert verify_routes(D, routes) == expected
+    # the same routes as V paths, where slot 6 is the vertex B(3) that K_{3,3} lacks
+    paths = Resolution({eid: Path(tuple(map(D.vertex, route))) for eid, route in routes.items()})
+    expected[2] = f"route 2: vertex {B(3)} outside base graph"
+    assert verify_resolution(D, paths) == expected
+
+
 def test_checked_resolution_is_the_one_exit():
     # routes that pass become V paths; any problem raises, naming every one
     D = g(3, 3, [(A(0), B(0)), (A(1), B(1))])
