@@ -13,7 +13,8 @@ size minus an edge's excluded colors exceeds the edge's adjacency count.
 All three keep each slot's colors as an int bitmask `used[w]`, and a
 choice takes the lowest free bit, the least color.  Kőnig and Vizing
 also keep `color[eid]` and `at[w]` (color to edge at slot w), and change
-that state only through `_paint` and the alternating-chain `_swap`.
+that state only through `_paint` and `_flip`, which swaps two colors
+along an alternating chain in one walk.
 """
 from __future__ import annotations
 
@@ -64,7 +65,7 @@ def konig_decompose(H: DemandGraph) -> list[frozenset[int]]:
             beta = _low(full & ~used[v])
             # The alpha/beta chain from v cannot reach u (parity), so after
             # the swap alpha is free at both endpoints.
-            _swap(links, at, used, color, _chain(links, at, v, alpha, beta)[0], alpha, beta)
+            _flip(links, at, used, color, v, alpha, beta)
             common = 1 << alpha
         _paint(at, used, color, eid, u, v, _low(common))
 
@@ -74,34 +75,38 @@ def konig_decompose(H: DemandGraph) -> list[frozenset[int]]:
     return [frozenset(m) for m in matchings]
 
 
-def _chain(links, at, start: int, c1: int, c2: int) -> tuple[list[int], int]:
-    """The c1/c2 alternating chain from `start` (first edge colored c1) and its far end.
+def _chain(links, at, start: int, c1: int, c2: int) -> int:
+    """The far end of the c1/c2 alternating chain from `start` (first edge colored c1).
 
     `at[w]` maps each color at slot w to its edge.  The chain is a simple
     path when c2 is free at `start`.
     """
-    chain = []
     w, c = start, c1
     while c in at[w]:
-        eid = at[w][c]
-        chain.append(eid)
-        w = links[eid].other(w)
+        w = links[at[w][c]].other(w)
         c = c2 if c == c1 else c1
-    return chain, w
+    return w
 
 
-def _swap(links, at, used, color: dict[int, int], chain: list[int], c1: int, c2: int) -> None:
-    """Exchange colors c1 and c2 on the chain's edges; `used[w]` is the bitmask of at[w]."""
-    for eid in chain:
-        e = links[eid]
-        cc = color[eid]
-        del at[e.u][cc]
-        del at[e.v][cc]
-        used[e.u] ^= 1 << cc
-        used[e.v] ^= 1 << cc
-    for eid in chain:
-        e = links[eid]
-        _paint(at, used, color, eid, e.u, e.v, c2 if color[eid] == c1 else c1)
+def _flip(links, at, used, color: dict[int, int], start: int, c1: int, c2: int) -> None:
+    """Swap c1 and c2 along the chain from `start`, whose first edge has c1 and where c2 is free.
+
+    Each edge takes its new color as the walk reaches it; only the chain's two ends change `used`.
+    """
+    w, c, d = start, c1, c2
+    eid = at[w].pop(c)
+    at[w][d] = eid
+    used[w] ^= 1 << c | 1 << d
+    while True:
+        color[eid] = d
+        w = links[eid].other(w)
+        at[w][d], eid = eid, at[w].get(d)  # the chain goes on along the edge that had d at w
+        if eid is None:
+            del at[w][c]
+            used[w] ^= 1 << c | 1 << d
+            return
+        at[w][c] = eid
+        c, d = d, c
 
 
 def vizing_color(H: DemandGraph) -> dict[int, int]:
@@ -136,7 +141,7 @@ def vizing_color(H: DemandGraph) -> dict[int, int]:
                 _paint(at, used, color, fan[0], x, rim[0], _low(common))
                 return
             old = color[fan[-1]]
-            _swap(links, at, used, color, fan[-1:], old, _low(common))
+            _flip(links, at, used, color, x, old, _low(common))
             # `old` is now free at x and was missing at an earlier rim vertex.
             idx = next((i for i, w in enumerate(rim[:-1]) if not used[w] >> old & 1), None)
             if idx is None:
@@ -151,15 +156,15 @@ def vizing_color(H: DemandGraph) -> dict[int, int]:
         # b_c is taken at yi: each rim vertex joined the fan with no color
         # free at it and at x (y0 by e0's own first-fit test), and no color
         # changes while the fan grows.  So the b_c/a_c chain from yi has an edge.
-        chain, end = _chain(links, at, yi, b_c, a_c)
-        if end != x:
+        start = yi
+        if _chain(links, at, yi, b_c, a_c) != x:
             del fan[i + 1:]
             del rim[i + 1:]
         else:
-            chain, end = _chain(links, at, yn, b_c, a_c)
-            if end == x:
+            start = yn
+            if _chain(links, at, yn, b_c, a_c) == x:
                 raise StructuralError("fan stalled: both alternating chains end at the anchor")
-        _swap(links, at, used, color, chain, a_c, b_c)
+        _flip(links, at, used, color, start, b_c, a_c)
         fold(fan, rim, x)
 
     def fan_color(e0: int) -> None:

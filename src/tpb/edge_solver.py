@@ -148,7 +148,7 @@ class LevelState:
         out: list[int] = []
         while heap and len(out) < k:
             v = heappop(heap)
-            if deg.get(v) == d and v not in out:
+            if deg.get(v) == d and (not out or out[-1] != v):  # pops come out in order, so a duplicate is out[-1]
                 out.append(v)
         for v in out:
             heappush(heap, v)

@@ -8,8 +8,8 @@ most MAX_DEMANDS = 1 000 000; a and b are each at most MAX_VERTICES =
 1 000 000, because the solvers allocate per vertex of the header.
 `solve_quarter` pads to a*Δ_A demands and declines when that exceeds
 MAX_DEMANDS, as it would for `p tpb 8000 4000 1000` with 1000 demands at
-one class-A vertex.  `solve_blocked` still pads to n*floor(n/3) demands,
-whatever the file holds.
+one class-A vertex.  `solve_blocked` pads to n*floor(n/3) demands and
+declines in the same way when that exceeds MAX_DEMANDS.
 Edge ids are assigned in file order, expanding multiplicities in line order.
 The canonical form sorts edge lines by (i, j) with multiplicities
 merged, which makes the serialize/parse round trip the identity.

@@ -17,11 +17,10 @@ each edge excludes the at most 2Δ_A B-vertices adjacent to an endpoint,
 so the palette size minus the excluded colors exceeds the adjacency
 count whenever b > 6Δ_A - 2.  The list coloring is greedy, so success
 is guaranteed for Δ_A <= floor((b+1)/6) and attempted up to b/4.
-Only the first stage builds a lifted graph (one `lift`); colors complete the routes.
+Neither solver copies the graph: `_stage_one` makes the first stage's
+within-class pieces from its moves, and colors complete the routes.
 """
 from __future__ import annotations
-
-from collections import Counter
 
 from .coloring import (
     choose_semiregular_targets,
@@ -31,8 +30,8 @@ from .coloring import (
     regularize,
     vizing_color,
 )
-from .demand import DemandGraph, Resolution, checked_resolution, lift
-from .demand import extract_resolution  # noqa: F401 -- perfbench/spans.py HOOKS rebinds it here
+from .demand import DemandGraph, Edge, Resolution, checked_resolution
+from .demand import extract_resolution, lift  # noqa: F401 -- perfbench/spans.py HOOKS rebinds these here
 from .errors import PreconditionError, StructuralError
 from .instances import MAX_DEMANDS
 
@@ -66,6 +65,7 @@ def repartition_matchings(
     carry: list[int] = []
     for m in matchings:
         avail = sorted(m)
+        k = 0
         if carry:
             blocked = set()
             for eid in carry:
@@ -88,13 +88,36 @@ def repartition_matchings(
             avail = [eid for eid in avail if eid not in taken]
             groups.append(frozenset(carry + picked))
             carry = []
-        while len(avail) >= delta_a:
-            groups.append(frozenset(avail[:delta_a]))
-            avail = avail[delta_a:]
-        carry = avail
+        while len(avail) - k >= delta_a:
+            groups.append(frozenset(avail[k:k + delta_a]))
+            k += delta_a
+        carry = avail[k:]
     if carry:
         raise StructuralError("edges left over after the final matching")
     return groups
+
+
+def _stage_one(H: DemandGraph, moves: list[tuple[int, int]]) -> tuple[DemandGraph, list[tuple[int, int]]]:
+    """What `lift(H, moves)` makes of H's class-crossing edges moved onto class-A slots, without copying H.
+
+    Returns the within-class pieces, each with the id and the (u, v) order
+    that `lift` gives it and labelled with the id of its source edge, as a
+    graph whose next fresh id follows them; and the (A, B) slot pair of
+    each move's cross edge, which is the edge itself when z is its A end.
+    """
+    a, links = H.a, H.links
+    i = H.next_fresh_id
+    within: dict[int, Edge] = {}
+    cross = []
+    for eid, z in moves:
+        e = links[eid]
+        x, y = (e.u, e.v) if e.u < a else (e.v, e.u)
+        if z != x:
+            piece = Edge(i, eid, x, z) if e.u < a else Edge(i + 1, eid, z, x)
+            within[piece.id] = piece
+            i += 2
+        cross.append((z, y))
+    return DemandGraph(a, H.b, within, i), cross
 
 
 # -- blocked instances ---------------------------------------------------------
@@ -107,7 +130,8 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
     classes.  The construction is guaranteed for equal blocks: there every
     block's Vizing coloring needs at most Δ + μ = 2*floor(n/3) colors, the
     number of class-B vertices in the other two blocks.  A larger block may
-    need more colors than that, which raises PreconditionError.  A
+    need more colors than that, which raises PreconditionError, as does
+    padding to more than MAX_DEMANDS demands, before it is built.  A
     within-class edge of block k is lifted onto a class-B vertex of another
     block, while the B end of its label class lies in block k, so no path
     passes through its own class-B terminal.
@@ -118,41 +142,49 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
     t = n // 3
     if len(sizes) != 3 or sum(sizes) != n or min(sizes) < t:
         raise PreconditionError(f"need three block sizes of at least floor(n/3) = {t} summing to n = {n}")
-    if D.max_degree() > t:
-        raise PreconditionError(f"max degree {D.max_degree()} exceeds floor(n/3) = {t}")
+    degs = D.degree_map()
+    if max(degs) > t:
+        raise PreconditionError(f"max degree {max(degs)} exceeds floor(n/3) = {t}")
+    if n * t > MAX_DEMANDS:
+        raise PreconditionError(f"padding to {n * t} demands exceeds the limit of {MAX_DEMANDS}")
     starts = (0, sizes[0], sizes[0] + sizes[1], n)
     blocks = [range(starts[k], starts[k + 1]) for k in range(3)]
-    for e in D.links.values():
+    block_links: list[dict[int, Edge]] = [{}, {}, {}]
+    for eid, e in D.links.items():
         i, j = (e.u, e.v - n) if e.u < n else (e.v, e.u - n)
         bi = (i >= starts[1]) + (i >= starts[2])
         bj = (j >= starts[1]) + (j >= starts[2])
         if bi != bj:
             raise PreconditionError(f"edge {e.id} joins block {bi + 1} to block {bj + 1}")
+        block_links[bi][eid] = e
 
-    # Pad every block to t-regularity with parallel demands of fresh labels.
-    degs = D.degree_map()
-    pairs = []
-    for blk in blocks:
-        pairs += deficit_pairs({i: t - degs[i] for i in blk}, {j: t - degs[n + j] for j in blk})
-    padded = _ids_as_labels(D.with_slots((i, n + j) for i, j in pairs))
+    # Pad every block to t-regularity with parallel demands of fresh ids.
+    fresh = D.next_fresh_id
+    for blk, links in zip(blocks, block_links):
+        for i, j in deficit_pairs({i: t - degs[i] for i in blk}, {j: t - degs[n + j] for j in blk}):
+            links[fresh] = Edge(fresh, fresh, i, n + j)
+            fresh += 1
 
     # Lift the j-th perfect matching of every block onto the block's j-th A-vertex.
-    moves = []
+    first: dict[int, int] = {}
+    pieces = []
     for k, blk in enumerate(blocks):
-        matchings = konig_decompose(padded.induced([*blk, *range(n + blk.start, n + blk.stop)]))
+        H = DemandGraph(n, n, block_links[k], fresh)
+        matchings = konig_decompose(H)
         if len(matchings) != t:
             raise StructuralError(f"block {k + 1}: expected {t} matchings, got {len(matchings)}")
+        moves = []
         for j, matching in enumerate(matchings):
             if len(matching) != len(blk):
                 raise StructuralError(f"block {k + 1}: matching {j} is not perfect")
             moves += ((eid, blk[j]) for eid in sorted(matching))
-    G = lift(padded, moves)
-    first = dict(moves)
+        pieces.append(_stage_one(H, moves)[0])
+        fresh = pieces[-1].next_fresh_id
+        first.update(moves)
 
     # Route each block's within-class edges of color c via the c-th B-vertex of the others.
     second: dict[int, int] = {}
-    for k, blk in enumerate(blocks):
-        within = G.induced(blk)
+    for k, within in enumerate(pieces):
         if within.max_multiplicity() > 2:
             raise StructuralError(f"block {k + 1}: within-class multiplicity exceeds 2")
         col = vizing_color(within)
@@ -160,45 +192,43 @@ def solve_blocked(D: DemandGraph, sizes: tuple[int, int, int]) -> Resolution:
         used = len(set(col.values()))
         if used > len(targets):
             raise PreconditionError(f"block {k + 1}: {used} colors but only {len(targets)} lift targets")
-        second.update((G.links[eid].label, targets[c]) for eid, c in col.items())
+        second.update((within.links[eid].label, targets[c]) for eid, c in col.items())
     return _routes(D, D, first, second)
 
 
 # -- degree-bounded instances ----------------------------------------------------
 
 
-def check_quarter_claims(G: DemandGraph, delta_a: int) -> dict[int, int]:
+def check_quarter_claims(within: DemandGraph, cross: list[tuple[int, int]], delta_a: int) -> dict[int, int]:
     """Assert the facts the lifting stage must establish; return the exclusion masks.
 
-    A within-class edge uv may not be lifted onto a B-vertex next to either
-    end, so it excludes `nb[u] | nb[v]`, `nb[x]` being x's cross neighbours
-    as a mask of class-B positions (bit y - a for slot y).  Every class-A
-    vertex keeps delta_a distinct cross edges, so an edge excludes at most
-    2*delta_a B-slots.
+    `within` holds the within-class edges the stage makes and `cross` the
+    (A, B) slot pair of each cross edge it leaves.  A within-class edge uv
+    may not be lifted onto a B-vertex next to either end, so it excludes
+    `nb[u] | nb[v]`, `nb[x]` being x's cross neighbours as a mask of
+    class-B positions (bit y - a for slot y).  Every class-A vertex keeps
+    delta_a distinct cross edges, so an edge excludes at most 2*delta_a
+    B-slots.
     """
-    a = G.a
+    a = within.a
     nb = [0] * a
-    within = []
     within_deg = [0] * a
-    for e in G.links.values():
-        if (e.u < a) == (e.v < a):
-            if e.u >= a:
-                raise StructuralError("lifting created a class-B within edge")
-            within.append(e)
-            within_deg[e.u] += 1
-            within_deg[e.v] += 1
-        else:
-            x, y = (e.u, e.v) if e.u < a else (e.v, e.u)
-            if nb[x] >> (y - a) & 1:
-                raise StructuralError("lifting created a parallel cross edge")
-            nb[x] |= 1 << (y - a)
-    if any(c > 2 for c in Counter(e.pair() for e in within).values()):
+    for e in within.links.values():
+        if e.u >= a:
+            raise StructuralError("lifting created a class-B within edge")
+        within_deg[e.u] += 1
+        within_deg[e.v] += 1
+    for x, y in cross:
+        if nb[x] >> (y - a) & 1:
+            raise StructuralError("lifting created a parallel cross edge")
+        nb[x] |= 1 << (y - a)
+    if within.max_multiplicity() > 2:
         raise StructuralError("within-class multiplicity exceeds 2")
     if any(ys.bit_count() != delta_a for ys in nb):
         raise StructuralError("some class-A vertex does not keep delta_a cross edges")
     if max(within_deg) > 2 * delta_a:
         raise StructuralError("within-class degree exceeds 2*delta_a")
-    return {e.id: nb[e.u] | nb[e.v] for e in within}
+    return {e.id: nb[e.u] | nb[e.v] for e in within.links.values()}
 
 
 def solve_quarter(D: DemandGraph) -> Resolution:
@@ -225,7 +255,7 @@ def solve_quarter(D: DemandGraph) -> Resolution:
         raise PreconditionError(f"{_DECLINE}: class-A degree {ta} exceeds b/4 = {T.b / 4:g}")
     if T.a * ta > MAX_DEMANDS:
         raise PreconditionError(f"{_DECLINE}: padding to {T.a * ta} demands exceeds the limit of {MAX_DEMANDS}")
-    reg = _ids_as_labels(regularize(T, ta, tb))
+    reg = regularize(T, ta, tb)
     matchings = konig_decompose(reg)
     if len(matchings) != tb:
         raise StructuralError("semiregular graph did not split into Δ_B matchings")
@@ -233,25 +263,13 @@ def solve_quarter(D: DemandGraph) -> Resolution:
     if len(groups) != reg.a:
         raise StructuralError("repartition did not produce one matching per A-vertex")
     moves = [(eid, i) for i, group in enumerate(groups) for eid in sorted(group)]
-    G = lift(reg, moves)
-    excluded = check_quarter_claims(G, ta)
-    within = G.induced(range(G.a))
+    within, cross = _stage_one(reg, moves)
+    excluded = check_quarter_claims(within, cross, ta)
     budget = max(1000, within.m + 1)
-    col = greedy_list_color(within, range(G.a, G.a + G.b), excluded, max_nodes=budget)
+    col = greedy_list_color(within, range(reg.a, reg.a + reg.b), excluded, max_nodes=budget)
     if col is None:
         raise PreconditionError(f"{_DECLINE}: the list coloring gave up within {budget} nodes")
-    return _routes(D, T, dict(moves), {G.links[eid].label: c for eid, c in col.items()})
-
-
-def _ids_as_labels(D: DemandGraph) -> DemandGraph:
-    """D with each edge labelled by its id, so that every piece a lift makes names its edge.
-
-    D's labels may repeat, as in an `induced` subgraph of a lifted graph; D is
-    returned as is when every label is its edge's id already.
-    """
-    if all(e.label == eid for eid, e in D.links.items()):
-        return D
-    return DemandGraph(D.a, D.b, {eid: e._replace(label=eid) for eid, e in D.links.items()}, D.next_fresh_id)
+    return _routes(D, T, dict(moves), {within.links[eid].label: c for eid, c in col.items()})
 
 
 def _routes(D: DemandGraph, T: DemandGraph, first: dict[int, int], second: dict[int, int]) -> Resolution:

@@ -127,6 +127,19 @@ def test_quarter_declines_padding_beyond_the_demand_limit(tmp_path, capsys):
         tpb.structured.solve_quarter(parse_instance(inst.read_text()))
 
 
+def test_blocked_declines_padding_beyond_the_demand_limit(tmp_path, capsys):
+    # n*floor(n/3) = 1800 * 600 padded demands exceed MAX_DEMANDS, so the
+    # solver declines before it pads
+    inst = tmp_path / "wide.tpb"
+    inst.write_text("p tpb 1800 1800 1\ne 1 1\n")
+    started = time.monotonic()
+    assert run("solve", "--in", str(inst), "--algo", "blocked", "--blocks", "600,600,600") == 1
+    assert time.monotonic() - started < 1
+    assert capsys.readouterr().out.endswith("detail: padding to 1080000 demands exceeds the limit of 1000000\n")
+    with pytest.raises(PreconditionError, match="padding to 1080000 demands"):
+        tpb.structured.solve_blocked(parse_instance(inst.read_text()), (600, 600, 600))
+
+
 def test_quarter_with_over_a_thousand_within_class_edges(tmp_path, capsys):
     inst = tmp_path / "q96.tpb"
     sol = tmp_path / "q96.sol"

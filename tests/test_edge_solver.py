@@ -26,6 +26,7 @@ from tpb import (
     solve_edge_version,
     verify_resolution,
 )
+from tpb.demand import Edge
 from tpb.edge_solver import LevelState
 from tpb.instances import serialize_resolution
 
@@ -842,6 +843,22 @@ def test_low_degree_lookups_read_a_constant_per_level(monkeypatch):
         assert verify_resolution(D, res) == []
         per_level.append(reads["entries"] / len(trace.steps))
     assert all(b <= 1.5 * a for a, b in zip(per_level, per_level[1:])), per_level
+
+
+def test_lowest_returns_each_slot_once_when_its_heap_repeats_it():
+    # a slot that leaves degree 0 and comes back is pushed again, so the heap
+    # holds several entries for it, next to stale ones of a slot still at degree 1
+    L = LevelState(DemandGraph.empty(6, 6))
+    L.change((), {99: Edge(99, 0, 3, 9)})
+    for r in range(3):
+        ids = (100 + 3 * r, 101 + 3 * r, 102 + 3 * r)
+        L.change((), {ids[0]: Edge(ids[0], 0, 0, 6), ids[1]: Edge(ids[1], 0, 2, 7), ids[2]: Edge(ids[2], 0, 5, 8)})
+        L.change(ids, {})
+    heap = L.low[0][0]
+    assert Counter(heap)[0] == Counter(heap)[2] == 4 and 3 in heap
+    for k in range(1, 7):
+        assert L.lowest(0, 0, k) == [0, 1, 2, 4, 5][:k]
+    assert L.lowest(0, 0, 6) == [0, 1, 2, 4, 5]
 
 
 def test_levels_touch_no_whole_graph(monkeypatch):

@@ -166,6 +166,20 @@ def test_edge_induction_keeps_its_outputs_at_more_seeds(bench_run, seed, tmp_pat
     assert one_pass(bench_run, "edge-induction", seed, tmp_path) == (338, [], [], EDGE_DIGESTS[seed])
 
 
+#: Structured-lift `output_digest` at more seeds, as for seed 1 above.
+STRUCTURED_DIGESTS = {
+    2: "dcc5fd675384989d7e8d8c469314233008006458c61aaba695c92566089a21cd",
+    3: "56dd53f99ae2140f61598ca9aaca5e690f2fcdebb0cd6955f2ccb12977ab120d",
+    4: "82ba698a243844b4608f9c59d0ca1c71ae5777c45bbe9f35fcdd6fa4560fef60",
+    5: "e42c850fca62f324cbfd23f358ff034d26b089efb57a484dc8ee435c1e55b61f",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(STRUCTURED_DIGESTS))
+def test_structured_lift_keeps_its_outputs_at_more_seeds(bench_run, seed, tmp_path):
+    assert one_pass(bench_run, "structured-lift", seed, tmp_path) == (280, [], [], STRUCTURED_DIGESTS[seed])
+
+
 def one_pass(bench_run, workload, seed, tmp_path):
     """Op count, failed ops, check problems and `output_digest` of one untraced pass."""
     env = bench_run.load_tpb()

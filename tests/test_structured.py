@@ -1,7 +1,11 @@
 """Blocked and degree-bounded pipelines plus matching repartition."""
 import hashlib
+from collections import Counter
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tpb import (
     A,
@@ -23,7 +27,7 @@ from tpb import (
 )
 import tpb.cli
 import tpb.structured
-from tpb.structured import check_quarter_claims, lift
+from tpb.structured import _stage_one, check_quarter_claims, lift
 from tpb.coloring import choose_semiregular_targets, regularize
 from tpb.instances import serialize_instance, serialize_resolution
 
@@ -82,6 +86,53 @@ def test_repartition_rejects_large_delta():
 def test_repartition_randomized(seed):
     H = gen_random_semiregular(16, 8, 2, seed)
     groups = repartition_matchings(H, konig_decompose(H), 2)
+    check_repartition(H, groups, 2)
+
+
+def sliced_repartition(H, matchings, delta_a):
+    """The groups as `repartition_matchings` once cut them, dropping each group's slice from `avail`."""
+    groups, carry = [], []
+    for m in matchings:
+        avail = sorted(m)
+        if carry:
+            blocked = {w for eid in carry for w in (H.links[eid].u, H.links[eid].v)}
+            picked = []
+            for eid in avail:
+                if len(picked) == delta_a - len(carry):
+                    break
+                e = H.links[eid]
+                if e.u not in blocked and e.v not in blocked:
+                    picked.append(eid)
+                    blocked |= {e.u, e.v}
+            avail = [eid for eid in avail if eid not in picked]
+            groups.append(frozenset(carry + picked))
+            carry = []
+        while len(avail) >= delta_a:
+            groups.append(frozenset(avail[:delta_a]))
+            avail = avail[delta_a:]
+        carry = avail
+    return groups
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_repartition_cuts_the_groups_the_slicing_version_cut(data):
+    b = data.draw(st.integers(4, 24), label="b")
+    delta_a = data.draw(st.integers(1, b // 4), label="delta_a")
+    step = b // gcd(b, delta_a)  # a*delta_a must be a multiple of b, and a >= b
+    a = step * data.draw(st.integers(-(-b // step), -(-b // step) + 2), label="a / step")
+    H = gen_random_semiregular(a, b, delta_a, data.draw(st.integers(0, 99), label="seed"))
+    matchings = konig_decompose(H)
+    assert repartition_matchings(H, matchings, delta_a) == sliced_repartition(H, matchings, delta_a)
+
+
+def test_repartition_keeps_the_sliced_groups_across_a_carry():
+    # b = 9 is not a multiple of delta_a = 2, so every matching leaves or fills a carry
+    H = gen_random_semiregular(9, 9, 2, 4)
+    matchings = konig_decompose(H)
+    groups = repartition_matchings(H, matchings, 2)
+    assert groups == sliced_repartition(H, matchings, 2)
+    assert sum(len(g & m) == 1 for g in groups for m in matchings) == 2  # the one mixed group
     check_repartition(H, groups, 2)
 
 
@@ -209,15 +260,28 @@ def test_quarter_gives_up_when_the_list_coloring_fails():
     assert str(exc.value).endswith(": the list coloring gave up within 1000 nodes")
 
 
+def quarter_stage_one(D):
+    """The semiregular padding of D, the class-A degree and the moves of `solve_quarter`'s first stage."""
+    ta, tb = choose_semiregular_targets(D)
+    reg = regularize(D, ta, tb)
+    groups = repartition_matchings(reg, konig_decompose(reg), ta)
+    return reg, ta, [(eid, i) for i, group in enumerate(groups) for eid in sorted(group)]  # onto A_i
+
+
+def within_and_cross(G):
+    """G's within-class edges as a graph, and the (A, B) slot pair of each cross edge."""
+    within = {eid: e for eid, e in G.links.items() if (e.u < G.a) == (e.v < G.a)}
+    cross = [e.pair() for e in G.links.values() if (e.u < G.a) != (e.v < G.a)]
+    return DemandGraph(G.a, G.b, within, G.next_fresh_id), cross
+
+
 def test_quarter_intermediate_claims():
     # stage the pipeline by hand and re-derive the lifted-graph facts
     D = gen_random_semiregular(24, 24, 4, 17)
-    ta, tb = choose_semiregular_targets(D)
-    assert (ta, tb) == (4, 4)
-    reg = regularize(D, ta, tb)
-    groups = repartition_matchings(reg, konig_decompose(reg), ta)
-    G = lift(reg, ((eid, i) for i, group in enumerate(groups) for eid in sorted(group)))  # onto A_i
-    excluded = check_quarter_claims(G, ta)  # raises on any violated claim
+    reg, ta, moves = quarter_stage_one(D)
+    assert ta == 4
+    G = lift(reg, moves)
+    excluded = check_quarter_claims(*within_and_cross(G), ta)  # raises on any violated claim
     cross_pairs = set()
     to_b = [0] * G.a
     within_deg = {}
@@ -314,56 +378,40 @@ def test_blocked_unequal_outputs_pinned(n, sizes):
 
 
 @pytest.fixture
-def lift_calls(monkeypatch):
+def graph_copies(monkeypatch):
     calls = []
-    real = tpb.structured.lift
+    real_lift, real_induced = tpb.structured.lift, DemandGraph.induced
 
-    def counting(G, moves):
-        calls.append(G)
-        return real(G, moves)
+    def lifting(G, moves):
+        calls.append("lift")
+        return real_lift(G, moves)
 
-    monkeypatch.setattr(tpb.structured, "lift", counting)
+    def inducing(G, keep):
+        calls.append("induced")
+        return real_induced(G, keep)
+
+    monkeypatch.setattr(tpb.structured, "lift", lifting)
+    monkeypatch.setattr(DemandGraph, "induced", inducing)
     return calls
 
 
-# stage 2 is read off the colouring, so only stage 1 builds a lifted graph
-def test_quarter_lifts_in_one_batch(lift_calls):
+# stage 1's within-class pieces are made from its moves and stage 2 is read
+# off the colouring, so neither stage copies the graph
+def test_quarter_builds_no_lifted_or_induced_graph(graph_copies):
     D = gen_random_semiregular(32, 32, 4, 3)
     assert verify_resolution(D, solve_quarter(D)) == []
-    assert len(lift_calls) == 1
+    assert graph_copies == []
 
 
-def test_blocked_lifts_in_one_batch(lift_calls):
+def test_blocked_builds_no_lifted_or_induced_graph(graph_copies):
     D = gen_random_blocked(24, (8, 8, 8), 3)
     assert verify_resolution(D, solve_blocked(D, (8, 8, 8))) == []
-    assert len(lift_calls) == 1
+    assert graph_copies == []
 
 
-# -- routes composed from the two stages ---------------------------------------------
-
-
-@pytest.fixture
-def stages(monkeypatch):
-    """Record the stage-1 lifted graph and every stage-2 colouring of a solve."""
-    seen = {"G": None, "cols": []}
-    real_lift = tpb.structured.lift
-    names = ("vizing_color", "greedy_list_color")
-    real_colorings = {name: getattr(tpb.structured, name) for name in names}
-
-    def lifting(H, moves):
-        seen["G"] = real_lift(H, moves)
-        return seen["G"]
-
-    def recording(real):
-        def color(*args, **kwargs):
-            seen["cols"].append(real(*args, **kwargs))
-            return seen["cols"][-1]
-        return color
-
-    monkeypatch.setattr(tpb.structured, "lift", lifting)
-    for name, real in real_colorings.items():
-        monkeypatch.setattr(tpb.structured, name, recording(real))
-    return seen
+def with_one_label(D):
+    # a valid graph whose labels all repeat, as in `induced` of a lifted graph
+    return DemandGraph(D.a, D.b, {eid: e._replace(label=0) for eid, e in D.links.items()}, D.next_fresh_id)
 
 
 def mixed_orders(D):
@@ -371,6 +419,61 @@ def mixed_orders(D):
     return DemandGraph.from_pairs(
         D.a, D.b, [(e.u, e.v) if e.id % 2 else (e.v, e.u) for e in D.edges.values()]
     )
+
+
+@pytest.mark.parametrize("labels", [lambda D: D, with_one_label], ids=["own-labels", "one-label"])
+@pytest.mark.parametrize("order", [lambda D: D, mixed_orders], ids=["a-first", "mixed"])
+@pytest.mark.parametrize("a, b, delta_a", [(16, 16, 2), (24, 12, 2)])
+def test_stage_one_pieces_are_the_lifted_graphs_edges(a, b, delta_a, order, labels):
+    reg, _, moves = quarter_stage_one(labels(order(gen_random_semiregular(a, b, delta_a, 1))))
+    # moves onto an edge's own A end change nothing and use up no id
+    stays = sum(z in (reg.links[eid].u, reg.links[eid].v) for eid, z in moves)
+    assert 0 < stays < len(moves)
+    within, cross = _stage_one(reg, moves)
+    lifted_within, lifted_cross = within_and_cross(lift(reg, moves))
+    assert within.next_fresh_id == lifted_within.next_fresh_id == reg.next_fresh_id + 2 * (len(moves) - stays)
+    assert {eid: e[2:] for eid, e in within.links.items()} == {eid: e[2:] for eid, e in lifted_within.links.items()}
+    assert list(within.links) == sorted(within.links)
+    # each piece names its source edge, whose own label `lift` passes on
+    assert all(reg.links[e.label].label == lifted_within.links[eid].label for eid, e in within.links.items())
+    target = dict(moves)
+    assert all({e.u, e.v} == {min(reg.links[e.label].pair()), target[e.label]} for e in within.links.values())
+    assert Counter(cross) == Counter(lifted_cross)
+
+
+# -- routes composed from the two stages ---------------------------------------------
+
+
+@pytest.fixture
+def stages(monkeypatch):
+    """Record every stage-1 input graph and its moves, and every stage-2 colouring of a solve."""
+    seen = {"stage_one": [], "cols": []}
+    real_stage_one = tpb.structured._stage_one
+    names = ("vizing_color", "greedy_list_color")
+    real_colorings = {name: getattr(tpb.structured, name) for name in names}
+
+    def staging(H, moves):
+        seen["stage_one"].append((H, list(moves)))
+        return real_stage_one(H, moves)
+
+    def recording(real):
+        def color(*args, **kwargs):
+            seen["cols"].append(real(*args, **kwargs))
+            return seen["cols"][-1]
+        return color
+
+    monkeypatch.setattr(tpb.structured, "_stage_one", staging)
+    for name, real in real_colorings.items():
+        monkeypatch.setattr(tpb.structured, name, recording(real))
+    return seen
+
+
+def lifted_stage_one(seen):
+    """The stage-1 graph: every recorded input edge, with one `lift` of every recorded move in order."""
+    (first, _), *_ = seen["stage_one"]
+    links = {eid: e for H, _ in seen["stage_one"] for eid, e in H.links.items()}
+    moves = [move for _, ms in seen["stage_one"] for move in ms]
+    return lift(DemandGraph(first.a, first.b, links, first.next_fresh_id), moves)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -385,7 +488,7 @@ def test_blocked_routes_equal_extraction_after_a_second_lift(stages, seed, n, si
     for k, col in enumerate(stages["cols"]):
         targets = [n + j for j in blocks[(k + 1) % 3]] + [n + j for j in blocks[(k + 2) % 3]]
         moves += ((eid, targets[c]) for eid, c in sorted(col.items(), key=lambda ec: (ec[1], ec[0])))
-    assert res.routes == reference_extract(lift(stages["G"], moves), D)
+    assert res.routes == reference_extract(lift(lifted_stage_one(stages), moves), D)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -395,13 +498,8 @@ def test_quarter_routes_equal_extraction_after_a_second_lift(stages, seed, a, b,
     D = order(gen_random_semiregular(a, b, delta_a, seed))
     res = solve_quarter(D)
     (col,) = stages["cols"]
-    final = lift(stages["G"], sorted(col.items()))
+    final = lift(lifted_stage_one(stages), sorted(col.items()))
     assert res.routes == reference_extract(final if a >= b else final.transpose(), D)
-
-
-def with_one_label(D):
-    # a valid graph whose labels all repeat, as in `induced` of a lifted graph
-    return DemandGraph(D.a, D.b, {eid: e._replace(label=0) for eid, e in D.links.items()}, D.next_fresh_id)
 
 
 def test_structured_solvers_key_lift_targets_by_edge_id():
