@@ -212,7 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
     )
     ps.add_argument("--out", default=None)
-    ps.add_argument("--timeout-ms", dest="timeout_ms", type=_positive_int, default=10_000)
+    ps.add_argument(
+        "--timeout-ms",
+        dest="timeout_ms",
+        type=_positive_int,
+        default=10_000,
+        help="wall-clock budget of the exact oracle in ms (default %(default)s); it bounds only"
+        " --algo oracle and the oracle stage of auto, and the edge, blocked and quarter solvers ignore it",
+    )
     ps.add_argument("--blocks", default=None, help="three block sizes i,j,k")
     ps.set_defaults(func=cmd_solve)
 

@@ -123,8 +123,8 @@ def vizing_color(H: DemandGraph) -> dict[int, int]:
     StructuralError.
     """
     links = H.links
-    full = (1 << (H.max_degree() + H.max_multiplicity())) - 1
     degs = H.degree_map()
+    full = (1 << (max(degs) + H.max_multiplicity())) - 1
     at: list[dict[int, int]] = [{} for _ in degs]
     used = [0] * len(degs)
     color: dict[int, int] = {}

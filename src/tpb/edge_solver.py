@@ -30,13 +30,15 @@ other class as arguments, so a level with the classes swapped runs on
 the same state like any other.  The handlers' rules
 ("the lowest isolated vertex", index tie-breaks) read the alive
 vertices in slot order, which is the order of the smaller
-K_{m,m} the induction stands for; the trace records each level's
-vertices in those compact coordinates.  The loop ends at a simple
-graph, an n <= 5 instance (solved by the exact oracle) or a case that
-lifts straight to a simple graph.  Each step is recorded in a CaseTrace
-for auditability.  Every lift, and the base case's routing, records the
-pieces that replace an edge, so each demand's route is composed from its
-own lifts.
+K_{m,m} the induction stands for.  Each step is recorded in a CaseTrace
+for auditability, with its sets as the slots the handler named; their
+compact coordinates are worked out for the whole trace on the first read
+of any step's sets, so a solve whose trace is never read converts
+nothing.  The loop ends at a simple graph, an n <= 5 instance (solved by
+the exact oracle, whose pieces are written straight to the final edges)
+or a case that lifts straight to a simple graph.  Every lift, and the
+base case's routing, records the pieces that replace an edge, so each
+demand's route is composed from its own lifts.
 """
 from __future__ import annotations
 
@@ -66,22 +68,91 @@ _BASE_BUDGET = SearchBudget(max_nodes=10_000_000, max_millis=120_000)
 
 @dataclass
 class CaseContext:
-    """One induction step: which case fired and on what structure."""
+    """One induction step: which case fired and on what structure.
+
+    X, Y and the removal set Z are kept as the slots the handler named;
+    `x_set`, `y_set` and `z_set` give them as V in the compact coordinates
+    of the step's K_{n,n}, worked out for the whole trace on the first
+    read of any step's sets (see `_Levels`).
+    """
 
     n: int
     case_tag: str
-    x_set: tuple[V, ...] = ()
-    y_set: tuple[V, ...] = ()
-    z_set: tuple[V, ...] = ()
+    x_slots: tuple[int, ...] = ()
+    y_slots: tuple[int, ...] = ()
+    z_slots: tuple[int, ...] = ()
     f_set: tuple[int, ...] = ()
     lifts: int = 0
     swapped: bool = False
     note: str = ""
+    _at: tuple[_Levels, int] | None = field(default=None, init=False, repr=False, compare=False)
+
+    x_set = property(lambda self: self._sets()[0])
+    y_set = property(lambda self: self._sets()[1])
+    z_set = property(lambda self: self._sets()[2])
+
+    def _sets(self) -> tuple[tuple[V, ...], ...]:
+        # a step that removed no Z (simple, base, 2.2.3) names no vertex
+        return self._at[0].sets(self._at[1]) if self._at else ((), (), ())
+
+
+class _Levels:
+    """The X, Y and Z slots of a trace's levels in order, shared by its steps instead of the trace."""
+
+    def __init__(self, a: int, size: int):
+        self.a, self.size = a, size
+        self.slots: list[tuple[tuple[int, ...], ...]] = []
+        self.coords: list[tuple[tuple[V, ...], ...]] = []
+
+    def add(self, ctx: CaseContext, z: tuple[int, ...]) -> None:
+        """Record the level of ctx, which removed the slots z."""
+        ctx.z_slots, ctx._at = z, (self, len(self.slots))
+        self.slots.append((ctx.x_slots, ctx.y_slots, z))
+
+    def sets(self, i: int) -> tuple[tuple[V, ...], ...]:
+        """Level i's sets as V; the first call replays every level recorded so far."""
+        if len(self.coords) < len(self.slots):
+            self.coords = _replay(self.a, self.size, self.slots)
+        return self.coords[i]
+
+
+def _replay(a: int, size: int, slots: list[tuple[tuple[int, ...], ...]]) -> list[tuple[tuple[V, ...], ...]]:
+    """Each level's X, Y and Z as V: a slot's position among its class's slots alive at that level.
+
+    Slot v's position is v less the slots of its class removed at earlier
+    levels below it, counted by a Fenwick tree over the slots (slot w at
+    index w + 1) that each level's Z is added to after the level is read.
+    """
+    tree = [0] * (size + 1)
+    gone_a = 0  # class-A slots removed so far, all below any class-B slot
+    out = []
+    for level in slots:
+        sets = []
+        for vs in level:
+            coords = []
+            for v in vs:
+                i, below = v, 0
+                while i:
+                    below += tree[i]
+                    i &= i - 1
+                coords.append(V(SIDE_A, v - below) if v < a else V(SIDE_B, v - a - below + gone_a))
+            sets.append(tuple(coords))
+        out.append(tuple(sets))
+        for v in level[2]:
+            gone_a += v < a
+            i = v + 1
+            while i <= size:
+                tree[i] += 1
+                i += i & -i
+    return out
 
 
 @dataclass
 class CaseTrace:
+    """The steps of one induction in order, and the slots of the levels that removed a set Z."""
+
     steps: list[CaseContext] = field(default_factory=list)
+    levels: _Levels | None = field(default=None, repr=False, compare=False)
 
     def tags(self) -> list[str]:
         return [s.case_tag for s in self.steps]
@@ -153,12 +224,6 @@ class LevelState:
         for v in out:
             heappush(heap, v)
         return out
-
-    def local(self, v: int, z: Iterable[int] = ()) -> V:
-        """v's position among the alive vertices of its class before the slots z were removed."""
-        s = int(v >= self.a)
-        lo = s * self.a
-        return V((SIDE_A, SIDE_B)[s], bisect_left(self.sides[s], v) + sum(lo <= w < v for w in z))
 
     def _bump(self, k: int, *vs: int) -> None:
         deg, bydeg, low, a = self.deg, self.bydeg, self.low, self.a
@@ -410,11 +475,14 @@ def _resolve(D: DemandGraph, trace: CaseTrace) -> LevelState:
 
     Every level works on the one state L and ends in one change to it
     that lifts onto Z and removes Z, moving the edges at Z to `L.frozen`,
-    where they are final; the alive edges left at the end are final too.
-    Each lift and the base case record in `L.split` the pieces that
-    replace an edge, and a demand's route is composed from those records.
+    where they are final; the alive edges left at the end are final too,
+    and a base case writes its pieces to `L.frozen` directly.  Each lift
+    and the base case record in `L.split` the pieces that replace an
+    edge, and a demand's route is composed from those records.  Each
+    level that removed a Z is recorded in `trace.levels`.
     """
     L = LevelState(D)
+    levels = trace.levels = _Levels(D.a, D.a + D.b)
     while True:
         n = len(L.sides[0])
         if not L.parallel:
@@ -426,14 +494,12 @@ def _resolve(D: DemandGraph, trace: CaseTrace) -> LevelState:
         pad_to_full(L, n)
         k = len(L.frozen)
         ctx, z = _dispatch(L, n)
-        ctx.x_set, ctx.y_set, ctx.z_set = (
-            tuple([L.local(v, z or ()) for v in vs]) if vs else () for vs in (ctx.x_set, ctx.y_set, ctx.z_set)
-        )
         trace.steps.append(ctx)
         if z is None:
             if L.parallel:
                 raise StructuralError(f"case {ctx.case_tag}: direct construction not simple")
             break
+        levels.add(ctx, z)
         froze = list(islice(reversed(L.frozen.values()), len(L.frozen) - k))
         problems = check_conditions(L, z, n, froze)
         if problems:
@@ -447,7 +513,10 @@ def _resolve(D: DemandGraph, trace: CaseTrace) -> LevelState:
 def _base_case(L: LevelState, trace: CaseTrace) -> None:
     """Route the alive graph with the oracle on the compact K_{n,n}, in place.
 
-    Each alive edge is replaced by the edges of its route, recorded in `L.split`.
+    Each alive edge is replaced by the edges of its route, recorded in
+    `L.split`.  The induction ends here, so the pieces go straight to
+    `L.frozen` and the replaced edges leave `L.edges`; the adjacency,
+    degrees and heaps, which nothing reads any more, are left as they were.
     """
     alive = [*L.sides[0], *L.sides[1]]  # by compact slot
     n = len(L.sides[0])
@@ -464,16 +533,17 @@ def _base_case(L: LevelState, trace: CaseTrace) -> None:
             f"oracle reported {verdict.status} on an in-hypothesis base instance"
         )
     trace.steps.append(CaseContext(n, "base", note=f"nodes={verdict.nodes_explored}"))
-    edges = {}
+    frozen = L.frozen
     nid = L.next_fresh_id
     for eid in sorted(C.links):
         e = C.links[eid]
         vs = [alive[s] for s in verdict.resolution.slots[eid]]
         L.split[eid] = (vs[0], tuple(range(nid, nid + len(vs) - 1)))
         for x, y in zip(vs, vs[1:]):
-            edges[nid] = Edge(nid, e.label, x, y)
+            frozen[nid] = Edge(nid, e.label, x, y)
             nid += 1
-    L.change(list(L.edges), edges)
+    L.edges = {}
+    L.next_fresh_id = nid
 
 
 # -- case dispatch -------------------------------------------------------------
@@ -538,7 +608,7 @@ def _case1(L: LevelState, n: int, iso_a: list[int], iso_b: list[int], X: tuple[i
     F = find_cover_F(L, X, Y)
     place_F(L, F, u1, u2, v1, v2)
     z = (u1, u2, v1, v2)
-    return CaseContext(n, f"1.{5 - len(Y)}", X, Y, z, f_set=F, lifts=4), z
+    return CaseContext(n, f"1.{5 - len(Y)}", X, Y, f_set=F, lifts=4), z
 
 
 def _structured_cover(L: LevelState, X, Y) -> list[int]:
@@ -619,14 +689,14 @@ def _case21(L: LevelState, n: int, s: int, t: int):
             raise StructuralError("case 2.1: no edge avoids x and its neighbor")
         z = (x, y)
         edge_lift(L, [(away[0], x, y)], z)
-        return CaseContext(n, "2.1", z_set=z, lifts=1), z
+        return CaseContext(n, "2.1", lifts=1), z
     ones = L.lowest(1, t, 2)
     if len(ones) < 2:
         raise StructuralError("case 2.1: expected two degree-1 vertices opposite x")
     # x has the one neighbour xp, so one of the two lowest is not joined to x
     z = (x, ones[1] if ones[0] == xp else ones[0])
     L.change((), {}, z)
-    return CaseContext(n, "2.1", z_set=z), z
+    return CaseContext(n, "2.1"), z
 
 
 def _case22(L: LevelState, n: int):
@@ -640,7 +710,7 @@ def _case22(L: LevelState, n: int):
             raise StructuralError("case 2.2.1: no isolated vertex opposite")
         z = (v, other_iso[0])
         L.change((), {}, z)
-        return CaseContext(n, "2.2.1", z_set=z), z
+        return CaseContext(n, "2.2.1"), z
     if len(iso_a) >= 2 or len(iso_b) >= 2:
         return _oriented(_case222, L, n, 1 if len(iso_b) >= 2 else 0)
     return _case223(L, n)
@@ -684,7 +754,7 @@ def _case222(L: LevelState, n: int, s: int, t: int):
         raise StructuralError("case 2.2.2: chosen neighbors coincide")
     z = (a1, a2, zz, w)
     edge_lift(L, [(L.pair(u, zz)[0], a1, w), (L.pair(v, w)[0], a2, zz)], z)
-    return CaseContext(n, "2.2.2", z_set=z, lifts=2), z
+    return CaseContext(n, "2.2.2", lifts=2), z
 
 
 def _case223(L: LevelState, n: int):
@@ -730,7 +800,7 @@ def _case3(L: LevelState, n: int, s: int, t: int):
             away = _first(L, 1, at=z)
         zz = (v, u)
         edge_lift(L, [(away[0], v, u)], zz)
-        return CaseContext(n, "3.1", x_set=(z,), z_set=zz, lifts=1), zz
+        return CaseContext(n, "3.1", x_slots=(z,), lifts=1), zz
     iso_t = L.lowest(0, t, 1)
     if not iso_t:
         raise StructuralError("case 3.2: opposite class has no isolated vertex")
@@ -750,7 +820,7 @@ def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
         eid = _first(L, 1, x, at=z)[0]
         zz = (v, x)
         edge_lift(L, [(eid, v, u)], zz)
-        ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=1, note="plain neighbor")
+        ctx = CaseContext(n, "3.2.1", x_slots=(z,), lifts=1, note="plain neighbor")
         return ctx, zz
     if not mult_free:
         # every degree-2 vertex is a doubled pair
@@ -767,7 +837,7 @@ def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
         zp = next(iter(adj[b]))
         zz = (v, v2, a_nb, b)
         edge_lift(L, [(L.pair(z, a_nb)[0], v, b), (L.pair(zp, b)[0], v2, a_nb)], zz)
-        ctx = CaseContext(n, "3.2.1", x_set=(z,), z_set=zz, lifts=2, note="parallel pairs")
+        ctx = CaseContext(n, "3.2.1", x_slots=(z,), lifts=2, note="parallel pairs")
         return ctx, zz
     # Mixed shape: the full vertex sees only doubled pairs while plain
     # degree-2 vertices live elsewhere.  Lift one copy of every doubled
@@ -783,9 +853,7 @@ def _case321(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
         raise StructuralError("case 3.2.1: target count mismatch")
     zz = (z, v, star[0], u)
     edge_lift(L, [(L.pair(z, x)[0], v, y) for x, y in zip(star, targets)], zz)
-    ctx = CaseContext(
-        n, "3.2.1", x_set=(z,), z_set=zz, lifts=len(star), note="lifted parallel star"
-    )
+    ctx = CaseContext(n, "3.2.1", x_slots=(z,), lifts=len(star), note="lifted parallel star")
     return ctx, zz
 
 
@@ -799,7 +867,7 @@ def _case322(L: LevelState, n: int, s: int, t: int, z: int, v: int, u: int):
             if x not in L.adj[y]:
                 zz = (y, u)
                 edge_lift(L, [(L.pair(z, x)[0], y, u)], zz)
-                return CaseContext(n, "3.2.2", x_set=(z,), z_set=zz, lifts=1), zz
+                return CaseContext(n, "3.2.2", x_slots=(z,), lifts=1), zz
     raise StructuralError("case 3.2.2: every neighbor of z covers all degree-1 vertices")
 
 
@@ -827,4 +895,4 @@ def _case4(L: LevelState, n: int, s: int, t: int):
     else:
         y, zz = v2, (z1, v2)
     edge_lift(L, [(joint[0], v1, y)], zz)
-    return CaseContext(n, "4", x_set=(z1, z2), z_set=zz, lifts=1), zz
+    return CaseContext(n, "4", x_slots=(z1, z2), lifts=1), zz

@@ -547,6 +547,14 @@ def test_blocks_that_fit_reach_the_solver(blocked6, blocks, code, capsys):
     assert captured.err == ""
 
 
+def test_solve_help_says_the_timeout_bounds_only_the_oracle(capsys):
+    assert run("solve", "--help") == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert "--timeout-ms TIMEOUT_MS wall-clock budget of the exact oracle in ms (default 10000)" in text
+    assert "it bounds only --algo oracle and the oracle stage of auto" in text
+    assert "the edge, blocked and quarter solvers ignore it" in text
+
+
 def test_parser_built_once_keeps_help_and_usage(capsys):
     assert run("--help") == 0
     first = capsys.readouterr().out

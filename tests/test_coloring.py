@@ -178,6 +178,20 @@ def test_vizing_random(seed):
         assert len(set(col.values())) <= H.max_degree() + H.max_multiplicity()
 
 
+def test_vizing_reads_the_degrees_once(monkeypatch):
+    calls = Counter()
+    real = DemandGraph.degree_map
+
+    def counted(G):
+        calls["degree_map"] += 1
+        return real(G)
+
+    monkeypatch.setattr(DemandGraph, "degree_map", counted)
+    H = doubled_triangle()
+    assert proper(H, vizing_color(H))
+    assert calls["degree_map"] == 1
+
+
 def test_vizing_complete_multigraphs():
     # doubled complete graphs keep the fan machinery busy
     for nv in (4, 5, 6):

@@ -26,7 +26,7 @@ from tpb import (
     solve_edge_version,
     verify_resolution,
 )
-from tpb.demand import Edge
+from tpb.demand import Edge, V
 from tpb.edge_solver import LevelState
 from tpb.instances import serialize_resolution
 
@@ -936,3 +936,87 @@ def test_swapped_levels_build_one_state(monkeypatch):
         assert verify_resolution(D, res) == []
         assert sum(s.swapped for s in trace.steps) > 0
         assert len(inits) == 1
+
+
+# -- the lazy trace and the base case --------------------------------------------------
+
+
+def test_edge_solve_builds_no_vertex(monkeypatch):
+    # a level keeps its sets as slots; V is built only when a caller reads them
+    built = Counter()
+    real_new = V.__new__
+
+    def counting_new(cls, *args):
+        built["v"] += 1
+        return real_new(cls, *args)
+
+    instances = [gen_random_edge(256, 0), clustered_instance(96, 0)]
+    monkeypatch.setattr(V, "__new__", counting_new)
+    for D in instances:
+        built.clear()
+        res, trace = solve_edge_version(D)
+        assert built["v"] == 0
+        assert any(s.z_set for s in trace.steps) and built["v"] > 0
+        assert verify_resolution(D, res) == []
+
+
+def test_trace_sets_replayed_once_and_count_earlier_levels_only(monkeypatch):
+    replays = Counter()
+    real = tpb.edge_solver._replay
+
+    def counting(*args):
+        replays["runs"] += 1
+        return real(*args)
+
+    monkeypatch.setattr(tpb.edge_solver, "_replay", counting)
+    D = gen_random_edge(4096, 0)
+    res, trace = solve_edge_version(D)
+    assert replays["runs"] == 0
+    first = [(s.x_set, s.y_set, s.z_set) for s in trace.steps]
+    again = [(s.x_set, s.y_set, s.z_set) for s in trace.steps]
+    assert replays["runs"] == 1 and first == again
+    # a slot's coordinate is its position among its class's slots that no
+    # earlier level removed, read here from two sorted lists kept by hand
+    sides = (list(range(D.a)), list(range(D.a, 2 * D.a)))
+    for s, sets in zip(trace.steps, first):
+        want = tuple(
+            tuple(V("AB"[v >= D.a], sides[v >= D.a].index(v)) for v in vs)
+            for vs in (s.x_slots, s.y_slots, s.z_slots)
+        )
+        assert sets == want, s
+        for v in s.z_slots:
+            sides[v >= D.a].remove(v)
+    assert sum(map(len, sides)) == 2 * trace.steps[-1].n
+
+
+def test_base_case_writes_its_pieces_final(monkeypatch):
+    # the loop ends at the base case, so its pieces are not indexed in the level state
+    calls = Counter()
+    inside = []
+    for name in ("_drop", "_add", "_bump"):
+        real = getattr(LevelState, name)
+
+        def counted(self, *args, real=real, name=name):
+            if inside:
+                calls[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(LevelState, name, counted)
+    real_base = tpb.edge_solver._base_case
+
+    def base(L, trace):
+        inside.append(L)
+        try:
+            real_base(L, trace)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(tpb.edge_solver, "_base_case", base)
+    bases = 0
+    for seed in range(20):
+        D = gen_random_edge(8, seed)
+        res, trace = solve_edge_version(D)
+        assert verify_resolution(D, res) == []
+        bases += trace.tags()[-1] == "base"
+    assert bases > 0
+    assert not calls, calls
